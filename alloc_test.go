@@ -153,3 +153,41 @@ func TestPredictZeroAlloc(t *testing.T) {
 		t.Errorf("Predict allocates %.2f objects per call, want 0", n)
 	}
 }
+
+// gcEvents counts the predictor's GC confirmations.
+type gcEvents struct {
+	ssdcheck.Recorder
+	n int
+}
+
+func (g *gcEvents) Event(name, _ string) {
+	if name == "gc_confirmed" {
+		g.n++
+	}
+}
+
+// TestPredictObserveAgedZeroAlloc pins the steady-state predict →
+// submit → observe cycle to zero allocations: an aged preset-F
+// predictor served 4096-request cycles that include GC confirmations,
+// each of which inserts into the GC interval history and re-derives the
+// detector's arming threshold. Only the history's amortised slice growth
+// may touch the heap, which rounds to nothing per cycle.
+func TestPredictObserveAgedZeroAlloc(t *testing.T) {
+	dev, pr, now := agedPredictor(t, 300_000)
+	gc := &gcEvents{Recorder: ssdcheck.NopRecorder()}
+	pr.SetRecorder(gc, "F")
+	reqs := ssdcheck.GenerateWorkload(ssdcheck.RWMixed, dev.CapacitySectors(), 43, 4096)
+	if n := testing.AllocsPerRun(5, func() {
+		for _, req := range reqs {
+			_ = pr.Predict(req, now)
+			done := dev.Submit(req, now)
+			pr.Observe(req, now, done)
+			now = done
+		}
+	}); n != 0 {
+		t.Errorf("aged Predict+Observe allocates %.0f objects per 4096-request cycle, want 0", n)
+	}
+	if gc.n == 0 {
+		t.Fatal("no GC confirmed during the measured cycles; the guard did not cover history updates")
+	}
+}

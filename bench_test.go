@@ -517,6 +517,48 @@ func BenchmarkPredict(b *testing.B) {
 	}
 }
 
+// agedPredictor returns preset F (read-trigger flushes, the widest GC
+// interval history of the presets) under a full-diagnosis predictor that
+// has already served n RWMixed requests, plus one buffered write so that
+// every read prediction consults the GC detector.
+func agedPredictor(tb testing.TB, n int) (*ssdcheck.SSD, *ssdcheck.Predictor, ssdcheck.Time) {
+	tb.Helper()
+	cfg, _ := ssdcheck.Preset("F", 42)
+	dev, _ := ssdcheck.NewSSD(cfg)
+	now := ssdcheck.Precondition(dev, 42, 1.2, 0)
+	feats, now, err := ssdcheck.Diagnose(dev, now, ssdcheck.DiagnosisOpts{Seed: 42})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	pr := ssdcheck.NewPredictor(feats, ssdcheck.PredictorParams{})
+	reqs := ssdcheck.GenerateWorkload(ssdcheck.RWMixed, dev.CapacitySectors(), 42, 1<<16)
+	serve := func(req ssdcheck.Request) {
+		done := dev.Submit(req, now)
+		pr.Observe(req, now, done)
+		now = done
+	}
+	for i := 0; i < n; i++ {
+		serve(reqs[i%len(reqs)])
+	}
+	serve(ssdcheck.Request{Op: ssdcheck.Write, LBA: 4096, Sectors: 8})
+	return dev, pr, now
+}
+
+// BenchmarkPredictAged is BenchmarkPredict on a predictor in steady
+// state: a million requests of GC history behind it and a non-empty
+// write buffer, so the read prediction runs the GC detector. This is
+// the cost a served request pays; BenchmarkPredict is the cost on a
+// predictor that has seen no traffic.
+func BenchmarkPredictAged(b *testing.B) {
+	_, pr, now := agedPredictor(b, 1_000_000)
+	req := ssdcheck.Request{Op: ssdcheck.Read, LBA: 4096, Sectors: 8}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = pr.Predict(req, now+ssdcheck.Time(i))
+	}
+}
+
 // BenchmarkDeviceSubmit measures the simulator's request-processing
 // throughput (simulated ops per wall second).
 func BenchmarkDeviceSubmit(b *testing.B) {

@@ -1,6 +1,6 @@
 // Command bench runs the repository's key benchmarks and writes the
 // parsed results as JSON, so performance numbers can be checked in and
-// compared across revisions (see BENCH_PR9.json and tools/bench.sh).
+// compared across revisions (see BENCH_PR12.json and tools/bench.sh).
 //
 // Usage:
 //
@@ -35,6 +35,7 @@ import (
 var keyBenchmarks = []string{
 	"BenchmarkDeviceSubmit",
 	"BenchmarkPredict",
+	"BenchmarkPredictAged",
 	"BenchmarkFleetSubmit",
 	"BenchmarkFleetManyClients",
 	"BenchmarkClusterSubmit",

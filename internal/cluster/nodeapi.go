@@ -14,7 +14,10 @@ import (
 // idempotency token; the API remembers the outcome of the last
 // tokenCap tokens and replays it on a duplicate, so a coordinator
 // retrying after a lost response — or a network that delivers a
-// request twice — applies each logical operation exactly once.
+// request twice — applies each logical operation exactly once. A token
+// is claimed before its operation runs, so a duplicate that arrives
+// while the first attempt is still executing waits for that attempt and
+// replays its outcome instead of running beside it.
 //
 // Every operation also carries a fencing token (see fence.go): the
 // node remembers the highest term it has witnessed and rejects older
@@ -32,6 +35,7 @@ type NodeAPI struct {
 	n *Node
 
 	mu      sync.Mutex
+	settled sync.Cond // on mu: some in-flight token finished
 	seen    map[string]apiOutcome
 	order   []string // token FIFO for bounded eviction
 	cap     int
@@ -41,11 +45,13 @@ type NodeAPI struct {
 	cRej    *obs.Counter
 }
 
-// apiOutcome is one remembered operation result.
+// apiOutcome is one remembered operation result, or — while inFlight —
+// the claim of the attempt that is producing it.
 type apiOutcome struct {
-	results []fleet.Result
-	state   *fleet.DeviceState
-	err     error
+	results  []fleet.Result
+	state    *fleet.DeviceState
+	err      error
+	inFlight bool
 }
 
 // NewNodeAPI wraps a node. tokenCap bounds the dedupe memory; <= 0
@@ -55,6 +61,7 @@ func NewNodeAPI(n *Node, tokenCap int) *NodeAPI {
 		tokenCap = 1024
 	}
 	a := &NodeAPI{n: n, seen: make(map[string]apiOutcome), cap: tokenCap}
+	a.settled.L = &a.mu
 	if reg := n.Registry(); reg != nil {
 		a.cRej = reg.Counter("ssdcheck_node_fencing_rejections_total",
 			"Node-plane RPCs rejected for carrying a stale coordination term.")
@@ -104,27 +111,45 @@ func (a *NodeAPI) FencingRejections() int64 {
 	return a.rejects
 }
 
-// replay returns the remembered outcome for a token, if any.
-func (a *NodeAPI) replay(token string) (apiOutcome, bool) {
+// begin claims token for the caller, or — when an earlier attempt
+// already holds it — waits that attempt out and returns its remembered
+// outcome (replayed=true). A caller that gets replayed=false owns the
+// token and must call finish, on every path.
+func (a *NodeAPI) begin(token string) (out apiOutcome, replayed bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	out, ok := a.seen[token]
-	return out, ok
+	for {
+		out, ok := a.seen[token]
+		if !ok {
+			a.seen[token] = apiOutcome{inFlight: true}
+			return apiOutcome{}, false
+		}
+		if !out.inFlight {
+			return out, true
+		}
+		// An attempt that finishes without a committed outcome releases
+		// the token; the loop then claims it for this caller.
+		a.settled.Wait()
+	}
 }
 
-// remember stores a token's outcome, evicting the oldest past cap.
-func (a *NodeAPI) remember(token string, out apiOutcome) {
+// finish settles the caller's claim on token. A committed outcome is
+// remembered (evicting the oldest past cap); an uncommitted one releases
+// the token so that a retry executes.
+func (a *NodeAPI) finish(token string, out apiOutcome, committed bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if _, dup := a.seen[token]; dup {
-		return
+	if committed {
+		a.seen[token] = out
+		a.order = append(a.order, token)
+		if len(a.order) > a.cap {
+			delete(a.seen, a.order[0])
+			a.order = a.order[1:]
+		}
+	} else {
+		delete(a.seen, token)
 	}
-	a.seen[token] = out
-	a.order = append(a.order, token)
-	if len(a.order) > a.cap {
-		delete(a.seen, a.order[0])
-		a.order = a.order[1:]
-	}
+	a.settled.Broadcast()
 }
 
 // Heartbeat answers a liveness probe with the node's device count.
@@ -142,44 +167,47 @@ func (a *NodeAPI) Heartbeat(tok FencingToken) (int, error) {
 // replays the original results without touching the devices. The
 // fence check runs first — a rejected submit never executed, so the
 // superseding coordinator may safely re-issue the work.
-func (a *NodeAPI) Submit(tok FencingToken, token string, reqs []fleet.Request) ([]fleet.Result, error) {
+func (a *NodeAPI) Submit(tok FencingToken, token string, reqs []fleet.Request) (res []fleet.Result, err error) {
 	if err := a.checkFence(tok); err != nil {
 		return nil, err
 	}
 	if token == "" {
 		return nil, fmt.Errorf("node %q: submit without idempotency token", a.n.ID())
 	}
-	if out, ok := a.replay(token); ok {
+	if out, replayed := a.begin(token); replayed {
 		return out.results, out.err
 	}
-	res, err := a.n.Submit(reqs)
 	// A stopped node is not a committed outcome — the operation never
-	// executed, so a retry after Resume must be allowed to run.
-	if err == nil {
-		a.remember(token, apiOutcome{results: res})
-	}
+	// executed, so a retry after Resume must be allowed to run. The
+	// same goes for an attempt that panics out of the fleet.
+	committed := false
+	defer func() { a.finish(token, apiOutcome{results: res}, committed) }()
+	res, err = a.n.Submit(reqs)
+	committed = err == nil
 	return res, err
 }
 
 // Attach imports a device's wire state into the node's fleet, exactly
 // once per token: a retried attach after a lost response replays the
 // original success instead of failing on the duplicate device ID.
-func (a *NodeAPI) Attach(tok FencingToken, token string, st *fleet.DeviceState) error {
+func (a *NodeAPI) Attach(tok FencingToken, token string, st *fleet.DeviceState) (err error) {
 	if err := a.checkFence(tok); err != nil {
 		return err
 	}
 	if token == "" {
 		return fmt.Errorf("node %q: attach without idempotency token", a.n.ID())
 	}
-	if out, ok := a.replay(token); ok {
-		return out.err
-	}
 	m := a.n.Manager()
 	if m == nil {
 		return fmt.Errorf("node %q: no local manager", a.n.ID())
 	}
-	err := m.ImportDevice(st)
-	a.remember(token, apiOutcome{err: err})
+	if out, replayed := a.begin(token); replayed {
+		return out.err
+	}
+	committed := false
+	defer func() { a.finish(token, apiOutcome{err: err}, committed) }()
+	err = m.ImportDevice(st)
+	committed = true
 	return err
 }
 
@@ -188,21 +216,23 @@ func (a *NodeAPI) Attach(tok FencingToken, token string, st *fleet.DeviceState) 
 // replays the original state instead of failing on the now-missing
 // device. Detach works on a stopped node — salvaging devices off a
 // dead member is what failover is.
-func (a *NodeAPI) Detach(tok FencingToken, token, device string) (*fleet.DeviceState, error) {
+func (a *NodeAPI) Detach(tok FencingToken, token, device string) (st *fleet.DeviceState, err error) {
 	if err := a.checkFence(tok); err != nil {
 		return nil, err
 	}
 	if token == "" {
 		return nil, fmt.Errorf("node %q: detach without idempotency token", a.n.ID())
 	}
-	if out, ok := a.replay(token); ok {
-		return out.state, out.err
-	}
 	m := a.n.Manager()
 	if m == nil {
 		return nil, fmt.Errorf("node %q: no local manager", a.n.ID())
 	}
-	st, err := m.ExportDevice(device)
-	a.remember(token, apiOutcome{state: st, err: err})
+	if out, replayed := a.begin(token); replayed {
+		return out.state, out.err
+	}
+	committed := false
+	defer func() { a.finish(token, apiOutcome{state: st, err: err}, committed) }()
+	st, err = m.ExportDevice(device)
+	committed = true
 	return st, err
 }

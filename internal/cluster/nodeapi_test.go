@@ -3,10 +3,13 @@ package cluster
 import (
 	"errors"
 	"reflect"
+	"sync"
 	"testing"
+	"time"
 
 	"ssdcheck/internal/blockdev"
 	"ssdcheck/internal/fleet"
+	"ssdcheck/internal/obs"
 )
 
 // apiNode builds one member with the given devices for NodeAPI tests.
@@ -128,6 +131,104 @@ func TestNodeAPIAttachDetachDedupe(t *testing.T) {
 	res, err := apiDst.Submit(FencingToken{}, "s-1", apiReqs("dev-a"))
 	if err != nil || res[0].Err != nil {
 		t.Fatalf("submit on migrated device: %v / %+v", err, res)
+	}
+}
+
+// shardGate is a fleet recorder that parks the shard goroutine inside
+// the first request it serves, until released — the way to hold an
+// attach (which queues behind that request on the shard's ring) inside
+// the node for as long as a test needs.
+type shardGate struct {
+	obs.Recorder
+	once, openOnce sync.Once
+	entered        chan struct{}
+	release        chan struct{}
+}
+
+func (g *shardGate) open() { g.openOnce.Do(func() { close(g.release) }) }
+
+func (g *shardGate) Sampled(string, int64) bool {
+	g.once.Do(func() {
+		close(g.entered)
+		<-g.release
+	})
+	return false
+}
+
+// TestNodeAPIConcurrentDuplicateAttach: a retry that arrives while the
+// first attempt is still executing must not run beside it. The first
+// attach is held inside the node (parked behind a gated request on the
+// only shard); the same token fired again has to wait for that attempt
+// and replay its success, not import the device a second time and fail
+// on the duplicate ID.
+func TestNodeAPIConcurrentDuplicateAttach(t *testing.T) {
+	src := apiNode(t, "dup-src", clusterSpecs()[:1])
+	st, err := NewNodeAPI(src, 0).Detach(FencingToken{}, "d-1", "dev-a")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	gate := &shardGate{Recorder: obs.Nop(), entered: make(chan struct{}), release: make(chan struct{})}
+	cfg := nodeConfig()
+	cfg.Shards = 1
+	cfg.Recorder = gate
+	cfg.Devices = clusterSpecs()[1:2]
+	dst, err := NewNode("dup-dst", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(dst.Close)
+	t.Cleanup(gate.open) // runs before Close, which drains the shard
+	api := NewNodeAPI(dst, 0)
+
+	submitted := make(chan error, 1)
+	go func() {
+		_, err := api.Submit(FencingToken{}, "s-gate", apiReqs("dev-d"))
+		submitted <- err
+	}()
+	<-gate.entered // the shard is parked; nothing behind it can run
+
+	attach := func() <-chan error {
+		c := make(chan error, 1)
+		go func() { c <- api.Attach(FencingToken{}, "a-1", st) }()
+		return c
+	}
+	first := attach()
+	// The first attempt is inside the node once the device is registered
+	// with the manager; from there it waits on the parked shard.
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
+		if ids := dst.Manager().DeviceIDs(); len(ids) == 2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("first attach never reached the shard")
+		}
+	}
+	second := attach()
+	// The duplicate has no outcome to return while the first attempt is
+	// still executing. The pause only lets it reach its wait; the
+	// verdict below does not depend on it.
+	select {
+	case err := <-second:
+		t.Fatalf("duplicate attach returned (%v) while the first attempt was still executing", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	gate.open()
+
+	if err := <-first; err != nil {
+		t.Fatalf("first attach: %v", err)
+	}
+	if err := <-second; err != nil {
+		t.Fatalf("duplicate attach ran beside the first attempt: %v", err)
+	}
+	if err := <-submitted; err != nil {
+		t.Fatal(err)
+	}
+	if ids := dst.Manager().DeviceIDs(); len(ids) != 2 || ids[1] != "dev-a" {
+		t.Fatalf("destination holds %v, want [dev-d dev-a]", ids)
+	}
+	if err := api.Attach(FencingToken{}, "a-2", st); err == nil {
+		t.Fatal("fresh-token duplicate attach succeeded")
 	}
 }
 

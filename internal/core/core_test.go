@@ -29,37 +29,34 @@ func featuresLike() *extract.Features {
 }
 
 func TestIntervalDist(t *testing.T) {
-	d := newIntervalDist()
-	if d.CDF(5) != 0 || d.Max() != 0 {
+	d := newIntervalDist(0.5)
+	if cdfOf(&d, 5) != 0 || d.armAt != neverArms {
 		t.Fatal("empty distribution misbehaves")
 	}
 	for _, iv := range []int{16, 18, 18, 20, 24} {
 		d.Add(iv)
 	}
-	if d.Total() != 5 {
-		t.Fatalf("total=%d", d.Total())
+	if d.total != 5 {
+		t.Fatalf("total=%d", d.total)
 	}
-	if got := d.CDF(18); got != 0.6 {
+	if got := cdfOf(&d, 18); got != 0.6 {
 		t.Fatalf("CDF(18)=%v", got)
 	}
-	if got := d.CDF(15); got != 0 {
+	if got := cdfOf(&d, 15); got != 0 {
 		t.Fatalf("CDF(15)=%v", got)
 	}
-	if got := d.CDF(24); got != 1 {
+	if got := cdfOf(&d, 24); got != 1 {
 		t.Fatalf("CDF(24)=%v", got)
 	}
-	if d.Max() != 24 {
-		t.Fatalf("Max=%d", d.Max())
-	}
-	if q := d.Quantile(0.5); q != 18 {
-		t.Fatalf("median=%d", q)
+	if d.armAt != 18 {
+		t.Fatalf("armAt=%d want 18 (first interval with CDF >= 0.5)", d.armAt)
 	}
 	d.Add(0) // ignored
-	if d.Total() != 5 {
+	if d.total != 5 {
 		t.Fatal("non-positive interval should be ignored")
 	}
 	d.Reset()
-	if d.Total() != 0 {
+	if d.total != 0 || d.armAt != neverArms {
 		t.Fatal("reset failed")
 	}
 }
@@ -93,8 +90,8 @@ func TestPredictorConstruction(t *testing.T) {
 	if rt != 200*time.Microsecond || wt != 150*time.Microsecond {
 		t.Fatalf("thresholds %v/%v", rt, wt)
 	}
-	if pr.vols[0].dist.Total() != 9 {
-		t.Fatalf("seeded intervals=%d", pr.vols[0].dist.Total())
+	if pr.vols[0].dist.total != 9 {
+		t.Fatalf("seeded intervals=%d", pr.vols[0].dist.total)
 	}
 }
 
@@ -211,7 +208,7 @@ func TestObserveGCConfirmation(t *testing.T) {
 	if v.flushesSinceGC != 0 {
 		t.Fatalf("GC should reset interval counter, got %d", v.flushesSinceGC)
 	}
-	if v.dist.CDF(17) <= 0 {
+	if cdfOf(&v.dist, 17) <= 0 {
 		t.Fatal("GC interval should have been recorded")
 	}
 }

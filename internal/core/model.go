@@ -11,7 +11,9 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"math"
+	"slices"
 	"time"
 
 	"ssdcheck/internal/simclock"
@@ -21,13 +23,32 @@ import (
 // counted in buffer flushes. It answers the GC detector's question:
 // given that the current interval has already reached n flushes, should
 // the next flush be expected to trigger GC?
+//
+// The answer is consulted several times per request but the history
+// changes once per confirmed GC, so the distribution keeps the answer in
+// threshold form: armAt is the smallest recorded interval whose
+// empirical CDF reaches the quantile q, refreshed by Add and Reset.
+// "CDF(n) >= q" is then exactly "n >= armAt", because the CDF is a step
+// function that only rises at recorded intervals.
 type intervalDist struct {
-	counts map[int]int
-	total  int
+	ivs   []ivCount // distinct recorded intervals, ascending
+	total int
+	q     float64 // arming mass, fixed at construction
+	armAt int     // smallest interval with CDF >= q; neverArms if none
 }
 
-func newIntervalDist() *intervalDist {
-	return &intervalDist{counts: make(map[int]int)}
+// ivCount is how many times one interval length was observed.
+type ivCount struct{ iv, n int }
+
+// neverArms is armAt's value while no interval length can arm the
+// detector: fewer than minIntervals recorded, or q above every CDF step.
+const neverArms = math.MaxInt
+
+// minIntervals is the history the detector needs before it arms at all.
+const minIntervals = 3
+
+func newIntervalDist(q float64) intervalDist {
+	return intervalDist{q: q, armAt: neverArms}
 }
 
 // Add records one observed GC interval (in flushes).
@@ -35,64 +56,46 @@ func (d *intervalDist) Add(iv int) {
 	if iv <= 0 {
 		return
 	}
-	d.counts[iv]++
+	i, found := slices.BinarySearchFunc(d.ivs, iv, func(e ivCount, iv int) int { return cmp.Compare(e.iv, iv) })
+	if found {
+		d.ivs[i].n++
+	} else {
+		d.ivs = slices.Insert(d.ivs, i, ivCount{iv: iv, n: 1})
+	}
 	d.total++
+	d.rearm()
 }
 
 // Reset discards the history — the calibrator's response to a drifting
 // distribution.
 func (d *intervalDist) Reset() {
-	d.counts = make(map[int]int)
+	d.ivs = d.ivs[:0]
 	d.total = 0
+	d.rearm()
 }
 
-// Total returns how many intervals the distribution holds.
-func (d *intervalDist) Total() int { return d.total }
-
-// CDF returns the empirical probability that an interval is <= iv.
-func (d *intervalDist) CDF(iv int) float64 {
-	if d.total == 0 {
-		return 0
+// rearm recomputes armAt by a prefix scan of the sorted history. The
+// comparison is the float expression cum/total >= q itself, not an
+// integer rearrangement of it: division by a fixed positive total is
+// monotone in cum, so the first step that passes is the threshold, and
+// no rounding case can make the threshold disagree with the expression.
+func (d *intervalDist) rearm() {
+	d.armAt = neverArms
+	if d.total < minIntervals {
+		return
 	}
-	n := 0
-	for v, c := range d.counts {
-		if v <= iv {
-			n += c
+	if d.q <= 0 {
+		d.armAt = 0 // even an empty prefix carries mass q
+		return
+	}
+	cum := 0
+	for _, e := range d.ivs {
+		cum += e.n
+		if float64(cum)/float64(d.total) >= d.q {
+			d.armAt = e.iv
+			return
 		}
 	}
-	return float64(n) / float64(d.total)
-}
-
-// Max returns the largest recorded interval, 0 if empty.
-func (d *intervalDist) Max() int {
-	m := 0
-	for v := range d.counts {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Quantile returns the q-quantile of recorded intervals (0 if empty).
-func (d *intervalDist) Quantile(q float64) int {
-	if d.total == 0 {
-		return 0
-	}
-	keys := make([]int, 0, len(d.counts))
-	for v := range d.counts {
-		keys = append(keys, v)
-	}
-	sort.Ints(keys)
-	need := int(q * float64(d.total))
-	acc := 0
-	for _, v := range keys {
-		acc += d.counts[v]
-		if acc > need {
-			return v
-		}
-	}
-	return keys[len(keys)-1]
 }
 
 // ewma is a fixed-alpha exponentially weighted mean for overhead
@@ -141,7 +144,7 @@ type volumeModel struct {
 
 	// GC model.
 	flushesSinceGC int
-	dist           *intervalDist
+	dist           intervalDist
 
 	// Estimated Block Time: when the volume's media becomes free.
 	ebt simclock.Time
@@ -208,12 +211,8 @@ func (v *volumeModel) resyncBuffer(drainStart, asOf simclock.Time) {
 }
 
 // predictGCOnFlush reports whether the GC detector expects the next
-// flush to trigger GC, given the interval history.
-func (v *volumeModel) predictGCOnFlush(gcQuantile float64) bool {
-	if v.disableGC || v.dist.Total() < 3 {
-		return false
-	}
-	// If the interval has already reached mass q of the history, the
-	// next flush plausibly triggers GC.
-	return v.dist.CDF(v.flushesSinceGC+1) >= gcQuantile
+// flush to trigger GC: the interval, counting that flush, has reached
+// mass GCQuantile of the history.
+func (v *volumeModel) predictGCOnFlush() bool {
+	return !v.disableGC && v.flushesSinceGC+1 >= v.dist.armAt
 }

@@ -148,7 +148,7 @@ func (p *Predictor) observeWrite(v *volumeModel, pages int, lat time.Duration, h
 			v.ebt = done
 		}
 		busy := v.flushOverhead.Value()
-		if v.predictGCOnFlush(p.params.GCQuantile) {
+		if v.predictGCOnFlush() {
 			busy += v.gcOverhead.Value()
 		}
 		v.ebt = done.Add(busy)

@@ -158,7 +158,7 @@ func NewPredictor(f *extract.Features, p Params) *Predictor {
 			bufPages:      bufPages,
 			fore:          f.BufferKind == extract.BufferFore,
 			readTrigger:   hasRT,
-			dist:          newIntervalDist(),
+			dist:          newIntervalDist(p.GCQuantile),
 			flushOverhead: newEWMA(f.FlushOverhead, p.OverheadAlpha),
 			gcOverhead:    newEWMA(f.GCOverhead, p.OverheadAlpha),
 			disableGC:     p.NoGCModel,
@@ -229,7 +229,7 @@ func (p *Predictor) Predict(req blockdev.Request, now simclock.Time) Prediction 
 		eet := p.params.NLWriteBase
 		if willFlush {
 			flushCost := v.flushOverhead.Value()
-			if v.predictGCOnFlush(p.params.GCQuantile) {
+			if v.predictGCOnFlush() {
 				flushCost += v.gcOverhead.Value()
 			}
 			if v.fore {
@@ -255,7 +255,7 @@ func (p *Predictor) Predict(req blockdev.Request, now simclock.Time) Prediction 
 func (p *Predictor) readEET(v *volumeModel, now simclock.Time) time.Duration {
 	if v.readTrigger && v.bufCount > 0 {
 		eet := v.flushOverhead.Value() + p.params.NLReadBase
-		if v.predictGCOnFlush(p.params.GCQuantile) {
+		if v.predictGCOnFlush() {
 			eet += v.gcOverhead.Value()
 		}
 		return eet
@@ -301,7 +301,7 @@ func (p *Predictor) PredictReadInOrder(req blockdev.Request, now simclock.Time, 
 
 	if v.readTrigger && future > 0 {
 		eet := v.flushOverhead.Value() + p.params.NLReadBase
-		if v.predictGCOnFlush(p.params.GCQuantile) {
+		if v.predictGCOnFlush() {
 			eet += v.gcOverhead.Value()
 		}
 		return Prediction{HL: eet > p.readThr, EET: eet}
@@ -310,7 +310,7 @@ func (p *Predictor) PredictReadInOrder(req blockdev.Request, now simclock.Time, 
 		// The pending writes will trigger a flush; the read will meet
 		// the drain.
 		eet := v.flushOverhead.Value() + p.params.NLReadBase
-		if v.predictGCOnFlush(p.params.GCQuantile) {
+		if v.predictGCOnFlush() {
 			eet += v.gcOverhead.Value()
 		}
 		return Prediction{HL: eet > p.readThr, EET: eet}

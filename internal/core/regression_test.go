@@ -178,18 +178,18 @@ func TestRegressionAblationSwitches(t *testing.T) {
 		t.Fatalf("IgnoreVolumes kept %d volume models", len(pr.vols))
 	}
 
-	pr = NewPredictor(f, Params{NoGCModel: true})
+	pr = NewPredictor(f, Params{NoGCModel: true, GCQuantile: 0.1})
 	pr.vols[0].flushesSinceGC = 1000
-	if pr.vols[0].predictGCOnFlush(0.1) {
+	if pr.vols[0].predictGCOnFlush() {
 		t.Fatal("NoGCModel still arms the GC detector")
 	}
 
 	pr = NewPredictor(f, Params{NoCalibration: true})
 	v := pr.vols[0]
-	seeded := v.dist.Total()
+	seeded := v.dist.total
 	write := blockdev.Request{Op: blockdev.Write, LBA: 0, Sectors: 8}
 	pr.Observe(write, 0, simclock.Time(50*time.Millisecond))
-	if v.dist.Total() != seeded {
+	if v.dist.total != seeded {
 		t.Fatal("NoCalibration still updates the GC history")
 	}
 }

@@ -215,7 +215,7 @@ func (m *Manager) ImportDevice(st *DeviceState) error {
 	md.modelLog = append([]ModelTransition(nil), st.ModelLog...)
 	restoreTallies(&md.stats, st)
 	md.stats.lat.AddSnapshot(st.Latency)
-	md.publishLocked()
+	md.publishLocked(md.pr.Drift())
 	md.mu.Unlock()
 
 	return m.Attach(&PortableDevice{md: md})

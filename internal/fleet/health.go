@@ -206,7 +206,7 @@ func (md *managedDevice) enterQuarantineLocked(cause string) {
 // tryRecover runs one recovery probe: quarantined → recovering, a
 // cheap seeded probe pass against the device, then healthy on pass or
 // back to quarantined on fail. It runs on the owning shard goroutine.
-func (md *managedDevice) tryRecover(cfg Config) {
+func (md *managedDevice) tryRecover(cfg *Config) {
 	md.mu.Lock()
 	if md.health != Quarantined {
 		md.mu.Unlock()
@@ -226,7 +226,7 @@ func (md *managedDevice) tryRecover(cfg Config) {
 		md.transitionLocked(Quarantined, "probe fail")
 	}
 	md.rejections = 0
-	md.publishLocked()
+	md.publishLocked(md.pr.Drift())
 	md.mu.Unlock()
 }
 
@@ -234,7 +234,7 @@ func (md *managedDevice) tryRecover(cfg Config) {
 // virtual clock — a miniature of the diagnosis traffic — and passes
 // only if every request completes without error and under the request
 // timeout.
-func (md *managedDevice) runProbe(cfg Config) bool {
+func (md *managedDevice) runProbe(cfg *Config) bool {
 	hp := cfg.Health
 	pages := md.dev.CapacitySectors() / blockdev.SectorsPerPage
 	for i := 0; i < hp.ProbeRequests; i++ {

@@ -167,7 +167,7 @@ func New(cfg Config) (*Manager, error) {
 
 	m.runWG.Add(cfg.Shards)
 	for _, sh := range m.shards {
-		go sh.run(&m.runWG, cfg)
+		go sh.run(&m.runWG, &m.cfg)
 	}
 	if cfg.Health.ProbeInterval > 0 {
 		m.proberWG.Add(1)

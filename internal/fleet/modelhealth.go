@@ -263,7 +263,7 @@ const rediagStages = 4
 // change buffer and timing behavior, not the address layout — so the
 // budgeted probes only re-measure thresholds, GC cadence, and the
 // write buffer.
-func (md *managedDevice) rediagStep(cfg Config) {
+func (md *managedDevice) rediagStep(cfg *Config) {
 	r := md.rediag
 	if r == nil {
 		opts := cfg.Diagnosis.WithDefaults(md.dev.CapacitySectors())
@@ -337,7 +337,7 @@ func (md *managedDevice) finishRediag(r *rediagRun) {
 	} else {
 		md.enterFallbackLocked("re-diagnosis fail")
 	}
-	md.publishLocked()
+	md.publishLocked(md.pr.Drift())
 	md.mu.Unlock()
 }
 
@@ -346,7 +346,7 @@ func (md *managedDevice) finishRediag(r *rediagRun) {
 // Manager.Rediagnose. It bypasses the fallback pacing and the rediag
 // cap (an explicit request is its own budget) but not quarantine: a
 // device that is out of service cannot be probed.
-func (md *managedDevice) forceRediag(cfg Config) error {
+func (md *managedDevice) forceRediag(cfg *Config) error {
 	md.mu.Lock()
 	if md.health == Quarantined || md.health == Recovering {
 		md.mu.Unlock()

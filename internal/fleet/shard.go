@@ -124,7 +124,7 @@ func opName(op blockdev.Op) string {
 // classification, observe, record. When the request is sampled, every
 // stage leaves a span stamped with virtual-clock instants, so the
 // recorded trace is a deterministic function of the request stream.
-func (md *managedDevice) process(req blockdev.Request, cfg Config) Result {
+func (md *managedDevice) process(req blockdev.Request, cfg *Config) Result {
 	md.mu.Lock()
 	md.seq++
 	seq := md.seq
@@ -203,7 +203,7 @@ func (md *managedDevice) process(req blockdev.Request, cfg Config) Result {
 		md.stats.vals[statErrors]++
 		md.stats.vals[statRetries] += int64(retries)
 		md.noteOutcomeLocked(err, false, cfg.Health)
-		md.publishLocked()
+		md.publishLocked(md.pr.Drift())
 		md.mu.Unlock()
 		md.recordTrace(req, seq, sampled, spans, pred, res)
 		return res
@@ -233,8 +233,9 @@ func (md *managedDevice) process(req blockdev.Request, cfg Config) Result {
 	}
 	md.now = done
 
-	// Drift snapshot for the watchdog; allocation-free, taken outside
-	// md.mu because the predictor is shard-owned.
+	// One drift snapshot serves the watchdog and the published state;
+	// allocation-free, taken outside md.mu because the predictor is
+	// shard-owned.
 	drift := md.pr.Drift()
 
 	md.mu.Lock()
@@ -255,7 +256,7 @@ func (md *managedDevice) process(req blockdev.Request, cfg Config) Result {
 	md.noteOutcomeLocked(nil, timedOut, cfg.Health)
 	md.noteModelLocked(drift, cfg.Model)
 	rediagActive := md.modelHealth == ModelRediagnosing
-	md.publishLocked()
+	md.publishLocked(drift)
 	md.mu.Unlock()
 	md.recordTrace(req, seq, sampled, spans, pred, res)
 	if rediagActive {
@@ -292,19 +293,21 @@ func (md *managedDevice) recordTrace(req blockdev.Request, seq int64, sampled bo
 
 func (md *managedDevice) publish() {
 	md.mu.Lock()
-	md.publishLocked()
+	md.publishLocked(md.pr.Drift())
 	md.flushObsLocked()
 	md.mu.Unlock()
 }
 
 // publishLocked refreshes the cached predictor state readers see. It
 // runs after every request, so it deliberately touches no atomics —
-// registry series catch up in flushObsLocked on the read side.
-func (md *managedDevice) publishLocked() {
+// registry series catch up in flushObsLocked on the read side. drift is
+// the predictor's current accuracy window, which the per-request caller
+// already holds.
+func (md *managedDevice) publishLocked(drift core.DriftReport) {
 	md.enabled = md.pr.Enabled()
 	md.model = md.pr.State(0)
 	md.clock = md.now
-	md.driftRep = md.pr.Drift()
+	md.driftRep = drift
 	md.readRisk = md.pr.DeviceReadRisk(md.now)
 }
 
@@ -454,7 +457,7 @@ type shard struct {
 // enough that an idle fleet costs nothing measurable.
 const idleSpins = 32
 
-func (s *shard) run(done *sync.WaitGroup, cfg Config) {
+func (s *shard) run(done *sync.WaitGroup, cfg *Config) {
 	defer done.Done()
 	for {
 		op := s.q.pop()
@@ -493,7 +496,7 @@ func (s *shard) run(done *sync.WaitGroup, cfg Config) {
 // exec runs one dequeued operation. wg.Done is the shard's last touch:
 // it publishes the result writes and releases the op back to its
 // submitter, which may recycle it immediately.
-func (s *shard) exec(op *shardOp, cfg Config) {
+func (s *shard) exec(op *shardOp, cfg *Config) {
 	s.waitH.Observe(time.Since(op.enq))
 	switch {
 	case op.attach != nil:

@@ -1,6 +1,6 @@
 #!/bin/sh
 # tools/bench.sh — run the repository's key benchmarks and write their
-# parsed results to a JSON file (default BENCH_PR9.json in the repo
+# parsed results to a JSON file (default BENCH_PR12.json in the repo
 # root). Extra arguments are passed through to cmd/bench, so CI can run
 # a fast smoke with:
 #
@@ -12,7 +12,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-out=BENCH_PR9.json
+out=BENCH_PR12.json
 for arg in "$@"; do
     case $arg in -out|-out=*) out="" ;; esac
 done
