@@ -12,12 +12,22 @@ import (
 	"ssdcheck"
 )
 
+// skipUnderRace skips an AllocsPerRun guard in a -race build: the race
+// detector allocates on its own account, so the count is not the code's.
+func skipUnderRace(t *testing.T) {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("testing.AllocsPerRun counts the race detector's own allocations")
+	}
+}
+
 // TestSubmitTaggedZeroAlloc pins single-region reads and writes on a
 // preconditioned device to zero allocations per request. The write path
 // includes its periodic buffer flushes and the GC they provoke: buffer,
 // free pool and mapping arrays are all preallocated, so even those
 // amortize to nothing.
 func TestSubmitTaggedZeroAlloc(t *testing.T) {
+	skipUnderRace(t)
 	cfg, err := ssdcheck.Preset("A", 11)
 	if err != nil {
 		t.Fatal(err)
@@ -80,6 +90,7 @@ func allocFleet(t *testing.T, nDevices, shards int) *ssdcheck.Fleet {
 // checked-in benchmarks. Both single- and multi-shard fleets are
 // pinned, so the per-shard fan-out stays on the hook too.
 func TestFleetSubmitZeroAlloc(t *testing.T) {
+	skipUnderRace(t)
 	for _, tc := range []struct{ devices, shards int }{
 		{1, 1},
 		{4, 2},
@@ -127,6 +138,7 @@ func TestFleetSubmitZeroAlloc(t *testing.T) {
 
 // TestPredictZeroAlloc pins Predictor.Predict to zero allocations.
 func TestPredictZeroAlloc(t *testing.T) {
+	skipUnderRace(t)
 	cfg, err := ssdcheck.Preset("A", 11)
 	if err != nil {
 		t.Fatal(err)
@@ -173,6 +185,7 @@ func (g *gcEvents) Event(name, _ string) {
 // detector's arming threshold. Only the history's amortised slice growth
 // may touch the heap, which rounds to nothing per cycle.
 func TestPredictObserveAgedZeroAlloc(t *testing.T) {
+	skipUnderRace(t)
 	dev, pr, now := agedPredictor(t, 300_000)
 	gc := &gcEvents{Recorder: ssdcheck.NopRecorder()}
 	pr.SetRecorder(gc, "F")

@@ -572,6 +572,45 @@ func BenchmarkDeviceSubmit(b *testing.B) {
 	}
 }
 
+// BenchmarkDeviceSubmitMany is BenchmarkDeviceSubmit in the shape the
+// benchmark workloads and the fleet serve devices in: 16 preconditioned
+// preset devices (A–G cycled) take 1024-request turns, each from its
+// own 128k-request RWMixed stream, so neither a device's mapping state
+// nor its requests are still in cache when its turn comes round again.
+// BenchmarkDeviceSubmit loops 4096 requests over one device and so
+// measures the simulator's instructions; this one also measures how
+// much memory a request touches.
+func BenchmarkDeviceSubmitMany(b *testing.B) {
+	const devices, turn, streamLen = 16, 1024, 128 << 10
+	type served struct {
+		dev  *ssdcheck.SSD
+		reqs []ssdcheck.Request
+		now  ssdcheck.Time
+		next int
+	}
+	ds := make([]served, devices)
+	for i := range ds {
+		seed := uint64(2 + i)
+		cfg, _ := ssdcheck.Preset(ssdcheck.PresetNames[i%len(ssdcheck.PresetNames)], seed)
+		dev, _ := ssdcheck.NewSSD(cfg)
+		ds[i] = served{
+			dev:  dev,
+			reqs: ssdcheck.GenerateWorkload(ssdcheck.RWMixed, dev.CapacitySectors(), seed, streamLen),
+			now:  ssdcheck.Precondition(dev, seed, 1.2, 0),
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; {
+		s := &ds[i/turn%devices]
+		n := min(turn, b.N-i)
+		for _, req := range s.reqs[s.next : s.next+n] {
+			s.now = s.dev.Submit(req, s.now)
+		}
+		s.next = (s.next + n) % streamLen
+		i += n
+	}
+}
+
 // BenchmarkDiagnosis measures the wall-clock cost of a full diagnosis.
 func BenchmarkDiagnosis(b *testing.B) {
 	for i := 0; i < b.N; i++ {

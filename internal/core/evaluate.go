@@ -40,9 +40,17 @@ func (r AccuracyReport) HLAccuracy() float64 {
 func Evaluate(dev blockdev.Device, pr *Predictor, reqs []blockdev.Request, start simclock.Time) AccuracyReport {
 	var rep AccuracyReport
 	now := start
+	// Asserted once, not per request through blockdev.SubmitChecked.
+	fallible, _ := dev.(blockdev.FallibleDevice)
 	for _, req := range reqs {
 		pred := pr.Predict(req, now)
-		done, err := blockdev.SubmitChecked(dev, req, now)
+		var done simclock.Time
+		var err error
+		if fallible != nil {
+			done, err = fallible.SubmitChecked(req, now)
+		} else {
+			done = dev.Submit(req, now)
+		}
 		if err != nil {
 			rep.Errors++
 			continue

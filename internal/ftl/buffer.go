@@ -67,14 +67,7 @@ func (v *Volume) bufferOnePage(lpn int32, t simclock.Time) (simclock.Time, block
 		}
 	}
 	v.buf = append(v.buf, lpn)
-	if v.bufStamp[lpn] != v.bufEpoch {
-		v.bufStamp[lpn] = v.bufEpoch
-		v.bufCnt[lpn] = 0
-	}
-	if v.bufCnt[lpn] == 0 {
-		v.bufDistinct++
-	}
-	v.bufCnt[lpn]++
+	v.bufBits[lpn>>6] |= 1 << (lpn & 63)
 	return t, cause
 }
 
@@ -87,6 +80,15 @@ func (v *Volume) startFlush(t simclock.Time) {
 	n := len(v.buf)
 	if n == 0 {
 		return
+	}
+	// Touch every mapping entry the drain is about to rewrite, so its
+	// independent cache misses overlap instead of queueing one behind
+	// each page's read-modify-write in the allocation loop. The check
+	// is what obliges the compiler to keep the loads.
+	for _, lpn := range v.buf {
+		if v.l2p[lpn] < -1 {
+			panic("ftl: corrupt mapping entry")
+		}
 	}
 	var foldDur time.Duration
 	if v.slc.enabled {
@@ -103,9 +105,11 @@ func (v *Volume) startFlush(t simclock.Time) {
 			v.allocatePage(lpn)
 		}
 	}
+	// Every buffered page is draining, so whole words can be zeroed.
+	for _, lpn := range v.buf {
+		v.bufBits[lpn>>6] = 0
+	}
 	v.buf = v.buf[:0]
-	v.bufEpoch++ // O(1) clear of the membership index
-	v.bufDistinct = 0
 	v.stats.Flushes++
 
 	var dur time.Duration
@@ -168,16 +172,21 @@ func (v *Volume) Read(lpn int32, pages int, at simclock.Time) (simclock.Time, bl
 // allBuffered reports whether every page of the range currently sits in
 // the active write buffer.
 func (v *Volume) allBuffered(lpn int32, pages int) bool {
-	if v.bufDistinct == 0 {
+	if len(v.buf) == 0 {
 		return false
 	}
 	for i := 0; i < pages; i++ {
 		p := lpn + int32(i)
-		if int(p) >= len(v.bufCnt) || v.bufStamp[p] != v.bufEpoch || v.bufCnt[p] == 0 {
+		if int(p) >= v.cfg.LogicalPages || !v.buffered(p) {
 			return false
 		}
 	}
 	return true
+}
+
+// buffered reports whether logical page p sits in the active buffer.
+func (v *Volume) buffered(p int32) bool {
+	return v.bufBits[p>>6]&(1<<(p&63)) != 0
 }
 
 // FlushNow forces a buffer drain at instant t (used by the device-level

@@ -6,9 +6,12 @@ import (
 	"ssdcheck/internal/simclock"
 )
 
-// BenchmarkBufferMembership exercises the simulator's hottest lookup:
-// the per-read check whether a page range sits in the active write
-// buffer, against the epoch-stamped dense index.
+// BenchmarkBufferMembership exercises the per-read check whether a page
+// range sits in the active write buffer: a test of one bit per page in
+// the membership bitmap. One small volume stays cache-warm here, so
+// this prices the instructions only; what the index costs in cache
+// misses when many devices are served in turns is measured by
+// BenchmarkDeviceSubmitMany in the root package.
 func BenchmarkBufferMembership(b *testing.B) {
 	v, err := NewVolume(testConfig())
 	if err != nil {

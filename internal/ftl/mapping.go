@@ -53,9 +53,8 @@ func (v *Volume) Trim(lpn int32, pages int) {
 			break
 		}
 		v.unmap(p)
-		if v.bufStamp[p] == v.bufEpoch && v.bufCnt[p] > 0 {
-			v.bufCnt[p] = 0
-			v.bufDistinct--
+		if v.buffered(p) {
+			v.bufBits[p>>6] &^= 1 << (p & 63)
 			kept := v.buf[:0]
 			for _, b := range v.buf {
 				if b != p {
@@ -109,25 +108,14 @@ func (v *Volume) CheckInvariants() error {
 			return fmt.Errorf("free block %d not erased (valid=%d filled=%d)", b, v.blocks[b].valid, v.blocks[b].filled)
 		}
 	}
-	// Buffer-membership index must mirror the buffer FIFO.
+	// Buffer-membership bitmap must mirror the buffer FIFO.
 	counts := make([]int32, v.cfg.LogicalPages)
-	distinct := 0
 	for _, lpn := range v.buf {
-		if counts[lpn] == 0 {
-			distinct++
-		}
 		counts[lpn]++
 	}
-	if distinct != v.bufDistinct {
-		return fmt.Errorf("buffer index has %d distinct pages, FIFO has %d", v.bufDistinct, distinct)
-	}
 	for lpn, n := range counts {
-		var got int32
-		if v.bufStamp[lpn] == v.bufEpoch {
-			got = v.bufCnt[lpn]
-		}
-		if got != n {
-			return fmt.Errorf("buffer index count for lpn %d is %d, FIFO has %d", lpn, got, n)
+		if got := v.buffered(int32(lpn)); got != (n > 0) {
+			return fmt.Errorf("buffer bitmap says lpn %d buffered=%v, FIFO holds it %d times", lpn, got, n)
 		}
 	}
 	// SLC blocks may only use their half-density page budget.

@@ -159,16 +159,13 @@ type Volume struct {
 
 	buf []int32 // logical pages in the active buffer, FIFO
 
-	// Buffer-membership index: dense arrays indexed by logical page,
-	// epoch-stamped so a drain clears the whole buffer in O(1) by
-	// bumping bufEpoch instead of walking (or allocating) a map.
-	// bufCnt[lpn] is meaningful only when bufStamp[lpn] == bufEpoch.
-	// Buffer membership is checked on every read, so this is the
-	// simulator's hottest lookup.
-	bufStamp    []uint64
-	bufCnt      []int32
-	bufEpoch    uint64
-	bufDistinct int // distinct logical pages currently buffered
+	// Buffer-membership index: one bit per logical page, set while the
+	// page sits in buf. Membership is asked on every read and updated
+	// on every write at a random page, so the index must stay small
+	// enough (16 KB per preset device) to live in cache beside l2p when
+	// many devices are served in turns; a drain clears it by zeroing
+	// the word of each draining page.
+	bufBits []uint64
 
 	flushBusyUntil simclock.Time // media busy draining a flush
 	gcBusyUntil    simclock.Time // media busy doing GC
@@ -187,15 +184,13 @@ func NewVolume(cfg Config) (*Volume, error) {
 		return nil, err
 	}
 	v := &Volume{
-		cfg:      cfg,
-		timing:   cfg.Timing,
-		planes:   cfg.Geom.Planes(),
-		ppb:      cfg.Geom.PagesPerBlock,
-		rng:      simclock.NewRNG(cfg.Seed),
-		buf:      make([]int32, 0, cfg.BufferPages),
-		bufStamp: make([]uint64, cfg.LogicalPages),
-		bufCnt:   make([]int32, cfg.LogicalPages),
-		bufEpoch: 1, // so the zeroed bufStamp marks every page absent
+		cfg:     cfg,
+		timing:  cfg.Timing,
+		planes:  cfg.Geom.Planes(),
+		ppb:     cfg.Geom.PagesPerBlock,
+		rng:     simclock.NewRNG(cfg.Seed),
+		buf:     make([]int32, 0, cfg.BufferPages),
+		bufBits: make([]uint64, (cfg.LogicalPages+63)/64),
 	}
 	v.l2p = make([]int32, cfg.LogicalPages)
 	for i := range v.l2p {
