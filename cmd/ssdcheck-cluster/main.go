@@ -39,12 +39,14 @@
 // nodes in-process, it drives real ssdcheckd processes over their
 // /v1/node/* API through an HTTP transport with per-attempt
 // deadlines, bounded retries, idempotency tokens and per-node circuit
-// breakers. -wal-dir makes the coordinator crash-recoverable in
-// either mode: every placement, health, and breaker decision is
-// durably logged, and a restarted coordinator replays snapshot+tail
-// and resumes where it stopped (remote members resolve back from
-// their logged addresses; hosted mode needs a fresh directory since
-// in-process device state dies with the process).
+// breakers. -wal-dir makes that coordinator crash-recoverable: every
+// placement, health, and breaker decision is fsynced to a one-replica
+// log (log.jsonl, meta.json, snapshot.json, compacted every 256
+// decisions), and a restarted coordinator restores the snapshot,
+// replays the entries after it and resumes where it stopped, its
+// remote members resolving back from their logged addresses. -wal-dir
+// is accepted only with -join or -peers: hosted nodes die with the
+// process, so a hosted cluster's log could never be replayed.
 //
 //	ssdcheckd -addr :8801 -node-id node-a -devices 0 ... &
 //	ssdcheckd -addr :8802 -node-id node-b -devices 0 ... &
@@ -60,7 +62,8 @@
 // term, leader ID and quorum size, /v1/coordinator/status the full
 // per-replica log state, and /v1/coordinator/replicas/{id}/
 // {crash,restart,partition,heal} inject coordinator chaos. -wal-dir
-// makes every replica's log durable under <dir>/<replica-id>/.
+// makes every replica's log durable under <dir>/<replica-id>/ in the
+// same format; the directory must start empty.
 //
 //	ssdcheck-cluster -peers 3 -nodes 3 -devices 12 -fastdiag -tick-interval 500ms
 package main
@@ -70,6 +73,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"os"
@@ -83,46 +87,69 @@ import (
 	"ssdcheck/internal/obs"
 )
 
-func main() {
-	addr := flag.String("addr", ":8090", "listen address")
-	nodes := flag.Int("nodes", 3, "cluster member count")
-	devices := flag.Int("devices", 12, "total simulated devices, placed across the nodes")
-	presets := flag.String("presets", "A,B,C,D,E,F,G,H", "comma-separated preset cycle")
-	shards := flag.Int("shards", 0, "worker shards per node (0 = one per core)")
-	seed := flag.Uint64("seed", 42, "base seed; device seeds and ring placement derive from it")
-	vnodes := flag.Int("vnodes", 0, "virtual nodes per member on the placement ring (0 = default)")
-	fastDiag := flag.Bool("fastdiag", false, "use reduced-strength startup diagnosis probes")
-	tickInterval := flag.Duration("tick-interval", time.Second, "wall-clock heartbeat round period (0 = manual via POST /v1/cluster/tick)")
-	walDir := flag.String("wal-dir", "", "coordinator WAL directory: decisions are durably logged and replayed on restart")
-	peers := flag.Int("peers", 0, "replicated mode: coordinator replica count (>=3, odd); placements commit only on quorum ack and leadership fails over on lease expiry")
-	lease := flag.Int("lease", 0, "replicated mode: heartbeat rounds a leader may fail to commit before abdicating (0 = default)")
-	electionTimeout := flag.Int("election-timeout", 0, "replicated mode: silent rounds before followers elect a new leader (0 = default; must exceed -lease)")
-	joinSpec := flag.String("join", "", "networked mode: remote members as id=baseURL[,id=baseURL...], driven over their /v1/node/* API")
-	rpcDeadline := flag.Duration("rpc-deadline", 0, "per-attempt RPC deadline in networked mode (0 = default)")
-	traceSample := flag.Float64("trace-sample", 0, "fraction of requests each hosted node traces, 0..1 (0 = off)")
-	traceBuffer := flag.Int("trace-buffer", 256, "retained traces per device per node")
-	flag.Parse()
-	if flag.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "ssdcheck-cluster: unexpected arguments: %s\n", strings.Join(flag.Args(), " "))
-		flag.Usage()
-		os.Exit(2)
+func main() { os.Exit(runMain(os.Args[1:], os.Stderr)) }
+
+// runMain parses the command line and runs the selected mode,
+// returning the process exit code: 2 for a usage error, 1 for a
+// runtime failure.
+func runMain(args []string, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ssdcheck-cluster", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	addr := fs.String("addr", ":8090", "listen address")
+	nodes := fs.Int("nodes", 3, "cluster member count")
+	devices := fs.Int("devices", 12, "total simulated devices, placed across the nodes")
+	presets := fs.String("presets", "A,B,C,D,E,F,G,H", "comma-separated preset cycle")
+	shards := fs.Int("shards", 0, "worker shards per node (0 = one per core)")
+	seed := fs.Uint64("seed", 42, "base seed; device seeds and ring placement derive from it")
+	vnodes := fs.Int("vnodes", 0, "virtual nodes per member on the placement ring (0 = default)")
+	fastDiag := fs.Bool("fastdiag", false, "use reduced-strength startup diagnosis probes")
+	tickInterval := fs.Duration("tick-interval", time.Second, "wall-clock heartbeat round period (0 = manual via POST /v1/cluster/tick)")
+	walDir := fs.String("wal-dir", "", "with -join or -peers: coordinator log directory (log.jsonl, meta.json, snapshot.json), replayed on restart")
+	peers := fs.Int("peers", 0, "replicated mode: coordinator replica count (>=3, odd); placements commit only on quorum ack and leadership fails over on lease expiry")
+	lease := fs.Int("lease", 0, "replicated mode: heartbeat rounds a leader may fail to commit before abdicating (0 = default)")
+	electionTimeout := fs.Int("election-timeout", 0, "replicated mode: silent rounds before followers elect a new leader (0 = default; must exceed -lease)")
+	joinSpec := fs.String("join", "", "networked mode: remote members as id=baseURL[,id=baseURL...], driven over their /v1/node/* API")
+	rpcDeadline := fs.Duration("rpc-deadline", 0, "per-attempt RPC deadline in networked mode (0 = default)")
+	traceSample := fs.Float64("trace-sample", 0, "fraction of requests each hosted node traces, 0..1 (0 = off)")
+	traceBuffer := fs.Int("trace-buffer", 256, "retained traces per device per node")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+
+	var usage string
+	switch {
+	case fs.NArg() > 0:
+		usage = "unexpected arguments: " + strings.Join(fs.Args(), " ")
+	case *joinSpec != "" && *peers > 0:
+		usage = "-join and -peers are mutually exclusive"
+	case *tickInterval < 0:
+		usage = fmt.Sprintf("-tick-interval %v is negative", *tickInterval)
+	case *walDir != "" && *joinSpec == "" && *peers == 0:
+		usage = "-wal-dir needs -join or -peers: hosted nodes die with the process, so their log could never be replayed"
+	}
+	if usage != "" {
+		fmt.Fprintln(stderr, "ssdcheck-cluster:", usage)
+		fs.Usage()
+		return 2
 	}
 
 	var err error
 	switch {
-	case *joinSpec != "" && *peers > 0:
-		err = fmt.Errorf("-join and -peers are mutually exclusive")
 	case *joinSpec != "":
 		err = runRemote(*addr, *joinSpec, *devices, *presets, *shards, *seed, *vnodes, *fastDiag, *tickInterval, *walDir, *rpcDeadline)
 	case *peers > 0:
 		err = runReplicated(*addr, *peers, *nodes, *devices, *presets, *shards, *seed, *vnodes, *fastDiag, *tickInterval, *walDir, *lease, *electionTimeout)
 	default:
-		err = run(*addr, *nodes, *devices, *presets, *shards, *seed, *vnodes, *fastDiag, *tickInterval, *walDir, *traceSample, *traceBuffer)
+		err = run(*addr, *nodes, *devices, *presets, *shards, *seed, *vnodes, *fastDiag, *tickInterval, *traceSample, *traceBuffer)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "ssdcheck-cluster:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "ssdcheck-cluster:", err)
+		return 1
 	}
+	return 0
 }
 
 // serve runs the HTTP front end and the optional wall-clock heartbeat
@@ -184,15 +211,12 @@ func parseCycle(presets string) []string {
 	return cycle
 }
 
-func run(addr string, nodes, devices int, presets string, shards int, seed uint64, vnodes int, fastDiag bool, tickInterval time.Duration, walDir string, traceSample float64, traceBuffer int) error {
+func run(addr string, nodes, devices int, presets string, shards int, seed uint64, vnodes int, fastDiag bool, tickInterval time.Duration, traceSample float64, traceBuffer int) error {
 	if nodes <= 0 {
 		return fmt.Errorf("need at least one node (-nodes)")
 	}
 	if devices <= 0 {
 		return fmt.Errorf("need at least one device (-devices)")
-	}
-	if tickInterval < 0 {
-		return fmt.Errorf("-tick-interval %v is negative", tickInterval)
 	}
 	if traceSample < 0 || traceSample > 1 {
 		return fmt.Errorf("-trace-sample %v outside [0,1]", traceSample)
@@ -210,7 +234,6 @@ func run(addr string, nodes, devices int, presets string, shards int, seed uint6
 		Devices:     fleet.PresetDevices(devices, parseCycle(presets), seed),
 		Node:        nodeCfg,
 		Policy:      cluster.Policy{Seed: seed, VirtualNodes: vnodes},
-		WALDir:      walDir, // fresh directory: hosted-mode WALs don't outlive the process's device state
 		TraceSample: traceSample,
 		TraceBuffer: traceBuffer,
 	})
@@ -246,9 +269,6 @@ func runReplicated(addr string, peers, nodes, devices int, presets string, shard
 	if devices <= 0 {
 		return fmt.Errorf("need at least one device (-devices)")
 	}
-	if tickInterval < 0 {
-		return fmt.Errorf("-tick-interval %v is negative", tickInterval)
-	}
 
 	nodeCfg := fleet.Config{Shards: shards}
 	if fastDiag {
@@ -280,12 +300,10 @@ func runReplicated(addr string, peers, nodes, devices int, presets string, shard
 // runRemote drives real ssdcheckd processes over their /v1/node/*
 // API: an HTTP transport with deadlines, retries, idempotency tokens
 // and per-node circuit breakers, plus (with -wal-dir) a
-// crash-recoverable coordinator — on restart the WAL replays and the
-// remote members resolve back from their logged addresses.
+// crash-recoverable coordinator — on restart its one-replica log
+// replays and the remote members resolve back from their logged
+// addresses.
 func runRemote(addr, joinSpec string, devices int, presets string, shards int, seed uint64, vnodes int, fastDiag bool, tickInterval time.Duration, walDir string, rpcDeadline time.Duration) error {
-	if tickInterval < 0 {
-		return fmt.Errorf("-tick-interval %v is negative", tickInterval)
-	}
 	type memberSpec struct{ id, addr string }
 	var members []memberSpec
 	for _, part := range strings.Split(joinSpec, ",") {

@@ -120,3 +120,30 @@ func TestGroupServerEndToEnd(t *testing.T) {
 		t.Fatalf("crash unknown replica: %d", resp.StatusCode)
 	}
 }
+
+// TestGroupServerSnapshotIndex: once the replicated log has compacted,
+// /v1/coordinator/status reports every replica's snapshot index.
+func TestGroupServerSnapshotIndex(t *testing.T) {
+	g, err := cluster.NewGroup(cluster.GroupConfig{
+		Devices: fleet.PresetDevices(2, []string{"A"}, 99),
+		Node:    testNodeConfig(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(g.Close)
+	srv := httptest.NewServer(newGroupServer(g))
+	defer srv.Close()
+	for g.Round() < 260 {
+		postJSON(t, srv, "/v1/cluster/tick", nil, nil)
+	}
+	var status struct {
+		Replicas []map[string]any `json:"replicas"`
+	}
+	getJSON(t, srv, "/v1/coordinator/status", &status)
+	for _, rs := range status.Replicas {
+		if rs["snapshot_index"] != float64(256) {
+			t.Fatalf("replica status %v, want snapshot_index 256", rs)
+		}
+	}
+}

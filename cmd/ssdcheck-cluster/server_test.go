@@ -219,6 +219,24 @@ func TestClusterServerEndToEnd(t *testing.T) {
 	}
 }
 
+// TestClusterUsageErrors: flag combinations that cannot work exit 2
+// with the reason, before anything starts.
+func TestClusterUsageErrors(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-wal-dir", t.TempDir()}, "-wal-dir needs -join or -peers"},
+		{[]string{"-join", "a=http://127.0.0.1:1", "-peers", "3"}, "mutually exclusive"},
+		{[]string{"extra"}, "unexpected arguments"},
+	} {
+		var stderr bytes.Buffer
+		if code := runMain(tc.args, &stderr); code != 2 || !strings.Contains(stderr.String(), tc.want) {
+			t.Errorf("%v: exit %d, stderr %q; want 2 and %q", tc.args, code, stderr.String(), tc.want)
+		}
+	}
+}
+
 func TestClusterServerJoinDrain(t *testing.T) {
 	h := newTestCluster(t)
 	srv := httptest.NewServer(newServer(h.Coordinator(), func(id, _ string) (*cluster.Node, error) { return cluster.NewNode(id, testNodeConfig()) }))

@@ -5,7 +5,7 @@
 // its ring owner over attach RPCs. A graceful drain then migrates
 // every device off node-a through detach/attach over the wire; the
 // coordinator is SIGKILLed mid-flight and a restarted one replays its
-// WAL and resumes with the same placement and log; node-b's process
+// log and resumes with the same placement and log; node-b's process
 // dies and the per-node circuit breaker turns an unreachable member
 // from one timeout per request into one fast-fail per sub-batch; and
 // finally the node RPC plane's epoch fencing is demonstrated — once a
@@ -49,7 +49,7 @@ func main() {
 	urlA := fmt.Sprintf("http://127.0.0.1:%d", portA)
 	urlB := fmt.Sprintf("http://127.0.0.1:%d", portB)
 	urlC := fmt.Sprintf("http://127.0.0.1:%d", portC)
-	walDir := filepath.Join(tmp, "wal")
+	logDir := filepath.Join(tmp, "coordinator")
 
 	// 2. Two empty members: real ssdcheckd processes whose devices will
 	//    arrive over the network.
@@ -71,7 +71,7 @@ func main() {
 		"-addr", addrOf(portC),
 		"-join", "node-a=" + urlA + ",node-b=" + urlB,
 		"-devices", "4", "-fastdiag", "-seed", "42",
-		"-tick-interval", "0", "-wal-dir", walDir,
+		"-tick-interval", "0", "-wal-dir", logDir,
 	}
 	coord := spawn(tmp, "ssdcheck-cluster", coordArgs...)
 	defer kill(coord)
@@ -116,7 +116,8 @@ func main() {
 	}
 
 	// 6. Coordinator crash: SIGKILL, then a fresh process with the same
-	//    WAL directory replays snapshot+tail and resumes — same
+	//    -wal-dir restores its snapshot, replays the entries after it
+	//    and resumes — same
 	//    membership, same placement, same seq counter. node-a stays out
 	//    (it was drained), so the restart joins only node-b.
 	fmt.Println("\nkilling the coordinator mid-flight...")
@@ -125,12 +126,12 @@ func main() {
 		"-addr", addrOf(portC),
 		"-join", "node-b="+urlB,
 		"-devices", "4", "-fastdiag", "-seed", "42",
-		"-tick-interval", "0", "-wal-dir", walDir,
+		"-tick-interval", "0", "-wal-dir", logDir,
 	)
 	defer kill(coord2)
 	waitHealthy(urlC)
 	getJSON(urlC+"/v1/cluster/placement", &placement)
-	fmt.Println("recovered placement (replayed from the WAL):")
+	fmt.Println("recovered placement (replayed from the log):")
 	for dev, node := range placement.Placement {
 		fmt.Printf("  %-10s on %s\n", dev, node)
 	}

@@ -64,21 +64,18 @@ type Coordinator struct {
 	translog   []NodeTransition
 	breakerlog []BreakerTransition
 
-	// wal, when non-nil, durably logs every decision that mutates the
-	// deterministic state above; replaying marks recovery, which
-	// re-applies bookkeeping while suppressing physical side effects
-	// (device moves already happened in the previous life) and WAL
-	// re-appends.
-	wal       *WAL
+	// replaying marks log replay (recovery, standby), which re-applies
+	// bookkeeping while suppressing physical side effects (device moves
+	// already happened in the previous life) and re-proposals.
 	replaying bool
 
-	// rep, when non-nil, replaces the local WAL as the durability
-	// layer: every record must reach a quorum of replicas before the
-	// mutation it describes is applied (see replica.go). resolver maps
-	// replicated membership records back to node handles on standby
-	// replay; fence stamps this coordinator's term onto node-plane
-	// RPCs; onDeposed fires once when a node or peer authoritatively
-	// reports the coordinator's term is stale.
+	// rep, when non-nil, makes every decision durable before the
+	// mutation it describes is applied: a Group replica (quorum
+	// acknowledgement, replica.go) or a one-replica log (recover.go).
+	// resolver maps replicated membership records back to node handles
+	// on standby replay; fence stamps this coordinator's term onto
+	// node-plane RPCs; onDeposed fires once when a node or peer
+	// authoritatively reports the coordinator's term is stale.
 	rep         proposer
 	resolver    NodeResolver
 	fence       FencingToken
@@ -97,9 +94,9 @@ type Coordinator struct {
 	breakerGauges                map[string]*obs.Gauge
 }
 
-// proposer is the replication seam: the coordinator hands every
-// would-be WAL record to it before applying the mutation, and the
-// record is durable (quorum-acknowledged) when propose returns nil.
+// proposer is the durability seam: the coordinator hands every record
+// to it before applying the mutation, and the record is committed
+// (quorum-acknowledged, or fsynced) when propose returns nil.
 type proposer interface {
 	propose(rec walRecord) error
 }
@@ -208,7 +205,7 @@ func (c *Coordinator) placeLocked(dev, from, to, cause string) {
 // DeviceMover carries the device's wire state between processes.
 // The source may be a stopped node: detaching from its (still
 // running) manager is the shared-enclosure salvage that failover is
-// built on. During WAL replay only the bookkeeping re-applies — the
+// built on. During log replay only the bookkeeping re-applies — the
 // physical move already happened in the coordinator's previous life.
 func (c *Coordinator) migrateLocked(dev, from, to, cause string) error {
 	if !c.replaying {
@@ -453,8 +450,8 @@ func (c *Coordinator) adoptOneLocked(src *fleet.Manager, dev, target string) err
 //
 // The round's heartbeat outcomes — the one nondeterministic input the
 // health machines consume — are made durable before they are applied:
-// the tick record is proposed (quorum-acknowledged, or fsync'd to the
-// standalone WAL) between the read-only fan-out and the state-machine
+// the tick record is proposed (quorum-acknowledged, or fsynced to a
+// one-replica log) between the read-only fan-out and the state-machine
 // pass. A replicated leader whose proposal fails applies nothing; the
 // group demotes it once its lease lapses.
 func (c *Coordinator) Tick() error {
@@ -787,16 +784,15 @@ func (c *Coordinator) Transitions() []NodeTransition {
 	return append([]NodeTransition(nil), c.translog...)
 }
 
-// Close stops accepting mutating calls and releases the WAL handle if
-// one is attached. It does not close the nodes — whoever built them
-// (the harness, the daemon) owns their lifecycle.
+// Close stops accepting mutating calls and releases a one-replica
+// log's file handle. It does not close the nodes — whoever built them
+// (the harness, the daemon) owns their lifecycle — nor a Group
+// replica's log, which outlives the replica's coordinators.
 func (c *Coordinator) Close() {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.closed = true
-	w := c.wal
-	c.wal = nil
-	c.mu.Unlock()
-	if w != nil {
-		_ = w.Close()
+	if l, ok := c.rep.(*soloLog); ok {
+		l.st.close()
 	}
 }

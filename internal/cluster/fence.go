@@ -6,7 +6,7 @@ import "errors"
 // coordinator's (term, leader) pair. A node remembers the highest term
 // it has ever seen and rejects anything older with ErrStaleTerm — an
 // authoritative, non-retryable answer — so two coordinators sharing a
-// WAL lineage can never both drive the fleet: the moment any node
+// log lineage can never both drive the fleet: the moment any node
 // hears from the new leader, the old one's writes bounce off it.
 //
 // Term 0 is the unfenced legacy token: a standalone (non-replicated)

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -91,8 +93,10 @@ type GroupConfig struct {
 	Faults *faults.NodePlan
 
 	// Dir, when non-empty, makes every replica's log durable under
-	// <Dir>/<replica-id>/; empty keeps logs in memory (the in-memory
-	// copy plays the disk: it survives simulated crashes).
+	// <Dir>/<replica-id>/ (log.jsonl, meta.json, snapshot.json; see
+	// log.go) and must not already hold replica state; empty keeps logs
+	// in memory (the in-memory copy plays the disk: it survives
+	// simulated crashes).
 	Dir string
 
 	// Registry receives the group-level series (term, leadership,
@@ -132,6 +136,7 @@ type Group struct {
 
 	reg        *obs.Registry
 	cElections *obs.Counter
+	cInstalls  *obs.Counter
 	hLag       *obs.Histogram
 }
 
@@ -159,6 +164,14 @@ func NewGroup(cfg GroupConfig) (*Group, error) {
 	if err := cfg.Group.Validate(); err != nil {
 		return nil, err
 	}
+	// A group always bootstraps a fresh log: reusing a directory would
+	// overwrite the stored term before failing on the replayed joins.
+	// Opening a replica's store creates its log.jsonl.
+	for i := 0; cfg.Dir != "" && i < cfg.Replicas; i++ {
+		if dir := filepath.Join(cfg.Dir, fmt.Sprintf("rep-%d", i)); fileExists(filepath.Join(dir, logFile)) {
+			return nil, fmt.Errorf("cluster: %s already holds replica state; a group starts from an empty directory", dir)
+		}
+	}
 
 	reg := cfg.Registry
 	if reg == nil {
@@ -174,6 +187,7 @@ func NewGroup(cfg GroupConfig) (*Group, error) {
 		partitioned: make(map[string]bool),
 		reg:         reg,
 		cElections:  reg.Counter("ssdcheck_cluster_elections_total", "Leadership elections completed."),
+		cInstalls:   reg.Counter("ssdcheck_cluster_snapshot_installs_total", "Followers caught up from the leader's snapshot instead of its log."),
 		hLag: reg.HistogramScaled("ssdcheck_cluster_replication_lag_entries",
 			"Per-peer log entries outstanding after each proposal.", 1),
 	}
@@ -270,25 +284,23 @@ func (g *Group) buildReplica(id string, idx uint64) error {
 			"Replication term the replica is at.", obs.Label{Name: "replica", Value: id}),
 		gLeader: g.reg.Gauge("ssdcheck_cluster_is_leader",
 			"1 while the replica holds the lease.", obs.Label{Name: "replica", Value: id}),
+		st: &logStore{},
 	}
 	if g.cfg.Dir != "" {
-		r.dir = filepath.Join(g.cfg.Dir, id)
-	}
-	if err := r.openStorage(); err != nil {
-		return err
+		r.st.dir = filepath.Join(g.cfg.Dir, id)
 	}
 	tr, err := NewSharedLoopbackTransport(g.cfg.RPC, nil, g.cpol.Seed^(idx+0x7265706c), obs.NewRegistry(), g.dir, id)
+	if err == nil {
+		r.tr = tr
+		err = r.st.open()
+	}
+	if err == nil {
+		err = r.rebuildStandby()
+	}
 	if err != nil {
-		r.closeStorage()
+		r.st.close()
 		return err
 	}
-	r.tr = tr
-	sb, err := newStandbyCoordinator(g.cpol, tr, g.resolveNode)
-	if err != nil {
-		r.closeStorage()
-		return err
-	}
-	r.coord = sb
 	g.replicas[id] = r
 	return nil
 }
@@ -322,7 +334,7 @@ func (g *Group) currentLeaderLocked() *Replica {
 		if r.role != RoleLeader || r.crashed || r.deposed {
 			continue
 		}
-		if lead == nil || r.term > lead.term {
+		if lead == nil || r.st.term > lead.st.term {
 			lead = r
 		}
 	}
@@ -353,15 +365,14 @@ func (g *Group) settleLocked() error {
 // node plane, and reconcile physical placement against the committed
 // log.
 func (g *Group) takeoverLocked(r *Replica, newTerm int64) error {
-	r.term = newTerm
-	if err := r.persistTerm(); err != nil {
+	if err := r.st.setTerm(newTerm); err != nil {
 		return err
 	}
 	// Warm the standby with everything local. Entries past commit are
 	// not yet known safe, but the noop below commits them before any
 	// new decision is proposed; if the noop cannot reach a quorum the
 	// lease lapses and demotion rebuilds from the committed prefix.
-	if err := r.applyUpTo(int64(len(r.log))); err != nil {
+	if err := r.applyUpTo(r.st.last()); err != nil {
 		return err
 	}
 	r.role = RoleLeader
@@ -399,32 +410,22 @@ func (g *Group) takeoverLocked(r *Replica, newTerm int64) error {
 
 // demoteLocked turns a leader back into a follower: the live
 // coordinator is discarded and a fresh standby is rebuilt from the
-// committed log prefix — which also resyncs any in-memory drift a
-// quorumless leader accumulated while its proposals were failing.
+// snapshot and committed log prefix — which also resyncs any in-memory
+// drift a quorumless leader accumulated while its proposals were
+// failing.
 func (g *Group) demoteLocked(r *Replica) error {
-	old := r.coord
 	r.role = RoleFollower
 	r.deposed = false
 	r.leasePinned = false
 	r.failedCommits = 0
 	r.lastHeard = g.round // grace period before campaigning again
 	r.gLeader.Set(0)
-	r.gTerm.Set(r.term)
-	sb, err := newStandbyCoordinator(g.cpol, r.tr, g.resolveNode)
-	if err != nil {
-		return err
-	}
-	r.coord = sb
-	r.applied = 0
-	if err := r.applyUpTo(r.commit); err != nil {
-		return err
-	}
-	old.Close()
-	return nil
+	r.gTerm.Set(r.st.term)
+	return r.rebuildStandby()
 }
 
 // crashLocked kills a replica process: coordinator gone, volatile
-// protocol state gone, durable (term, log) intact.
+// protocol state gone, durable (term, snapshot, log) intact.
 func (g *Group) crashLocked(r *Replica) {
 	if r.crashed {
 		return
@@ -440,35 +441,32 @@ func (g *Group) crashLocked(r *Replica) {
 	r.match = make(map[string]int64)
 	r.coord.Close()
 	r.coord = nil
-	r.closeStorage()
+	r.st.close()
 }
 
 // restartLocked brings a crashed replica back as a follower: durable
 // state reloads (from disk in directory mode, from the surviving
-// in-memory copy otherwise), volatile state resets — commit and
-// applied restart at zero and are rediscovered from the leader's
-// commit piggyback on the next append.
+// in-memory copy otherwise), the standby starts from the replica's own
+// snapshot, and volatile state resets — commit restarts at the
+// snapshot index and the rest is rediscovered from the leader's commit
+// piggyback on the next append.
 func (g *Group) restartLocked(r *Replica) error {
 	if !r.crashed {
 		return nil
 	}
-	if err := r.openStorage(); err != nil {
+	if err := r.st.open(); err != nil {
 		return err
 	}
-	sb, err := newStandbyCoordinator(g.cpol, r.tr, g.resolveNode)
-	if err != nil {
-		r.closeStorage()
-		return err
-	}
-	r.coord = sb
-	r.crashed = false
 	r.role = RoleFollower
 	r.leader = ""
 	r.commit = 0
-	r.applied = 0
 	r.applyErr = nil
 	r.lastHeard = g.round
-	r.gTerm.Set(r.term)
+	r.gTerm.Set(r.st.term)
+	if err := r.rebuildStandby(); err != nil {
+		return err
+	}
+	r.crashed = false
 	return nil
 }
 
@@ -670,16 +668,15 @@ func (g *Group) Status() GroupStatus {
 	}
 	for _, id := range g.order {
 		r := g.replicas[id]
-		if r.term > st.Term {
-			st.Term = r.term
-		}
+		st.Term = max(st.Term, r.st.term)
 		st.Replicas = append(st.Replicas, ReplicaStatus{
 			ID:            r.id,
 			Role:          r.role,
-			Term:          r.term,
+			Term:          r.st.term,
 			Commit:        r.commit,
 			Applied:       r.applied,
-			LastIndex:     int64(len(r.log)),
+			LastIndex:     r.st.last(),
+			SnapshotIndex: r.st.snap.Index,
 			Leader:        r.leader,
 			Crashed:       r.crashed,
 			Partitioned:   g.partitioned[r.id],
@@ -739,8 +736,8 @@ func (g *Group) Replica(id string) (ReplicaStatus, bool) {
 	return ReplicaStatus{}, false
 }
 
-// ReplicaLog returns a copy of a replica's log — tests compare them
-// byte-for-byte across the group after chaos runs.
+// ReplicaLog returns a copy of the entries a replica holds after its
+// snapshot.
 func (g *Group) ReplicaLog(id string) []LogEntry {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -748,7 +745,40 @@ func (g *Group) ReplicaLog(id string) []LogEntry {
 	if r == nil {
 		return nil
 	}
-	return append([]LogEntry(nil), r.log...)
+	return append([]LogEntry(nil), r.st.entries...)
+}
+
+// CheckLogs verifies the replicated log's agreement invariant: every
+// index that two replicas both hold carries the same entry, and
+// snapshots taken at the same index are byte-identical.
+func (g *Group) CheckLogs() error {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	type held struct {
+		id  string
+		buf []byte
+	}
+	seen := make(map[string]held)
+	for _, id := range g.order {
+		st := g.replicas[id].st
+		for i := -1; i < len(st.entries); i++ {
+			key, v := fmt.Sprintf("snapshot %d", st.snap.Index), any(st.snap)
+			if i >= 0 {
+				key, v = fmt.Sprintf("entry %d", st.entries[i].Index), st.entries[i]
+			} else if st.snap.State == nil {
+				continue
+			}
+			buf, err := json.Marshal(v)
+			if err != nil {
+				return err
+			}
+			if h, ok := seen[key]; ok && !bytes.Equal(h.buf, buf) {
+				return fmt.Errorf("cluster: %s differs between %s and %s:\n%s\nvs\n%s", key, h.id, id, h.buf, buf)
+			}
+			seen[key] = held{id, buf}
+		}
+	}
+	return nil
 }
 
 // ReplicaIDs returns the replica IDs in sorted order.
@@ -771,16 +801,21 @@ func (g *Group) ReplicaCoordinator(id string) *Coordinator {
 	return r.coord
 }
 
-// ReplicaErr returns a replica's first recorded apply/storage error
-// (nil in a healthy group).
-func (g *Group) ReplicaErr(id string) error {
+// onReplica runs fn on a replica under the group lock.
+func (g *Group) onReplica(id string, fn func(r *Replica) error) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	r := g.replicas[id]
 	if r == nil {
 		return fmt.Errorf("replica %q: %w", id, ErrUnknownNode)
 	}
-	return r.applyErr
+	return fn(r)
+}
+
+// ReplicaErr returns a replica's first recorded apply/storage error
+// (nil in a healthy group).
+func (g *Group) ReplicaErr(id string) error {
+	return g.onReplica(id, func(r *Replica) error { return r.applyErr })
 }
 
 // FencingRejections is the node-plane stale-term rejection total.
@@ -801,60 +836,26 @@ func (g *Group) Elections() int64 {
 // Crash kills a replica by ID — manual chaos for tests; the scheduled
 // kind is faults.LeaderCrash.
 func (g *Group) Crash(id string) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	r := g.replicas[id]
-	if r == nil {
-		return fmt.Errorf("replica %q: %w", id, ErrUnknownNode)
-	}
-	g.crashLocked(r)
-	return nil
+	return g.onReplica(id, func(r *Replica) error { g.crashLocked(r); return nil })
 }
 
 // Restart brings a crashed replica back as a follower.
-func (g *Group) Restart(id string) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	r := g.replicas[id]
-	if r == nil {
-		return fmt.Errorf("replica %q: %w", id, ErrUnknownNode)
-	}
-	return g.restartLocked(r)
-}
+func (g *Group) Restart(id string) error { return g.onReplica(id, g.restartLocked) }
 
 // Partition cuts a replica off the peer plane (node plane unaffected).
 func (g *Group) Partition(id string) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if _, ok := g.replicas[id]; !ok {
-		return fmt.Errorf("replica %q: %w", id, ErrUnknownNode)
-	}
-	g.partitioned[id] = true
-	return nil
+	return g.onReplica(id, func(*Replica) error { g.partitioned[id] = true; return nil })
 }
 
 // Heal reconnects a partitioned replica.
 func (g *Group) Heal(id string) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if _, ok := g.replicas[id]; !ok {
-		return fmt.Errorf("replica %q: %w", id, ErrUnknownNode)
-	}
-	delete(g.partitioned, id)
-	return nil
+	return g.onReplica(id, func(*Replica) error { delete(g.partitioned, id); return nil })
 }
 
 // PinLease stops a leader from abdicating when its lease lapses — the
 // dueling-leader ingredient; only fencing can then demote it.
 func (g *Group) PinLease(id string, pinned bool) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	r := g.replicas[id]
-	if r == nil {
-		return fmt.Errorf("replica %q: %w", id, ErrUnknownNode)
-	}
-	r.leasePinned = pinned
-	return nil
+	return g.onReplica(id, func(r *Replica) error { r.leasePinned = pinned; return nil })
 }
 
 // Close shuts every replica's coordinator, the replica logs, and the
@@ -876,7 +877,7 @@ func (g *Group) Close() {
 		if r.coord != nil {
 			r.coord.Close()
 		}
-		r.closeStorage()
+		r.st.close()
 	}
 	for _, n := range nodes {
 		n.Close()

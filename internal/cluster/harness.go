@@ -42,8 +42,9 @@ type HarnessConfig struct {
 	RPC *RPCPolicy
 
 	// WALDir, when non-empty, makes the coordinator durable: every
-	// decision is logged there, and RecoverCoordinator (or the
-	// harness's Recover) resumes from it after a crash.
+	// decision is fsynced to a one-replica log there, and
+	// RecoverCoordinator (or the harness's Recover) resumes from it
+	// after a crash.
 	WALDir string
 
 	// TraceSample, when > 0, gives every node a deterministic request
@@ -201,26 +202,26 @@ func (h *Harness) Faults() *faults.NodeFaults { return h.nf }
 func (h *Harness) Loopback() *LoopbackTransport { return h.lb }
 
 // CrashCoordinator kills the control plane mid-flight: the
-// coordinator (and its WAL handle) closes abruptly, the nodes — the
+// coordinator (and its log handle) closes abruptly, the nodes — the
 // device state plane — keep running, exactly as when a real
-// coordinator process dies. Requires a WAL-backed harness; recover
+// coordinator process dies. Requires a WALDir harness; recover
 // with Recover.
 func (h *Harness) CrashCoordinator() error {
 	if h.cfg.WALDir == "" {
-		return fmt.Errorf("cluster: harness has no WAL to recover from")
+		return fmt.Errorf("cluster: harness has no log to recover from")
 	}
 	h.coord.Close()
 	return nil
 }
 
-// Recover replays the WAL into a fresh coordinator over a fresh
+// Recover replays the log into a fresh coordinator over a fresh
 // transport and resumes: same seq counter, same logs, same member
 // state machines; the transport's fault plan fast-forwards in
 // lockstep with the replayed rounds. The live node handles are
 // resolved back into membership by ID.
 func (h *Harness) Recover() error {
 	if h.cfg.WALDir == "" {
-		return fmt.Errorf("cluster: harness has no WAL to recover from")
+		return fmt.Errorf("cluster: harness has no log to recover from")
 	}
 	reg := obs.NewRegistry()
 	tr, nf, lb, err := buildTransport(h.cfg, reg)

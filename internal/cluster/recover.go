@@ -6,47 +6,61 @@ import (
 	"ssdcheck/internal/obs"
 )
 
-// Crash recovery: a coordinator opened through RecoverCoordinator
-// durably logs every deterministic-state mutation to a WAL and, on
-// restart, replays snapshot+tail to resume exactly where the dead
-// coordinator stopped — same seq counter, same placement/health/
-// breaker logs, same member state machines — so subsequent log lines
-// are byte-identical to an uninterrupted run.
+// Crash recovery: a coordinator opened through RecoverCoordinator runs
+// on a one-replica log (log.go). Every decision is appended as a term-1
+// entry and commits once fsynced; on restart the snapshot is restored
+// and the entries after it replay through applyRecord — exactly the
+// path a Group standby takes — so the coordinator resumes where the
+// dead one stopped, and subsequent log lines are byte-identical to an
+// uninterrupted run.
 
-// walAppendLocked durably logs one record, compacting the WAL into a
-// snapshot when the record count crosses the threshold. A no-op
-// without a WAL or during replay.
-func (c *Coordinator) walAppendLocked(rec walRecord) error {
-	if c.wal == nil || c.replaying {
-		return nil
+// NodeResolver turns a logged membership record back into a node
+// handle during recovery. addr is the base URL the node joined with
+// ("" for in-process members).
+type NodeResolver func(id, addr string) (*Node, error)
+
+// RemoteResolver rebuilds remote nodes from their logged addresses —
+// sufficient for a coordinator whose members are all real processes.
+// In-process members (no address) need a caller-supplied resolver
+// that returns the live *Node handles.
+func RemoteResolver(id, addr string) (*Node, error) {
+	if addr == "" {
+		return nil, fmt.Errorf("cluster: recovering in-process node %q needs a resolver", id)
 	}
-	if err := c.wal.Append(rec); err != nil {
+	return NewRemoteNode(id, addr)
+}
+
+// soloLog is the durable single coordinator's proposer: a log with one
+// replica, so every entry is term 1 and committed once it is on disk.
+type soloLog struct {
+	st  *logStore
+	pol Policy
+}
+
+func (l *soloLog) propose(rec walRecord) error {
+	if err := l.st.append(LogEntry{Term: 1, Index: l.st.last() + 1, Rec: rec}); err != nil {
 		return err
 	}
-	if c.wal.appends >= walCompactAt {
-		return c.wal.Compact(c.snapshotLocked())
-	}
-	return nil
+	return l.st.foldTo(l.pol, compactPoint(l.st.last()))
 }
 
 // proposeLocked makes one decision durable before the mutation it
-// describes is applied: a replicated coordinator routes the record
-// through its replica (quorum acknowledgement, see replica.go), a
-// standalone durable coordinator fsyncs it to the local WAL, and a
-// WAL-less coordinator proceeds immediately. A no-op during replay —
-// the record is already durable in whoever's log is being replayed.
+// describes is applied: a replicated coordinator's record reaches a
+// quorum of its group (replica.go), a recovered coordinator's is
+// fsynced to its one-replica log, and a log-less coordinator proceeds
+// immediately. A no-op during replay — the record is already durable
+// in whichever log is being replayed.
 func (c *Coordinator) proposeLocked(rec walRecord) error {
-	if c.replaying {
+	if c.replaying || c.rep == nil {
 		return nil
 	}
-	if c.rep != nil {
-		return c.rep.propose(rec)
-	}
-	return c.walAppendLocked(rec)
+	return c.rep.propose(rec)
 }
 
-// snapshotLocked captures the coordinator's full deterministic state.
-func (c *Coordinator) snapshotLocked() *walSnapshot {
+// snapshot captures the coordinator's full deterministic state.
+func (c *Coordinator) snapshot() *walSnapshot {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	snap := &walSnapshot{
 		Round:      c.round,
 		Now:        c.now,
@@ -79,9 +93,12 @@ func (c *Coordinator) snapshotLocked() *walSnapshot {
 }
 
 // restoreSnapshot rebuilds the coordinator's state from a compaction
-// point. Runs before any records replay, on a freshly built (empty)
-// coordinator.
+// point (nil: none yet). Runs before any records replay, on a freshly
+// built (empty) coordinator.
 func (c *Coordinator) restoreSnapshot(snap *walSnapshot, resolve NodeResolver) error {
+	if snap == nil {
+		return nil
+	}
 	c.round = snap.Round
 	c.now = snap.Now
 	c.seq = snap.Seq
@@ -118,8 +135,8 @@ func (c *Coordinator) restoreSnapshot(snap *walSnapshot, resolve NodeResolver) e
 	return nil
 }
 
-// applyRecord replays one WAL record. Join/Leave/Adopt re-run the
-// real entry points (the replaying flag suppresses WAL re-appends and
+// applyRecord replays one logged record. Join/Leave/Adopt re-run the
+// real entry points (the replaying flag suppresses re-proposals and
 // physical device moves); tick and breaker records feed their logged
 // outcomes straight into the state machines.
 func (c *Coordinator) applyRecord(rec walRecord, resolve NodeResolver) error {
@@ -161,7 +178,7 @@ func (c *Coordinator) applyRecord(rec walRecord, resolve NodeResolver) error {
 		// applies nothing.
 		return nil
 	default:
-		return fmt.Errorf("cluster: unknown WAL record type %q", rec.Type)
+		return fmt.Errorf("cluster: unknown log record type %q", rec.Type)
 	}
 }
 
@@ -194,64 +211,78 @@ func (c *Coordinator) replayTick(rec walRecord) error {
 	return nil
 }
 
-// RecoverCoordinator opens (or creates) a durable coordinator at the
-// given WAL directory. An empty directory yields a fresh coordinator
-// that logs from its first decision; an existing one replays
-// snapshot+tail and resumes. resolve turns logged membership back
-// into node handles — RemoteResolver suffices when every member is a
-// real process; in-process members need the caller's live handles. A
-// torn tail record (crash mid-append) is dropped and truncated.
+// replayLog builds a replaying coordinator restored from snap (nil:
+// empty) and advanced over entries.
+func replayLog(pol Policy, tr Transport, reg *obs.Registry, snap *walSnapshot, entries []LogEntry, resolve NodeResolver) (*Coordinator, error) {
+	c, err := NewCoordinator(pol, tr, reg)
+	if err != nil {
+		return nil, err
+	}
+	c.replaying = true
+	if err := c.restoreSnapshot(snap, resolve); err != nil {
+		return nil, err
+	}
+	for _, e := range entries {
+		if err := c.applyRecord(e.Rec, resolve); err != nil {
+			return nil, fmt.Errorf("cluster: replaying entry %d: %w", e.Index, err)
+		}
+	}
+	return c, nil
+}
+
+// foldSnapshot carries a snapshot forward over entries on a scratch
+// coordinator. Replay moves no devices, so placeholder handles stand
+// in for the members.
+func foldSnapshot(pol Policy, base *walSnapshot, entries []LogEntry) (*walSnapshot, error) {
+	c, err := replayLog(pol, nil, nil, base, entries, func(id, addr string) (*Node, error) {
+		return &Node{id: id, addr: addr}, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return c.snapshot(), nil
+}
+
+// RecoverCoordinator opens (or creates) a durable coordinator on the
+// one-replica log in dir. An empty directory yields a fresh
+// coordinator that logs from its first decision; an existing one
+// restores its snapshot, replays the entries after it, and resumes.
+// resolve turns logged membership back into node handles —
+// RemoteResolver suffices when every member is a real process;
+// in-process members need the caller's live handles. A torn tail
+// record (crash mid-append) is dropped and truncated.
 func RecoverCoordinator(pol Policy, tr Transport, reg *obs.Registry, dir string, resolve NodeResolver) (*Coordinator, error) {
 	if resolve == nil {
 		resolve = RemoteResolver
 	}
-	w, snap, tail, err := OpenWAL(dir)
+	st := &logStore{dir: dir}
+	err := st.open()
+	if err == nil && st.term == 0 {
+		err = st.setTerm(1)
+	}
+	var c *Coordinator
+	if err == nil {
+		c, err = replayLog(pol, tr, reg, st.snap.State, st.entries, resolve)
+	}
 	if err != nil {
+		st.close()
 		return nil, err
-	}
-	c, err := NewCoordinator(pol, tr, reg)
-	if err != nil {
-		w.Close()
-		return nil, err
-	}
-	c.replaying = true
-	if snap != nil {
-		if err := c.restoreSnapshot(snap, resolve); err != nil {
-			w.Close()
-			return nil, err
-		}
-	}
-	for _, rec := range tail {
-		if err := c.applyRecord(rec, resolve); err != nil {
-			w.Close()
-			return nil, fmt.Errorf("cluster: replaying WAL: %w", err)
-		}
 	}
 	c.mu.Lock()
 	c.replaying = false
-	c.wal = w
+	c.rep = &soloLog{st: st, pol: c.pol}
 	c.mu.Unlock()
 	return c, nil
 }
 
-// Checkpoint forces a WAL compaction: the current state becomes the
-// snapshot and the record log empties. Errors without an attached
-// WAL.
+// Checkpoint compacts a recovered coordinator's log at its newest
+// entry. Errors on a coordinator without a one-replica log.
 func (c *Coordinator) Checkpoint() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.wal == nil {
-		return fmt.Errorf("cluster: coordinator has no WAL")
+	l, ok := c.rep.(*soloLog)
+	if !ok {
+		return fmt.Errorf("cluster: coordinator has no local log")
 	}
-	return c.wal.Compact(c.snapshotLocked())
-}
-
-// WALDir returns the attached WAL's directory, or "".
-func (c *Coordinator) WALDir() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.wal == nil {
-		return ""
-	}
-	return c.wal.Dir()
+	return l.st.foldTo(c.pol, l.st.last())
 }

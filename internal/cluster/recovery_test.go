@@ -173,7 +173,7 @@ func TestClusterRecoveryTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	f, err := os.OpenFile(filepath.Join(dir, walFile), os.O_APPEND|os.O_WRONLY, 0o644)
+	f, err := os.OpenFile(filepath.Join(dir, logFile), os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,9 +207,13 @@ func TestClusterRecoveryTornTail(t *testing.T) {
 	}
 }
 
-// TestClusterWALAutoCompaction: crossing the append threshold compacts
-// the log into a snapshot automatically, and recovery from that
-// snapshot preserves the full logs and round counter.
+// TestClusterWALAutoCompaction: crossing a compaction point folds the
+// one-replica log into a snapshot, and recovery from that snapshot
+// restores exactly the coordinator that crashed. The tick that crosses
+// the point is the one that quarantines a killed node and fails its
+// devices over, so a snapshot that missed that tick's decision — taken
+// before the decision applied and then truncated with it — would
+// recover a coordinator that forgot the quarantine and the moves.
 func TestClusterWALAutoCompaction(t *testing.T) {
 	devs := clusterSpecs()[:2]
 	dir := t.TempDir()
@@ -225,19 +229,41 @@ func TestClusterWALAutoCompaction(t *testing.T) {
 	t.Cleanup(h.Close)
 	c := h.Coordinator()
 
-	// Every tick appends one record; the bootstrap contributed a
-	// handful more, so this comfortably crosses walCompactAt.
-	for i := 0; i < walCompactAt; i++ {
+	// The bootstrap logs two joins and one adopt; every tick logs one
+	// record after them, so tick compactEvery-3 writes entry
+	// compactEvery. node-1 misses QuarantineAfterMisses heartbeats in a
+	// row, the last of them on that tick.
+	crossing := compactEvery - 3
+	killAt := crossing - c.Policy().QuarantineAfterMisses + 1
+	for i := 1; i <= crossing; i++ {
+		if i == killAt {
+			if err := c.Kill("node-1"); err != nil {
+				t.Fatal(err)
+			}
+		}
 		if err := c.Tick(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := os.Stat(filepath.Join(dir, walSnapFile)); err != nil {
-		t.Fatalf("no snapshot after %d ticks: %v", walCompactAt, err)
+	if _, err := os.Stat(filepath.Join(dir, snapFile)); err != nil {
+		t.Fatalf("no snapshot after %d ticks: %v", crossing, err)
 	}
-	place, err := json.MarshalIndent(c.PlacementLog(), "", " ")
-	if err != nil {
-		t.Fatal(err)
+	state := func(c *Coordinator) []byte {
+		buf, err := json.MarshalIndent(map[string]any{
+			"nodes":       c.Nodes(),
+			"transitions": c.Transitions(),
+			"placement":   c.PlacementLog(),
+			"breakers":    c.BreakerLog(),
+			"round":       c.Round(),
+		}, "", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf
+	}
+	before := state(c)
+	if n := c.Nodes()[1]; n.Health != fleet.Quarantined || n.Devices != 0 {
+		t.Fatalf("node-1 after the crossing tick: %+v, want quarantined and empty", n)
 	}
 
 	if err := h.CrashCoordinator(); err != nil {
@@ -247,12 +273,8 @@ func TestClusterWALAutoCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	c = h.Coordinator()
-	got, err := json.MarshalIndent(c.PlacementLog(), "", " ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, place) {
-		t.Fatalf("placement log diverged across snapshot recovery\nbefore:\n%s\nafter:\n%s", place, got)
+	if after := state(c); !bytes.Equal(after, before) {
+		t.Fatalf("coordinator diverged across snapshot recovery\nbefore:\n%s\nafter:\n%s", before, after)
 	}
 	if err := c.Tick(); err != nil {
 		t.Fatal(err)

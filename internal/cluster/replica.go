@@ -1,30 +1,26 @@
 package cluster
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"time"
 
 	"ssdcheck/internal/obs"
 )
 
 // Replicated coordination: a raft-lite placement log. The group's
-// leader runs the real Coordinator; every would-be WAL record is
-// appended to the leader's replicated log and streamed to the standby
-// replicas, and the mutation it describes applies only once a quorum
-// holds the record. Standbys replay committed records into shadow
-// coordinators (permanently in replaying mode: bookkeeping only, no
-// physical device moves, which already happened on the leader), so any
-// of them can take over with the full placement/health/breaker state
-// machines already warm.
+// leader runs the real Coordinator; every record it proposes is
+// appended to the leader's log and streamed to the standby replicas,
+// and the mutation it describes applies only once a quorum holds the
+// record. Standbys replay committed records into shadow coordinators
+// (permanently in replaying mode: bookkeeping only, no physical device
+// moves, which already happened on the leader), so any of them can take
+// over with the full placement/health/breaker state machines already
+// warm.
 //
 // Entries are (term, index)-stamped. Terms are leadership epochs:
 // adopted and persisted before any action under them, compared on
 // every peer append, and carried onto the node plane as the fencing
-// token — the mechanism that makes two leaders from one WAL lineage
+// token — the mechanism that makes two leaders from one log lineage
 // safe (the stale one's node RPCs bounce with ErrStaleTerm and it
 // demotes). The usual raft safety argument applies in miniature: a
 // committed entry is on a quorum, every electable winner's log
@@ -32,6 +28,13 @@ import (
 // the longest log), and uncommitted entries never drive a physical
 // move, so failover can lose nothing that was promised and apply
 // nothing twice.
+//
+// Every replica's log compacts at multiples of compactEvery over
+// committed entries (log.go): a follower snapshots its standby when it
+// has applied that index, the leader folds its previous snapshot
+// forward over the log. A follower whose position the leader has
+// compacted away receives the leader's snapshot with the next append
+// and restores its standby from it instead of replaying from index 1.
 
 // Role is a replica's position in the group.
 type Role uint8
@@ -72,15 +75,6 @@ func (r *Role) UnmarshalText(b []byte) error {
 	return nil
 }
 
-// LogEntry is one replicated coordinator decision: a WAL record
-// stamped with the leadership term it was proposed under and its
-// 1-based position in the log.
-type LogEntry struct {
-	Term  int64     `json:"term"`
-	Index int64     `json:"index"`
-	Rec   walRecord `json:"rec"`
-}
-
 // AppendRequest is the leader→follower replication message: every
 // entry past what the leader believes the follower holds, plus the
 // leader's commit index for the follower to apply up to.
@@ -88,13 +82,17 @@ type AppendRequest struct {
 	// Term and Leader identify the sender's epoch.
 	Term   int64  `json:"term"`
 	Leader string `json:"leader"`
+	// Snapshot, when the follower's position is below the leader's
+	// compaction point, is the leader's snapshot; Prev is then its
+	// index.
+	Snapshot *logSnapshot `json:"snapshot,omitempty"`
 	// Prev is the index the Entries extend from (the follower must
 	// hold entries 1..Prev).
 	Prev int64 `json:"prev"`
 	// Entries are the log records from Prev+1 on.
 	Entries []LogEntry `json:"entries,omitempty"`
 	// Commit is the leader's commit index; the follower applies its
-	// log up to min(Commit, len(log)).
+	// log up to min(Commit, its last index).
 	Commit int64 `json:"commit"`
 }
 
@@ -105,7 +103,7 @@ type AppendResponse struct {
 	Term int64 `json:"term"`
 	// Ok reports whether the entries were accepted.
 	Ok bool `json:"ok"`
-	// LastIndex is the follower's log length after the call — the
+	// LastIndex is the follower's last log index after the call — the
 	// leader's next Prev for this peer.
 	LastIndex int64 `json:"last_index"`
 }
@@ -127,6 +125,7 @@ type ReplicaStatus struct {
 	Commit        int64  `json:"commit"`
 	Applied       int64  `json:"applied"`
 	LastIndex     int64  `json:"last_index"`
+	SnapshotIndex int64  `json:"snapshot_index"`
 	Leader        string `json:"leader,omitempty"`
 	Crashed       bool   `json:"crashed,omitempty"`
 	Partitioned   bool   `json:"partitioned,omitempty"`
@@ -134,9 +133,9 @@ type ReplicaStatus struct {
 }
 
 // Replica is one member of the coordination group: a durable
-// (term, log) pair, a shadow or live coordinator, and the replication
-// protocol endpoints. All replica state is guarded by the owning
-// Group's lock — the group drives every replica from its own
+// (term, snapshot, log) store, a shadow or live coordinator, and the
+// replication protocol endpoints. All replica state is guarded by the
+// owning Group's lock — the group drives every replica from its own
 // single-threaded Tick/Submit calls, so replicas carry no lock of
 // their own and propose can be invoked from a coordinator that already
 // runs under the group.
@@ -144,12 +143,9 @@ type Replica struct {
 	id  string
 	grp *Group
 
-	// Durable state — survives crashes. In directory mode it lives in
-	// <dir>/<id>/{log.jsonl,meta.json}; in memory mode these fields
-	// themselves play the disk (a crash clears only the volatile state
-	// below).
-	term int64
-	log  []LogEntry
+	// st is the durable state, in <Dir>/<id>/ or in memory (where it
+	// plays the disk: a crash clears only the volatile state below).
+	st *logStore
 
 	// Volatile state — reset by a crash.
 	role          Role
@@ -167,199 +163,60 @@ type Replica struct {
 	coord *Coordinator // live when leader, standby otherwise
 	tr    *LoopbackTransport
 
-	// Persistence handles, nil in memory mode.
-	dir  string
-	logF *os.File
-	logW *bufio.Writer
-
 	gTerm, gLeader *obs.Gauge
 }
 
-const (
-	replicaLogFile  = "log.jsonl"
-	replicaMetaFile = "meta.json"
-	replicaMetaTemp = "meta.json.tmp"
-)
-
-// replicaMeta is the durable term marker. The term must hit disk
-// before any action under it — a restarted replica that forgot its
-// term could accept appends from a leader it already helped supersede.
-type replicaMeta struct {
-	Term int64 `json:"term"`
-}
-
-// ID returns the replica's group-unique identifier.
-func (r *Replica) ID() string { return r.id }
-
-// openStorage loads the durable (term, log) pair from the replica's
-// directory, truncating a torn tail the same way the coordinator WAL
-// does, and leaves the log file open for appends. A no-op in memory
-// mode.
-func (r *Replica) openStorage() error {
-	if r.dir == "" {
-		return nil
+// fail records the replica's first apply or storage error.
+func (r *Replica) fail(err error) {
+	if err != nil && r.applyErr == nil {
+		r.applyErr = err
 	}
-	if err := os.MkdirAll(r.dir, 0o755); err != nil {
-		return fmt.Errorf("cluster: replica %q: opening log dir: %w", r.id, err)
-	}
-	if err := removeStaleTemps(r.dir); err != nil {
-		return err
-	}
-
-	if buf, err := os.ReadFile(filepath.Join(r.dir, replicaMetaFile)); err == nil {
-		var meta replicaMeta
-		if err := json.Unmarshal(buf, &meta); err != nil {
-			return fmt.Errorf("cluster: replica %q: corrupt meta: %w", r.id, err)
-		}
-		r.term = meta.Term
-	} else if !os.IsNotExist(err) {
-		return fmt.Errorf("cluster: replica %q: reading meta: %w", r.id, err)
-	}
-
-	path := filepath.Join(r.dir, replicaLogFile)
-	r.log = nil
-	var keep int64
-	if buf, err := os.ReadFile(path); err == nil {
-		keep = scanJSONLines(buf, func(line []byte) error {
-			var e LogEntry
-			if err := json.Unmarshal(line, &e); err != nil {
-				return err
-			}
-			if e.Index != int64(len(r.log))+1 {
-				return fmt.Errorf("cluster: replica %q: log gap at index %d", r.id, e.Index)
-			}
-			r.log = append(r.log, e)
-			return nil
-		})
-	} else if !os.IsNotExist(err) {
-		return fmt.Errorf("cluster: replica %q: reading log: %w", r.id, err)
-	}
-
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("cluster: replica %q: opening log: %w", r.id, err)
-	}
-	if err := f.Truncate(keep); err != nil {
-		f.Close()
-		return fmt.Errorf("cluster: replica %q: truncating torn log tail: %w", r.id, err)
-	}
-	if _, err := f.Seek(keep, 0); err != nil {
-		f.Close()
-		return fmt.Errorf("cluster: replica %q: seeking log: %w", r.id, err)
-	}
-	r.logF, r.logW = f, bufio.NewWriter(f)
-	return nil
-}
-
-// closeStorage releases the log file handle (crash, shutdown).
-func (r *Replica) closeStorage() {
-	if r.logF != nil {
-		_ = r.logW.Flush()
-		_ = r.logF.Close()
-		r.logF, r.logW = nil, nil
-	}
-}
-
-// persistTerm makes the current term durable: write a temporary,
-// fsync, rename — the same atomic-install discipline the WAL snapshot
-// uses. A no-op in memory mode (the field is the disk).
-func (r *Replica) persistTerm() error {
-	if r.dir == "" {
-		return nil
-	}
-	buf, err := json.Marshal(replicaMeta{Term: r.term})
-	if err != nil {
-		return fmt.Errorf("cluster: replica %q: encoding meta: %w", r.id, err)
-	}
-	tmp := filepath.Join(r.dir, replicaMetaTemp)
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("cluster: replica %q: writing meta: %w", r.id, err)
-	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		return fmt.Errorf("cluster: replica %q: writing meta: %w", r.id, err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("cluster: replica %q: syncing meta: %w", r.id, err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("cluster: replica %q: closing meta: %w", r.id, err)
-	}
-	if err := os.Rename(tmp, filepath.Join(r.dir, replicaMetaFile)); err != nil {
-		return fmt.Errorf("cluster: replica %q: installing meta: %w", r.id, err)
-	}
-	return nil
-}
-
-// appendDurable fsyncs one appended entry. A no-op in memory mode.
-func (r *Replica) appendDurable(e LogEntry) error {
-	if r.logF == nil {
-		return nil
-	}
-	buf, err := json.Marshal(e)
-	if err != nil {
-		return fmt.Errorf("cluster: replica %q: encoding entry: %w", r.id, err)
-	}
-	buf = append(buf, '\n')
-	if _, err := r.logW.Write(buf); err != nil {
-		return fmt.Errorf("cluster: replica %q: appending entry: %w", r.id, err)
-	}
-	if err := r.logW.Flush(); err != nil {
-		return fmt.Errorf("cluster: replica %q: flushing log: %w", r.id, err)
-	}
-	if err := r.logF.Sync(); err != nil {
-		return fmt.Errorf("cluster: replica %q: syncing log: %w", r.id, err)
-	}
-	return nil
-}
-
-// truncateDurable rewrites the on-disk log to the in-memory prefix
-// after a conflict truncation. Conflicts are rare (one divergent
-// uncommitted tail per deposed leader), so a full rewrite keeps the
-// format append-only-simple. A no-op in memory mode.
-func (r *Replica) truncateDurable() error {
-	if r.logF == nil {
-		return nil
-	}
-	if err := r.logF.Truncate(0); err != nil {
-		return fmt.Errorf("cluster: replica %q: truncating log: %w", r.id, err)
-	}
-	if _, err := r.logF.Seek(0, 0); err != nil {
-		return fmt.Errorf("cluster: replica %q: seeking log: %w", r.id, err)
-	}
-	r.logW.Reset(r.logF)
-	for _, e := range r.log {
-		if err := r.appendDurable(e); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // status captures the replica's election-relevant state.
 func (r *Replica) status() PeerStatus {
-	s := PeerStatus{ID: r.id, Term: r.term, LastIndex: int64(len(r.log))}
-	if len(r.log) > 0 {
-		s.LastTerm = r.log[len(r.log)-1].Term
-	}
-	return s
+	return PeerStatus{ID: r.id, Term: r.st.term, LastIndex: r.st.last(), LastTerm: r.st.termAt(r.st.last())}
 }
 
-// applyUpTo replays committed log records into the replica's
-// coordinator through the resolver path, advancing applied. Noop
-// entries (leadership assertions) replicate for their index and apply
-// nothing.
+// rebuildStandby replaces the replica's coordinator with a fresh
+// standby restored from the replica's snapshot and replayed up to its
+// commit index: at start, after a demotion (which also discards any
+// drift a quorumless leader accumulated), a restart, or an installed
+// snapshot. The standby is permanently replaying — records apply as
+// bookkeeping, physical moves and re-proposals are suppressed — until
+// activate flips it live at takeover. It gets a private registry;
+// cluster-visible metrics come from the active coordinator and the
+// group.
+func (r *Replica) rebuildStandby() error {
+	sb, err := replayLog(r.grp.cpol, r.tr, nil, r.st.snap.State, nil, r.grp.resolveNode)
+	if err != nil {
+		return err
+	}
+	sb.resolver = r.grp.resolveNode
+	if r.coord != nil {
+		r.coord.Close()
+	}
+	r.coord = sb
+	r.applied = r.st.snap.Index
+	r.commit = max(r.commit, r.applied)
+	return r.applyUpTo(r.commit)
+}
+
+// applyUpTo replays log records into the replica's coordinator through
+// the resolver path, advancing applied. Once a committed multiple of
+// compactEvery is applied, the standby's state — a pure replay of
+// entries 1..applied — becomes the replica's snapshot.
 func (r *Replica) applyUpTo(idx int64) error {
 	for r.applied < idx {
 		r.applied++
-		rec := r.log[r.applied-1].Rec
-		if rec.Type == "noop" {
-			continue
-		}
-		if err := r.coord.applyReplicated(rec); err != nil {
+		if err := r.coord.applyRecord(r.st.entry(r.applied).Rec, r.coord.resolver); err != nil {
 			return fmt.Errorf("cluster: replica %q: applying entry %d: %w", r.id, r.applied, err)
+		}
+		if r.applied%compactEvery == 0 && r.applied <= r.commit {
+			snap := logSnapshot{Index: r.applied, Term: r.st.termAt(r.applied), State: r.coord.snapshot()}
+			if err := r.st.install(snap, r.st.after(r.applied)); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -379,9 +236,8 @@ func (r *Replica) propose(rec walRecord) error {
 	if r.role != RoleLeader {
 		return fmt.Errorf("replica %q: %w", r.id, ErrNotLeader)
 	}
-	e := LogEntry{Term: r.term, Index: int64(len(r.log)) + 1, Rec: rec}
-	r.log = append(r.log, e)
-	if err := r.appendDurable(e); err != nil {
+	e := LogEntry{Term: r.st.term, Index: r.st.last() + 1, Rec: rec}
+	if err := r.st.append(e); err != nil {
 		return err
 	}
 	acks := 1 // self
@@ -394,30 +250,27 @@ func (r *Replica) propose(rec walRecord) error {
 			r.grp.hLag.Observe(time.Duration(e.Index - r.match[pid]))
 			continue
 		}
-		resp := p.handleAppend(AppendRequest{
-			Term:    r.term,
-			Leader:  r.id,
-			Prev:    r.match[pid],
-			Entries: append([]LogEntry(nil), r.log[r.match[pid]:]...),
-			Commit:  r.commit,
-		})
-		if resp.Term > r.term {
+		req := AppendRequest{Term: r.st.term, Leader: r.id, Prev: min(r.match[pid], e.Index-1), Commit: r.commit}
+		if req.Prev < r.st.snap.Index {
+			snap := r.st.snap
+			req.Snapshot, req.Prev = &snap, snap.Index
+		}
+		req.Entries = append([]LogEntry(nil), r.st.after(req.Prev)...)
+		resp := p.handleAppend(req)
+		if resp.Term > r.st.term {
 			// A peer is ahead: this leadership is over. Adopt the term
 			// (durably) and report up; the group demotes at the next
 			// settle point.
-			r.term = resp.Term
-			if err := r.persistTerm(); err != nil {
+			if err := r.st.setTerm(resp.Term); err != nil {
 				return err
 			}
 			r.deposed = true
 			return fmt.Errorf("replica %q: peer at term %d: %w", r.id, resp.Term, ErrStaleTerm)
 		}
+		// On a gap, resynchronize from what the peer actually holds.
+		r.match[pid] = resp.LastIndex
 		if resp.Ok {
-			r.match[pid] = resp.LastIndex
 			acks++
-		} else {
-			// Gap: resynchronize from what the peer actually holds.
-			r.match[pid] = resp.LastIndex
 		}
 		r.grp.hLag.Observe(time.Duration(e.Index - r.match[pid]))
 	}
@@ -429,25 +282,19 @@ func (r *Replica) propose(rec walRecord) error {
 	// returns; track it as applied so a later demotion rebuilds from
 	// the right prefix.
 	r.applied = e.Index
-	return nil
+	return r.st.foldTo(r.grp.cpol, compactPoint(r.commit))
 }
 
 // handleAppend is the follower-side replication endpoint: term check,
-// gap check, conflict truncation, append, and apply-to-commit. Called
-// with the group's lock held.
+// snapshot install, gap check, conflict truncation, append, and
+// apply-to-commit. Called with the group's lock held.
 func (p *Replica) handleAppend(req AppendRequest) AppendResponse {
-	if p.crashed {
-		return AppendResponse{Term: p.term}
+	if p.crashed || req.Term < p.st.term {
+		// Dead, or a stale leader: reject so it learns the newer term.
+		return AppendResponse{Term: p.st.term}
 	}
-	if req.Term < p.term {
-		// Stale leader: reject so it learns the newer term.
-		return AppendResponse{Term: p.term}
-	}
-	if req.Term > p.term {
-		p.term = req.Term
-		if err := p.persistTerm(); err != nil && p.applyErr == nil {
-			p.applyErr = err
-		}
+	if req.Term > p.st.term {
+		p.fail(p.st.setTerm(req.Term))
 		if p.role == RoleLeader {
 			// Two leaders, and the other one is newer: concede.
 			p.deposed = true
@@ -455,70 +302,57 @@ func (p *Replica) handleAppend(req AppendRequest) AppendResponse {
 	}
 	p.leader = req.Leader
 	p.lastHeard = p.grp.round
-	if req.Prev > int64(len(p.log)) {
-		return AppendResponse{Term: p.term, Ok: false, LastIndex: int64(len(p.log))}
+	if req.Snapshot != nil {
+		p.fail(p.installSnapshot(*req.Snapshot))
+	}
+	if req.Prev > p.st.last() {
+		return AppendResponse{Term: p.st.term, Ok: false, LastIndex: p.st.last()}
 	}
 	for _, e := range req.Entries {
-		if e.Index <= int64(len(p.log)) {
-			if p.log[e.Index-1].Term == e.Term {
+		if e.Index <= p.st.snap.Index {
+			continue // compacted: committed, so already held
+		}
+		if e.Index <= p.st.last() {
+			if p.st.termAt(e.Index) == e.Term {
 				continue // already hold it
 			}
 			// Conflict: a deposed leader's uncommitted tail. Committed
 			// entries can never conflict (they are on every electable
 			// leader's log), so the truncation stays above commit.
-			if e.Index <= p.commit && p.applyErr == nil {
-				p.applyErr = fmt.Errorf("cluster: replica %q: conflict at committed index %d", p.id, e.Index)
+			if e.Index <= p.commit {
+				p.fail(fmt.Errorf("cluster: replica %q: conflict at committed index %d", p.id, e.Index))
 			}
-			p.log = p.log[:e.Index-1]
-			if err := p.truncateDurable(); err != nil && p.applyErr == nil {
-				p.applyErr = err
-			}
+			p.fail(p.st.truncate(e.Index - 1))
 		}
-		p.log = append(p.log, e)
-		if err := p.appendDurable(e); err != nil && p.applyErr == nil {
-			p.applyErr = err
-		}
+		p.fail(p.st.append(e))
 	}
-	if c := req.Commit; c > p.commit {
-		if l := int64(len(p.log)); c > l {
-			c = l
-		}
-		if c > p.commit {
-			p.commit = c
-		}
-	}
+	p.commit = max(p.commit, min(req.Commit, p.st.last()))
 	// A still-leader replica (dueling, about to be settled out) must
 	// not replay into its live coordinator; its standby is rebuilt from
 	// the committed prefix at demotion.
 	if p.role == RoleFollower {
-		if err := p.applyUpTo(p.commit); err != nil && p.applyErr == nil {
-			p.applyErr = err
-		}
+		p.fail(p.applyUpTo(p.commit))
 	}
-	return AppendResponse{Term: p.term, Ok: true, LastIndex: int64(len(p.log))}
+	return AppendResponse{Term: p.st.term, Ok: true, LastIndex: p.st.last()}
 }
 
-// newStandbyCoordinator builds a replica's follower-side shadow
-// coordinator: permanently replaying — records apply as bookkeeping,
-// physical device moves and WAL appends are suppressed — until
-// activate flips it live at takeover. It gets a private registry;
-// cluster-visible metrics come from the active coordinator and the
-// group.
-func newStandbyCoordinator(pol Policy, tr Transport, resolve NodeResolver) (*Coordinator, error) {
-	c, err := NewCoordinator(pol, tr, obs.NewRegistry())
-	if err != nil {
-		return nil, err
+// installSnapshot adopts a leader's snapshot at an index this replica
+// does not hold: the log restarts after it, and a follower's standby is
+// restored from it rather than replayed from index 1. A snapshot at an
+// index the replica already holds is ignored.
+func (p *Replica) installSnapshot(s logSnapshot) error {
+	if s.Index <= p.st.snap.Index || (s.Index <= p.st.last() && p.st.termAt(s.Index) == s.Term) {
+		return nil
 	}
-	c.replaying = true
-	c.resolver = resolve
-	return c, nil
-}
-
-// applyReplicated replays one committed log record through the
-// recovery path, resolving membership records with the coordinator's
-// resolver.
-func (c *Coordinator) applyReplicated(rec walRecord) error {
-	return c.applyRecord(rec, c.resolver)
+	if err := p.st.install(s, nil); err != nil {
+		return err
+	}
+	p.grp.cInstalls.Inc()
+	p.commit = s.Index
+	if p.role != RoleFollower {
+		return nil // a still-leader's standby is rebuilt at demotion
+	}
+	return p.rebuildStandby()
 }
 
 // activate flips a standby coordinator live at takeover: replay mode
@@ -537,14 +371,6 @@ func (c *Coordinator) activate(rep proposer, fence FencingToken, onDeposed func(
 	if ft, ok := tr.(FencedTransport); ok {
 		ft.SetFence(fence)
 	}
-}
-
-// Fence returns the coordinator's fencing token (zero when the
-// coordinator is standalone or standby).
-func (c *Coordinator) Fence() FencingToken {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.fence
 }
 
 // fenceMembers pushes the new term onto the node plane: one

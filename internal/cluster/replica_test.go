@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"ssdcheck/internal/faults"
@@ -58,27 +60,19 @@ func groupSubmit(t *testing.T, g *Group, devs []fleet.DeviceSpec, step int) {
 	}
 }
 
-// requireLogsIdentical marshals every replica's full log and demands
-// byte equality.
+// requireLogsIdentical demands that no replica recorded an apply or
+// storage error and that the logs agree: every index two replicas both
+// hold carries the same entry, and same-index snapshots are
+// byte-identical.
 func requireLogsIdentical(t *testing.T, g *Group) {
 	t.Helper()
-	var want []byte
-	var wantID string
 	for _, id := range g.ReplicaIDs() {
 		if err := g.ReplicaErr(id); err != nil {
 			t.Fatalf("replica %s: %v", id, err)
 		}
-		buf, err := json.Marshal(g.ReplicaLog(id))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want == nil {
-			want, wantID = buf, id
-			continue
-		}
-		if string(buf) != string(want) {
-			t.Fatalf("replica %s log diverges from %s:\n%s\nvs\n%s", id, wantID, buf, want)
-		}
+	}
+	if err := g.CheckLogs(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -424,7 +418,7 @@ func TestGroupTornReplicaLogTail(t *testing.T) {
 	if err := g.Crash("rep-2"); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, "rep-2", replicaLogFile)
+	path := filepath.Join(dir, "rep-2", logFile)
 	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -596,6 +590,173 @@ func TestGroupPredictionMatchesHarness(t *testing.T) {
 			t.Fatalf("device %q unknown to harness", d)
 		}
 	}
+}
+
+// TestGroupCompactionInstallSnapshot: over 3×compactEvery rounds on
+// durable replicas, every log compacts, snapshots taken at the same
+// index are byte-identical on every replica, and no log outgrows
+// 2×compactEvery entries in memory or on disk. rep-2 is crashed across
+// two compaction points and catches up from the leader's snapshot, not
+// by replaying from index 1. A one-round leader partition (the live
+// leader then counts one beat fewer than its log) and a lease-lapse
+// partition whose uncommitted tail straddles a compaction point are
+// what a snapshot of the live leader, or a fold of uncommitted
+// entries, would diverge on.
+func TestGroupCompactionInstallSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	g := testGroup(t, GroupConfig{Dir: dir})
+	tick := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if err := g.Tick(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	status := func(id string) ReplicaStatus {
+		t.Helper()
+		rs, ok := g.Replica(id)
+		if !ok {
+			t.Fatalf("no replica %s", id)
+		}
+		return rs
+	}
+	// requireSnapshotFiles: same-index snapshot.json files are
+	// byte-identical across replicas.
+	requireSnapshotFiles := func() {
+		t.Helper()
+		byIndex := map[int64][]byte{}
+		for _, id := range g.ReplicaIDs() {
+			buf, err := os.ReadFile(filepath.Join(dir, id, snapFile))
+			if err != nil {
+				continue
+			}
+			idx := status(id).SnapshotIndex
+			if want, ok := byIndex[idx]; ok && string(want) != string(buf) {
+				t.Fatalf("%s: snapshot.json at index %d differs from another replica's", id, idx)
+			}
+			byIndex[idx] = buf
+		}
+	}
+
+	tick(10)
+	if err := g.Crash("rep-2"); err != nil {
+		t.Fatal(err)
+	}
+	behind := status("rep-2").LastIndex
+	for status("rep-0").LastIndex < 300 {
+		tick(1)
+	}
+	// One round cut off: the leader misses one commit but keeps its
+	// lease.
+	if err := g.Partition("rep-0"); err != nil {
+		t.Fatal(err)
+	}
+	tick(1)
+	if err := g.Heal("rep-0"); err != nil {
+		t.Fatal(err)
+	}
+	for status("rep-1").SnapshotIndex < 2*compactEvery {
+		tick(1)
+	}
+	if g.LeaderID() != "rep-0" || status("rep-0").SnapshotIndex != 2*compactEvery {
+		t.Fatalf("leader %q with snapshot %d, want rep-0 at %d", g.LeaderID(), status("rep-0").SnapshotIndex, 2*compactEvery)
+	}
+	requireLogsIdentical(t, g)
+	requireSnapshotFiles()
+
+	// rep-2 restarts behind two compaction points: it must receive the
+	// leader's snapshot rather than entries from its own position.
+	if err := g.Restart("rep-2"); err != nil {
+		t.Fatal(err)
+	}
+	if rs := status("rep-2"); rs.LastIndex != behind || rs.SnapshotIndex != 0 {
+		t.Fatalf("restarted rep-2 %+v, want its own log up to %d", rs, behind)
+	}
+	tick(1)
+	if n := g.cInstalls.Value(); n != 1 {
+		t.Fatalf("snapshot installs = %d, want 1", n)
+	}
+	if rs := status("rep-2"); rs.SnapshotIndex != 2*compactEvery || rs.Applied != rs.Commit || rs.Commit < 2*compactEvery {
+		t.Fatalf("rep-2 after catch-up: %+v", rs)
+	}
+	requireLogsIdentical(t, g)
+
+	// Cut the leader off just before the next compaction point: its two
+	// failed proposals (indices 3×compactEvery and one past) never
+	// commit, it abdicates, and a new leader writes those indices anew.
+	for (status("rep-0").LastIndex+1)%compactEvery != 0 {
+		tick(1)
+	}
+	if err := g.Partition("rep-0"); err != nil {
+		t.Fatal(err)
+	}
+	for g.LeaderID() == "" || g.LeaderID() == "rep-0" {
+		tick(1)
+		if g.Round() > 4*compactEvery {
+			t.Fatal("no failover after the lease-lapse partition")
+		}
+	}
+	if err := g.Heal("rep-0"); err != nil {
+		t.Fatal(err)
+	}
+	for g.Round() < 3*compactEvery || status("rep-0").SnapshotIndex < 3*compactEvery {
+		tick(1)
+	}
+	tick(2)
+	requireLogsIdentical(t, g)
+	requireSnapshotFiles()
+	for _, id := range g.ReplicaIDs() {
+		rs := status(id)
+		if rs.SnapshotIndex != 3*compactEvery {
+			t.Fatalf("%s: snapshot index %d, want %d", id, rs.SnapshotIndex, 3*compactEvery)
+		}
+		buf, err := os.ReadFile(filepath.Join(dir, id, logFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		onDisk, inMem := strings.Count(string(buf), "\n"), len(g.ReplicaLog(id))
+		if inMem > 2*compactEvery || onDisk != inMem {
+			t.Fatalf("%s: %d entries in memory, %d in %s; want equal and <= %d", id, inMem, onDisk, logFile, 2*compactEvery)
+		}
+	}
+}
+
+// TestGroupDirReuseRejected: a Dir that already holds replica state is
+// refused before anything is written to it.
+func TestGroupDirReuseRejected(t *testing.T) {
+	dir := t.TempDir()
+	g := testGroup(t, GroupConfig{Dir: dir})
+	if err := g.Tick(); err != nil {
+		t.Fatal(err)
+	}
+	g.Close()
+	before := dirContents(t, dir)
+	if _, err := NewGroup(GroupConfig{Dir: dir, Devices: groupSpecs(), Node: nodeConfig()}); err == nil ||
+		!strings.Contains(err.Error(), "already holds replica state") {
+		t.Fatalf("NewGroup over a used Dir: %v, want a refusal", err)
+	}
+	if after := dirContents(t, dir); !reflect.DeepEqual(after, before) {
+		t.Fatal("refused NewGroup modified the directory")
+	}
+}
+
+// dirContents maps every file under dir to its bytes.
+func dirContents(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		buf, err := os.ReadFile(path)
+		out[path] = string(buf)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // BenchmarkReplicationAppend measures one quorum-committed proposal —

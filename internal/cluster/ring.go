@@ -1,8 +1,11 @@
 package cluster
 
 import (
-	"fmt"
+	"cmp"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 )
 
 // Ring is a consistent-hash ring with virtual nodes: each member owns
@@ -71,15 +74,15 @@ func (r *Ring) Add(node string) {
 	r.nodes[node] = true
 	for i := 0; i < r.vnodes; i++ {
 		r.points = append(r.points, ringPoint{
-			hash: r.hash64(fmt.Sprintf("node:%s#%d", node, i)),
+			hash: r.hash64("node:" + node + "#" + strconv.Itoa(i)),
 			node: node,
 		})
 	}
-	sort.Slice(r.points, func(i, j int) bool {
-		if r.points[i].hash != r.points[j].hash {
-			return r.points[i].hash < r.points[j].hash
+	slices.SortFunc(r.points, func(a, b ringPoint) int {
+		if c := cmp.Compare(a.hash, b.hash); c != 0 {
+			return c
 		}
-		return r.points[i].node < r.points[j].node
+		return strings.Compare(a.node, b.node)
 	})
 }
 

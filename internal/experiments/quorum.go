@@ -229,36 +229,24 @@ func Quorum(o Opts) QuorumResult {
 		leg.FinalTerm = st.Term
 
 		// Safety: no replica may have detected a conflicting committed
-		// entry (the dual-apply detector), and every committed log must
-		// be byte-identical.
-		var logs [][]byte
+		// entry (the dual-apply detector), and the logs must agree on
+		// every index two replicas hold, snapshots included.
 		for _, id := range g.ReplicaIDs() {
 			if g.ReplicaErr(id) != nil {
 				leg.DualApplies++
 			}
-			buf, err := json.Marshal(g.ReplicaLog(id))
-			if err != nil {
-				panic(err)
-			}
-			logs = append(logs, buf)
 		}
-		leg.LogEntries = len(g.ReplicaLog("rep-0"))
-		leg.LogsIdentical = true
-		for _, l := range logs[1:] {
-			if !bytes.Equal(l, logs[0]) {
-				leg.LogsIdentical = false
-			}
-		}
+		leg.LogEntries = int(st.Replicas[0].LastIndex)
+		leg.LogsIdentical = g.CheckLogs() == nil
 
 		// Exactly-once: each device is adopted by exactly one committed
-		// record and holds exactly one placement entry — the failovers
-		// replayed, they did not re-decide.
+		// record — one bootstrap placement in rep-0's replay of its log,
+		// snapshot included — and holds exactly one placement entry on
+		// the leader: the failovers replayed, they did not re-decide.
 		adopted := make(map[string]int, nDev)
-		for _, e := range g.ReplicaLog("rep-0") {
-			if e.Rec.Type == "adopt" {
-				for _, d := range e.Rec.Devices {
-					adopted[d]++
-				}
+		for _, pe := range g.ReplicaCoordinator("rep-0").PlacementLog() {
+			if pe.Cause == "bootstrap" {
+				adopted[pe.Device]++
 			}
 		}
 		placed := make(map[string]int, nDev)
@@ -298,7 +286,11 @@ func Quorum(o Opts) QuorumResult {
 		leg.HLAccuracy = weightedHL(ordered)
 		leg.BaselineHL = weightedHL(baseSnaps)
 
-		legLogs = append(legLogs, logs[0])
+		rep0, err := json.Marshal(g.ReplicaLog("rep-0"))
+		if err != nil {
+			panic(err)
+		}
+		legLogs = append(legLogs, rep0)
 		g.Close()
 		res.Legs = append(res.Legs, leg)
 	}

@@ -301,7 +301,8 @@ type (
 	ClusterBreakerState = cluster.BreakerState
 	// ClusterBreakerTransition is one seq-stamped breaker edge.
 	ClusterBreakerTransition = cluster.BreakerTransition
-	// ClusterNodeResolver rebuilds node handles during WAL recovery.
+	// ClusterNodeResolver rebuilds node handles while a coordinator
+	// replays its log.
 	ClusterNodeResolver = cluster.NodeResolver
 	// ClusterGroup is a replicated coordinator group: a quorum-
 	// acknowledged placement log, tick-clock leases, deterministic
@@ -386,12 +387,14 @@ var NewClusterNodeAPI = cluster.NewNodeAPI
 var ClusterNodeAPIHandler = cluster.NodeAPIHandler
 
 // NewClusterCoordinator builds a coordinator over an explicit
-// transport (no harness, no WAL).
+// transport (no harness, no log).
 var NewClusterCoordinator = cluster.NewCoordinator
 
 // RecoverClusterCoordinator opens (or creates) a durable coordinator
-// at a WAL directory: an existing log replays snapshot+tail so the
-// coordinator resumes exactly where the dead one stopped.
+// on a one-replica log directory (log.jsonl, meta.json, snapshot.json,
+// compacted every 256 decisions): an existing log restores its
+// snapshot and replays the entries after it, so the coordinator
+// resumes exactly where the dead one stopped.
 var RecoverClusterCoordinator = cluster.RecoverCoordinator
 
 // NewClusterGroup stands up a replicated coordinator group: replicas
