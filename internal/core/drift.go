@@ -26,8 +26,11 @@ type DriftReport struct {
 }
 
 // HLAccuracy returns the window's HL prediction accuracy (1 when the
-// window is empty, matching the predictor's convention).
-func (r DriftReport) HLAccuracy() float64 {
+// window is empty, matching the predictor's convention). The accuracy
+// methods take pointer receivers: a drift watchdog calls them on every
+// request, on a report it has just stored, and a by-value receiver
+// would copy the whole report with the same stall DriftInto avoids.
+func (r *DriftReport) HLAccuracy() float64 {
 	if r.HLSeen == 0 {
 		return 1
 	}
@@ -35,22 +38,29 @@ func (r DriftReport) HLAccuracy() float64 {
 }
 
 // NLAccuracy returns the window's NL prediction accuracy.
-func (r DriftReport) NLAccuracy() float64 {
+func (r *DriftReport) NLAccuracy() float64 {
 	if r.NLSeen == 0 {
 		return 1
 	}
 	return float64(r.NLHit) / float64(r.NLSeen)
 }
 
-// Drift returns the monitor's current accuracy window. Allocation-free:
-// safe on the per-request hot path.
+// Drift returns the monitor's current accuracy window. Allocation-free.
 func (p *Predictor) Drift() DriftReport {
-	return DriftReport{
-		HLSeen: p.hlSeen, HLHit: p.hlHit,
-		NLSeen: p.nlSeen, NLHit: p.nlHit,
-		DistResets: p.distResets,
-		Enabled:    p.enabled,
-	}
+	var r DriftReport
+	p.DriftInto(&r)
+	return r
+}
+
+// DriftInto stores the monitor's current accuracy window in *r — the
+// form for a per-request caller. A report returned by value is built in
+// a temporary and copied out, and the copy reloads its fresh 8-byte
+// stores as 16-byte loads: a store-forwarding stall on every request.
+func (p *Predictor) DriftInto(r *DriftReport) {
+	r.HLSeen, r.HLHit = p.hlSeen, p.hlHit
+	r.NLSeen, r.NLHit = p.nlSeen, p.nlHit
+	r.DistResets = p.distResets
+	r.Enabled = p.enabled
 }
 
 // Reset rebuilds the predictor in place from a (re-)extracted feature

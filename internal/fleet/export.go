@@ -110,7 +110,7 @@ func (p *PortableDevice) Export() (*DeviceState, error) {
 	st.Health = md.health
 	st.ModelHealth = md.modelHealth
 	st.Counters = md.counters()
-	st.Latency = md.stats.lat.Snapshot()
+	st.Latency = md.stats.latency()
 	st.FallbackServed = md.fallbackServed
 	st.Rediags = md.rediags
 	st.HealthLog = append([]HealthTransition(nil), md.translog...)
@@ -177,10 +177,9 @@ func (m *Manager) ImportDevice(st *DeviceState) error {
 	tmp := obs.NewRegistry()
 	md := &managedDevice{
 		id: spec.ID, name: dev.Name(), spec: spec, dev: dev,
-		rec:   cfg.Recorder,
-		stats: newDeviceStats(tmp, spec.ID),
+		rec: cfg.Recorder,
 	}
-	md.bindGauges(tmp)
+	md.bindObs(tmp)
 	if spec.Faults != nil {
 		inj, err := faults.New(dev, *spec.Faults)
 		if err != nil {
@@ -215,7 +214,7 @@ func (m *Manager) ImportDevice(st *DeviceState) error {
 	md.modelLog = append([]ModelTransition(nil), st.ModelLog...)
 	restoreTallies(&md.stats, st)
 	md.stats.lat.AddSnapshot(st.Latency)
-	md.publishLocked(md.pr.Drift())
+	md.publishLocked()
 	md.mu.Unlock()
 
 	return m.Attach(&PortableDevice{md: md})

@@ -155,7 +155,7 @@ func (md *managedDevice) transitionLocked(to Health, cause string) {
 
 // noteOutcomeLocked feeds one served request's outcome (error, timeout
 // or clean completion) into the state machine. Callers hold md.mu.
-func (md *managedDevice) noteOutcomeLocked(err error, timedOut bool, hp HealthPolicy) {
+func (md *managedDevice) noteOutcomeLocked(err error, timedOut bool, hp *HealthPolicy) {
 	switch {
 	case err != nil && errors.Is(err, blockdev.ErrDeviceFailed):
 		md.consecErr++
@@ -226,7 +226,7 @@ func (md *managedDevice) tryRecover(cfg *Config) {
 		md.transitionLocked(Quarantined, "probe fail")
 	}
 	md.rejections = 0
-	md.publishLocked(md.pr.Drift())
+	md.publishLocked()
 	md.mu.Unlock()
 }
 

@@ -113,10 +113,9 @@ func New(cfg Config) (*Manager, error) {
 		}
 		md := &managedDevice{
 			id: spec.ID, name: dev.Name(), spec: spec, shard: sh, dev: dev,
-			rec:   cfg.Recorder,
-			stats: newDeviceStats(cfg.Registry, spec.ID),
+			rec: cfg.Recorder,
 		}
-		md.bindGauges(cfg.Registry)
+		md.bindObs(cfg.Registry)
 		if spec.Faults != nil {
 			inj, err := faults.New(dev, *spec.Faults)
 			if err != nil {
@@ -444,7 +443,7 @@ func (m *Manager) Metrics() Metrics {
 			// accuracy figures with known-degraded models.
 			acc = acc.Add(devCounters)
 		}
-		merged.Merge(md.stats.lat.Snapshot())
+		merged.Merge(md.stats.latency())
 		md.mu.Unlock()
 	}
 	m.gDevices.Set(int64(len(m.order)))
@@ -479,7 +478,7 @@ func (m *Manager) LatencyDigest() obs.HistogramSnapshot {
 	for _, id := range m.order {
 		md := m.devs[id]
 		md.mu.Lock()
-		merged.Merge(md.stats.lat.Snapshot())
+		merged.Merge(md.stats.latency())
 		md.mu.Unlock()
 	}
 	return merged

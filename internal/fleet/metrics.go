@@ -40,38 +40,43 @@ const (
 	numStats
 )
 
-// deviceStats is the streaming per-device tally. The counters are kept
+// deviceStats is the streaming per-device tally. Everything is kept
 // two ways: plain shard-local values written under the managedDevice
-// mutex — so the request hot path pays no atomic operations for them —
-// and registry series the tallies are flushed into whenever the device
-// is read (snapshot, fleet metrics, health report). The daemon's
-// Prometheus handler refreshes via Manager.Metrics before rendering,
-// so exposition always sees exact values. The latency histogram is the
-// exception: it records straight into the registry (two atomic adds
-// per request) so quantile snapshots and exposition share one set of
-// buckets.
+// mutex — so a served request pays no atomic operations at all — and
+// registry series they are flushed into whenever the device is read
+// (snapshot, fleet metrics, latency digest, health and model reports,
+// export, re-attach). The daemon's Prometheus handler refreshes via
+// Manager.Metrics before rendering, so exposition always sees exact
+// values. The latency histogram follows the same scheme: completions
+// land in pending's plain buckets, and the flush folds them into the
+// registry histogram, so quantile snapshots and exposition still share
+// one set of buckets.
 type deviceStats struct {
 	vals    [numStats]int64 // plain tallies, owned by the shard under md.mu
 	flushed [numStats]int64 // portion already pushed into series
 	series  [numStats]*obs.Counter
 
-	// lat holds every served completion's latency; percentiles are
+	// lat holds every flushed completion's latency; percentiles are
 	// computed from its buckets, identically at any shard count.
-	lat *obs.Histogram
+	// pending holds the completions served since the last flush.
+	lat     *obs.Histogram
+	pending obs.HistogramSnapshot
 }
 
-// newDeviceStats registers (or re-binds) the device's metric series.
-func newDeviceStats(reg *obs.Registry, id string) deviceStats {
+// bind registers (or re-binds) the device's metric series in reg. The
+// tallies and pending latencies are kept and flushed restarts from
+// zero, so the next flush lands the new series on the cumulative
+// counts.
+func (d *deviceStats) bind(reg *obs.Registry, id string) {
 	dev := obs.Label{Name: "device", Value: id}
 	op := func(o string) *obs.Counter {
 		return reg.Counter("ssdcheck_requests_total",
 			"Served requests by device and operation.", dev, obs.Label{Name: "op", Value: o})
 	}
 	c := func(name, help string) *obs.Counter { return reg.Counter(name, help, dev) }
-	d := deviceStats{
-		lat: reg.Histogram("ssdcheck_request_latency_seconds",
-			"Served request latency on the device's virtual clock.", dev),
-	}
+	d.flushed = [numStats]int64{}
+	d.lat = reg.Histogram("ssdcheck_request_latency_seconds",
+		"Served request latency on the device's virtual clock.", dev)
 	d.series[statReads] = op("read")
 	d.series[statWrites] = op("write")
 	d.series[statTrims] = op("trim")
@@ -89,7 +94,6 @@ func newDeviceStats(reg *obs.Registry, id string) deviceStats {
 	d.series[statFallback] = c("ssdcheck_fallback_served_total", "Completions served with conservative fallback predictions.")
 	d.series[statRediags] = c("ssdcheck_rediags_total", "Completed re-diagnosis attempts.")
 	d.series[statModelTransitions] = c("ssdcheck_model_transitions_total", "Model-health state-machine edges taken.")
-	return d
 }
 
 func (d *deviceStats) record(req blockdev.Request, predHL bool, lat time.Duration, obsHL bool) {
@@ -113,12 +117,13 @@ func (d *deviceStats) record(req blockdev.Request, predHL bool, lat time.Duratio
 		d.vals[statNLHits]++
 	}
 	d.vals[statBytes] += int64(req.Bytes())
-	d.lat.Observe(lat)
+	d.pending.Observe(lat)
 }
 
 // flushLocked publishes the plain tallies into their registry series.
 // Counters are monotone, so pushing the delta since the last flush
-// lands the series exactly on the tally. Callers hold md.mu.
+// lands the series exactly on the tally; pending latencies fold into
+// the histogram and start over. Callers hold md.mu.
 func (d *deviceStats) flushLocked() {
 	for k := range d.vals {
 		if delta := d.vals[k] - d.flushed[k]; delta > 0 {
@@ -126,6 +131,23 @@ func (d *deviceStats) flushLocked() {
 			d.flushed[k] = d.vals[k]
 		}
 	}
+	d.flushLatency()
+}
+
+// flushLatency folds the pending buckets into lat and empties them.
+func (d *deviceStats) flushLatency() {
+	if d.pending.Count != 0 {
+		d.lat.AddSnapshot(d.pending)
+		d.pending = obs.HistogramSnapshot{}
+	}
+}
+
+// latency returns the histogram of every served completion, pending
+// ones folded in first. It is the only way the fleet reads lat.
+// Callers hold md.mu.
+func (d *deviceStats) latency() obs.HistogramSnapshot {
+	d.flushLatency()
+	return d.lat.Snapshot()
 }
 
 // requests returns the served-completion count (every record() call).
@@ -305,7 +327,7 @@ func (md *managedDevice) snapshot() DeviceSnapshot {
 		HLRate:           c.HLRate(),
 		HLAccuracy:       c.HLAccuracy(),
 		NLAccuracy:       c.NLAccuracy(),
-		Latency:          Summarize(md.stats.lat.Snapshot()),
+		Latency:          Summarize(md.stats.latency()),
 		PredictorEnabled: md.enabled,
 		Model:            md.model,
 		Clock:            md.clock,

@@ -196,9 +196,9 @@ func (md *managedDevice) enterFallbackLocked(cause string) {
 // noteModelLocked is the drift watchdog: it feeds one served
 // completion's drift snapshot into the model-health state machine.
 // It runs after every served request on the owning shard with md.mu
-// held; the snapshot is taken outside the lock (the predictor is
-// shard-owned) so readers never touch predictor state.
-func (md *managedDevice) noteModelLocked(d core.DriftReport, mp ModelPolicy) {
+// held. Both arguments are read through pointers: copying the report
+// by value costs a store-forwarding stall on every request.
+func (md *managedDevice) noteModelLocked(d *core.DriftReport, mp *ModelPolicy) {
 	if mp.Disabled {
 		return
 	}
@@ -337,7 +337,7 @@ func (md *managedDevice) finishRediag(r *rediagRun) {
 	} else {
 		md.enterFallbackLocked("re-diagnosis fail")
 	}
-	md.publishLocked(md.pr.Drift())
+	md.publishLocked()
 	md.mu.Unlock()
 }
 

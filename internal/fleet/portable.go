@@ -113,20 +113,19 @@ func (m *Manager) Attach(pd *PortableDevice) error {
 // rebind points a quiescent (detached) device at its new manager's
 // observability and shard. Counter tallies keep their values and flush
 // from zero, so the new registry's series land on the cumulative
-// counts; histogram observations are carried over bucket-wise.
+// counts; histogram observations are carried over bucket-wise — the
+// latency history, pending completions included, re-enters as pending
+// buckets that the flush below folds into the new histogram.
 func (md *managedDevice) rebind(cfg Config, shard int) {
 	md.shard = shard
 	md.rec = cfg.Recorder
 	md.pr.SetRecorder(cfg.Recorder, md.id)
 
 	md.mu.Lock()
-	oldStats := md.stats
-	oldRediagH := md.rediagH
-	md.stats = newDeviceStats(cfg.Registry, md.id)
-	md.stats.vals = oldStats.vals
-	md.stats.lat.AddSnapshot(oldStats.lat.Snapshot())
-	md.bindGauges(cfg.Registry)
-	md.rediagH.AddSnapshot(oldRediagH.Snapshot())
+	md.stats.pending = md.stats.latency()
+	rediag := md.rediagH.Snapshot()
+	md.bindObs(cfg.Registry)
+	md.rediagH.AddSnapshot(rediag)
 	md.flushObsLocked()
 	md.mu.Unlock()
 }

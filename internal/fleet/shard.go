@@ -51,6 +51,11 @@ type managedDevice struct {
 	feats  *extract.Features
 	rediag *rediagRun
 
+	// runTail is the shard's scratch for threading one operation's
+	// items into this device's run (see serveRuns): one past the index
+	// of the device's latest item, zero between operations.
+	runTail int
+
 	mu    sync.Mutex
 	stats deviceStats
 	// Health state machine (written by the shard under mu, read by
@@ -69,7 +74,10 @@ type managedDevice struct {
 	rediags        int   // completed re-diagnosis attempts
 	modelLog       []ModelTransition
 	// Cached predictor state, refreshed by the shard after every
-	// request so readers never touch the (non-thread-safe) predictor.
+	// device run (and before the run lets go of mu) so readers never
+	// touch the (non-thread-safe) predictor. stale marks a served
+	// request not yet reflected in it.
+	stale    bool
 	enabled  bool
 	model    core.ModelState
 	clock    simclock.Time
@@ -124,8 +132,15 @@ func opName(op blockdev.Op) string {
 // classification, observe, record. When the request is sampled, every
 // stage leaves a span stamped with virtual-clock instants, so the
 // recorded trace is a deterministic function of the request stream.
-func (md *managedDevice) process(req blockdev.Request, cfg *Config) Result {
-	md.mu.Lock()
+//
+// The caller holds md.mu on entry and gets it back on return, so a
+// whole device run is served under one hold (see serveRuns). The lock
+// is let go only around the recovery probe and the re-diagnosis step,
+// which take it themselves; the cached reader state is refreshed
+// before each such release, so a reader — who must hold md.mu — sees
+// exactly what a refresh after every request would have shown. The
+// result is written straight into the caller's slot.
+func (md *managedDevice) process(req blockdev.Request, cfg *Config, res *Result) {
 	md.seq++
 	seq := md.seq
 	sampled := md.rec.Sampled(md.id, seq)
@@ -142,25 +157,21 @@ func (md *managedDevice) process(req blockdev.Request, cfg *Config) Result {
 	span("queue", md.now, md.now)
 	if md.health == Quarantined {
 		md.rejections++
-		probeDue := cfg.Health.ProbeAfterRejections > 0 && md.rejections >= int64(cfg.Health.ProbeAfterRejections)
-		md.mu.Unlock()
-		if probeDue {
+		if cfg.Health.ProbeAfterRejections > 0 && md.rejections >= int64(cfg.Health.ProbeAfterRejections) {
+			md.publishStaleLocked()
+			md.mu.Unlock()
 			md.tryRecover(cfg)
+			md.mu.Lock()
 		}
-		md.mu.Lock()
 		if md.health == Quarantined {
 			md.stats.vals[statRejected]++
-			md.mu.Unlock()
-			res := errResult(md.id, fmt.Errorf("device %q: %w", md.id, ErrDeviceQuarantined))
+			*res = errResult(md.id, fmt.Errorf("device %q: %w", md.id, ErrDeviceQuarantined))
 			span("route", md.now, md.now)
 			md.recordTrace(req, seq, sampled, spans, core.Prediction{}, res)
-			return res
+			return
 		}
 		// A probe pass put the device back in service in time to take
 		// this very request.
-		md.mu.Unlock()
-	} else {
-		md.mu.Unlock()
 	}
 	span("route", md.now, md.now)
 
@@ -197,16 +208,14 @@ func (md *managedDevice) process(req blockdev.Request, cfg *Config) Result {
 	md.now = submitAt
 
 	if err != nil {
-		res := errResult(md.id, fmt.Errorf("device %q: %w", md.id, err))
+		*res = errResult(md.id, fmt.Errorf("device %q: %w", md.id, err))
 		res.HL, res.EET, res.Retries = pred.HL, pred.EET, retries
-		md.mu.Lock()
 		md.stats.vals[statErrors]++
 		md.stats.vals[statRetries] += int64(retries)
-		md.noteOutcomeLocked(err, false, cfg.Health)
-		md.publishLocked(md.pr.Drift())
-		md.mu.Unlock()
+		md.noteOutcomeLocked(err, false, &cfg.Health)
+		md.stale = true
 		md.recordTrace(req, seq, sampled, spans, pred, res)
-		return res
+		return
 	}
 
 	lat := done.Sub(submitAt)
@@ -220,25 +229,18 @@ func (md *managedDevice) process(req blockdev.Request, cfg *Config) Result {
 		md.pr.Observe(req, submitAt, done)
 		span("calibrate", done, done)
 	}
-	res := Result{
-		DeviceID:    md.id,
-		HL:          pred.HL,
-		EET:         pred.EET,
-		Latency:     lat,
-		ObservedHL:  md.pr.Classify(req.Op, lat),
-		CompletedAt: done,
-		Retries:     retries,
-		TimedOut:    timedOut,
-		Fallback:    fallback,
-	}
+	// Field by field: a composite literal would be built in a temporary
+	// and block-copied into the caller's slot.
+	res.DeviceID = md.id
+	res.HL, res.EET = pred.HL, pred.EET
+	res.Latency = lat
+	res.ObservedHL = md.pr.Classify(req.Op, lat)
+	res.CompletedAt = done
+	res.Retries = retries
+	res.TimedOut, res.Fallback = timedOut, fallback
+	res.Err, res.Error = nil, ""
 	md.now = done
 
-	// One drift snapshot serves the watchdog and the published state;
-	// allocation-free, taken outside md.mu because the predictor is
-	// shard-owned.
-	drift := md.pr.Drift()
-
-	md.mu.Lock()
 	md.stats.record(req, pred.HL, lat, res.ObservedHL)
 	md.stats.vals[statRetries] += int64(retries)
 	if timedOut {
@@ -253,24 +255,26 @@ func (md *managedDevice) process(req blockdev.Request, cfg *Config) Result {
 	} else {
 		md.hlStreak = 0
 	}
-	md.noteOutcomeLocked(nil, timedOut, cfg.Health)
-	md.noteModelLocked(drift, cfg.Model)
-	rediagActive := md.modelHealth == ModelRediagnosing
-	md.publishLocked(drift)
-	md.mu.Unlock()
+	md.noteOutcomeLocked(nil, timedOut, &cfg.Health)
+	var drift core.DriftReport
+	md.pr.DriftInto(&drift)
+	md.noteModelLocked(&drift, &cfg.Model)
+	md.stale = true
 	md.recordTrace(req, seq, sampled, spans, pred, res)
-	if rediagActive {
+	if md.modelHealth == ModelRediagnosing {
 		// Advance the staged re-diagnosis after the live request, so
 		// probe traffic interleaves with serving without dropping or
 		// reordering anything.
+		md.publishLocked()
+		md.mu.Unlock()
 		md.rediagStep(cfg)
+		md.mu.Lock()
 	}
-	return res
 }
 
 // recordTrace assembles and stores the sampled request trace. It runs
-// on the owning shard goroutine, outside md.mu.
-func (md *managedDevice) recordTrace(req blockdev.Request, seq int64, sampled bool, spans []obs.Span, pred core.Prediction, res Result) {
+// on the owning shard goroutine with md.mu held.
+func (md *managedDevice) recordTrace(req blockdev.Request, seq int64, sampled bool, spans []obs.Span, pred core.Prediction, res *Result) {
 	if !sampled {
 		return
 	}
@@ -293,27 +297,40 @@ func (md *managedDevice) recordTrace(req blockdev.Request, seq int64, sampled bo
 
 func (md *managedDevice) publish() {
 	md.mu.Lock()
-	md.publishLocked(md.pr.Drift())
+	md.publishLocked()
 	md.flushObsLocked()
 	md.mu.Unlock()
 }
 
 // publishLocked refreshes the cached predictor state readers see. It
-// runs after every request, so it deliberately touches no atomics —
-// registry series catch up in flushObsLocked on the read side. drift is
-// the predictor's current accuracy window, which the per-request caller
-// already holds.
-func (md *managedDevice) publishLocked(drift core.DriftReport) {
+// runs after every device run, so it deliberately touches no atomics —
+// registry series catch up in flushObsLocked on the read side.
+func (md *managedDevice) publishLocked() {
+	md.stale = false
 	md.enabled = md.pr.Enabled()
 	md.model = md.pr.State(0)
 	md.clock = md.now
-	md.driftRep = drift
+	md.pr.DriftInto(&md.driftRep)
 	md.readRisk = md.pr.DeviceReadRisk(md.now)
 }
 
-// bindGauges registers (or re-binds, after a move between managers)
-// the device's state gauges and re-diagnosis histogram in reg.
-func (md *managedDevice) bindGauges(reg *obs.Registry) {
+// publishStaleLocked refreshes the cached state only if a served
+// request is not yet reflected in it. A re-diagnosis step runs after
+// its request's refresh and moves the clock without one; readers keep
+// seeing the clock as of that refresh until the next request, as they
+// would with a refresh per request, so an unconditional refresh at the
+// end of the run would show them more.
+func (md *managedDevice) publishStaleLocked() {
+	if md.stale {
+		md.publishLocked()
+	}
+}
+
+// bindObs registers (or re-binds, after a move between managers) the
+// device's metric series, state gauges and re-diagnosis histogram in
+// reg.
+func (md *managedDevice) bindObs(reg *obs.Registry) {
+	md.stats.bind(reg, md.id)
 	dev := obs.Label{Name: "device", Value: md.id}
 	md.healthG = reg.Gauge("ssdcheck_device_health", "Health state (0=healthy 1=degraded 2=quarantined 3=recovering).", dev)
 	md.clockG = reg.Gauge("ssdcheck_device_clock_ns", "Device virtual clock, nanoseconds.", dev)
@@ -445,6 +462,10 @@ type shard struct {
 
 	devs []*managedDevice
 
+	// next threads an operation's items into device runs (see
+	// serveRuns); it grows to the largest operation served.
+	next []int
+
 	// Ingress observability: queue depth gauge (refreshed by
 	// Manager.Metrics) and time-in-ring histogram (observed per
 	// operation at dequeue, exposed in microseconds).
@@ -522,9 +543,50 @@ func (s *shard) exec(op *shardOp, cfg *Config) {
 			}
 		}
 	default:
-		for _, it := range op.items {
-			op.out[it.idx] = it.md.process(it.req, cfg)
-		}
+		s.serveRuns(op, cfg)
 	}
 	op.wg.Done()
+}
+
+// serveRuns serves a request operation as device runs: a run is the
+// items for one device, taken in batch order, and it is served under
+// one hold of the device's mutex with one refresh of its reader state
+// at the end. Devices are independent — the simulation depends only on
+// each device's own request order — so this stable group-by-device is
+// exact. A single Submit is a run of one.
+//
+// Runs start in the order of each device's first item. The first pass
+// links every item to the next item for the same device (next holds
+// one past that index, zero at a run's end), using md.runTail as the
+// device's link cursor; the second pass serves each run when it meets
+// its first item and clears the cursor, so later items of a served
+// device are skipped.
+func (s *shard) serveRuns(op *shardOp, cfg *Config) {
+	items := op.items
+	if cap(s.next) < len(items) {
+		s.next = make([]int, len(items))
+	}
+	next := s.next[:len(items)]
+	for i := range items {
+		md := items[i].md
+		if md.runTail != 0 {
+			next[md.runTail-1] = i + 1
+		}
+		md.runTail = i + 1
+		next[i] = 0
+	}
+	for i := range items {
+		md := items[i].md
+		if md.runTail == 0 {
+			continue
+		}
+		md.runTail = 0
+		md.mu.Lock()
+		for j := i + 1; j != 0; j = next[j-1] {
+			it := &items[j-1]
+			md.process(it.req, cfg, &op.out[it.idx])
+		}
+		md.publishStaleLocked()
+		md.mu.Unlock()
+	}
 }

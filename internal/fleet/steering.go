@@ -13,8 +13,10 @@ import (
 // consumers like the erasure-coded volume (internal/ecvol) and the
 // volume-manager write steerer (internal/lvm) rank whole devices, not
 // LBAs — and deliberately cached: every field is refreshed by the
-// owning shard after each request, so reading it never touches the
-// (non-thread-safe) predictor or simulator.
+// owning shard after each device run (the requests of one batch for
+// one device, served under one hold of its lock), so reading it never
+// touches the (non-thread-safe) predictor or simulator. Readers take
+// that same lock, so they never see a run half-served.
 type SteeringSnapshot struct {
 	// ID names the device.
 	ID string `json:"id"`

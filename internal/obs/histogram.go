@@ -135,6 +135,21 @@ type HistogramSnapshot struct {
 	Max    int64
 }
 
+// Observe records one latency into s, exactly as Histogram.Observe
+// would. A snapshot doubles as a plain histogram for a writer that
+// already serializes its observations under its own lock: it records
+// here with no atomic operations and folds the result into a shared
+// Histogram with AddSnapshot.
+func (s *HistogramSnapshot) Observe(d time.Duration) {
+	v := int64(d)
+	s.Counts[bucketIndex(v)]++
+	s.Count++
+	s.Sum += v
+	if v > s.Max {
+		s.Max = v
+	}
+}
+
 // Merge adds o's observations into s — how fleet-wide latency views
 // are built from per-device histograms without touching raw samples.
 func (s *HistogramSnapshot) Merge(o HistogramSnapshot) {

@@ -116,6 +116,28 @@ func TestHistogramMerge(t *testing.T) {
 	}
 }
 
+// TestSnapshotObserve: recording into plain snapshot buckets and
+// folding them into a live histogram lands on exactly what observing
+// the live histogram directly does, across several folds.
+func TestSnapshotObserve(t *testing.T) {
+	var direct, folded Histogram
+	var pending HistogramSnapshot
+	for i := 0; i < 1000; i++ {
+		d := time.Duration((i*7919)%100000 - 50) // a few negatives clamp into bucket 0
+		direct.Observe(d)
+		pending.Observe(d)
+		if i%97 == 0 {
+			folded.AddSnapshot(pending)
+			pending = HistogramSnapshot{}
+		}
+	}
+	folded.AddSnapshot(pending)
+	if got, want := folded.Snapshot(), direct.Snapshot(); got != want {
+		t.Fatalf("folded snapshot differs: count %d sum %d max %d, want %d %d %d",
+			got.Count, got.Sum, got.Max, want.Count, want.Sum, want.Max)
+	}
+}
+
 func TestHistogramConcurrent(t *testing.T) {
 	// Exercised under -race: concurrent observers and a reader.
 	var h Histogram
