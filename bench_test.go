@@ -450,7 +450,8 @@ func BenchmarkClusterSubmit(b *testing.B) {
 }
 
 // BenchmarkHTTPTransportSubmit measures the networked submit path —
-// JSON over a localhost HTTP loopback into the token-deduped node API
+// the binary submit frame over a localhost HTTP loopback into the
+// token-deduped node API
 // — against BenchmarkClusterSubmit's in-process fan-out, isolating the
 // wire cost (encode, TCP, decode, dedupe bookkeeping) per request.
 func BenchmarkHTTPTransportSubmit(b *testing.B) {

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"sync"
@@ -23,7 +22,9 @@ import (
 // deadlines, bounded retries with exponential backoff and seeded
 // jitter, and idempotency tokens allocated once per logical operation
 // so a retry after a lost response dedupes node-side instead of
-// double-executing.
+// double-executing. Submits cross as binary frames (frame.go);
+// heartbeat, attach and detach, rare and off the request path, are
+// JSON.
 //
 // Error discipline mirrors the loopback transport: timeouts and
 // transient network errors retry until the budget runs out;
@@ -146,33 +147,31 @@ func classify(node string, err error) *rpcError {
 	}
 }
 
-// post runs one HTTP POST attempt under the policy deadline and
-// decodes the response into out (when non-nil). Non-2xx statuses
-// become classified errors: 503 is an authoritative down-node answer,
-// 4xx are addressing mistakes, anything else is retryable.
-func (t *HTTPTransport) post(node, url string, body, out any) *rpcError {
+// post runs one HTTP POST attempt under the policy deadline and hands
+// a 200 response's body to decode (when non-nil). The body sits in a
+// pooled buffer, so decode must copy out whatever it keeps. Non-2xx
+// statuses become classified errors: 503 is an authoritative down-node
+// answer, 4xx are addressing mistakes, anything else is retryable.
+func (t *HTTPTransport) post(node, url, contentType string, body []byte, decode func([]byte) error) *rpcError {
 	ctx, cancel := context.WithTimeout(context.Background(), t.pol.Deadline)
 	defer cancel()
-	buf, err := json.Marshal(body)
-	if err != nil {
-		return &rpcError{err: fmt.Errorf("node %q: encoding request: %w", node, err)}
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(buf))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
 		return &rpcError{err: fmt.Errorf("node %q: building request: %w", node, err)}
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Content-Type", contentType)
 	resp, err := t.client.Do(req)
 	if err != nil {
 		return classify(node, err)
 	}
-	defer func() {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		_ = resp.Body.Close()
-	}()
+	bp := getFrameBuf()
+	defer putFrameBuf(bp)
+	b, err := readBody((*bp)[:0], resp.Body)
+	*bp = b
+	_ = resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		var eresp nodeErrorResponse
-		_ = json.NewDecoder(resp.Body).Decode(&eresp)
+		_ = json.Unmarshal(b, &eresp)
 		msg := eresp.Error
 		if msg == "" {
 			msg = resp.Status
@@ -193,8 +192,11 @@ func (t *HTTPTransport) post(node, url string, body, out any) *rpcError {
 			}
 		}
 	}
-	if out != nil {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	if err != nil {
+		return classify(node, fmt.Errorf("reading response: %w", err))
+	}
+	if decode != nil {
+		if err := decode(b); err != nil {
 			return classify(node, fmt.Errorf("decoding response: %w", err))
 		}
 	}
@@ -203,12 +205,12 @@ func (t *HTTPTransport) post(node, url string, body, out any) *rpcError {
 
 // call runs a node RPC to completion: bounded retries around post,
 // with per-attempt latency, retry, and timeout accounting.
-func (t *HTTPTransport) call(n *Node, path string, body, out any) error {
+func (t *HTTPTransport) call(n *Node, path, contentType string, body []byte, decode func([]byte) error) error {
 	hn := t.node(n.ID())
 	url := n.Addr() + path
 	for attempt := 0; ; attempt++ {
 		start := time.Now()
-		rerr := t.post(n.ID(), url, body, out)
+		rerr := t.post(n.ID(), url, contentType, body, decode)
 		t.met.Observe(n.ID(), time.Since(start))
 		if rerr == nil {
 			return nil
@@ -227,6 +229,20 @@ func (t *HTTPTransport) call(n *Node, path string, body, out any) error {
 	}
 }
 
+// callJSON runs a control-plane RPC (attach, detach) with JSON bodies
+// both ways, decoding the response into out when non-nil.
+func (t *HTTPTransport) callJSON(n *Node, path string, body, out any) error {
+	buf, err := json.Marshal(body)
+	if err != nil {
+		return fmt.Errorf("node %q: encoding request: %w", n.ID(), err)
+	}
+	var decode func([]byte) error
+	if out != nil {
+		decode = func(b []byte) error { return json.Unmarshal(b, out) }
+	}
+	return t.call(n, path, "application/json", buf, decode)
+}
+
 // Heartbeat implements Transport. Heartbeats are never retried: a
 // lost probe is exactly the signal the health machine consumes. The
 // RTT is the measured wall time of the single attempt.
@@ -234,8 +250,12 @@ func (t *HTTPTransport) Heartbeat(n *Node) (time.Duration, error) {
 	if n.Addr() == "" {
 		return DirectTransport{}.Heartbeat(n)
 	}
+	body, err := json.Marshal(nodeHeartbeatBody{Fence: t.Fence()})
+	if err != nil {
+		return 0, fmt.Errorf("node %q: encoding heartbeat: %w", n.ID(), err)
+	}
 	start := time.Now()
-	if rerr := t.post(n.ID(), n.Addr()+"/v1/node/heartbeat", nodeHeartbeatBody{Fence: t.Fence()}, nil); rerr != nil {
+	if rerr := t.post(n.ID(), n.Addr()+"/v1/node/heartbeat", "application/json", body, nil); rerr != nil {
 		return 0, rerr.err
 	}
 	return time.Since(start), nil
@@ -243,28 +263,31 @@ func (t *HTTPTransport) Heartbeat(n *Node) (time.Duration, error) {
 
 // Submit implements Transport: one idempotency token per batch,
 // retried under the policy; a retry after a lost response replays the
-// original results out of the node's dedupe cache.
+// original results out of the node's dedupe cache. The batch and its
+// results cross as binary frames (frame.go).
 func (t *HTTPTransport) Submit(n *Node, reqs []fleet.Request) ([]fleet.Result, error) {
 	if n.Addr() == "" {
 		return DirectTransport{}.Submit(n, reqs)
 	}
-	body := nodeSubmitBody{Token: t.token(n.ID()), Fence: t.Fence(), Requests: toWire(reqs)}
-	var resp nodeSubmitResponse
-	if err := t.call(n, "/v1/node/submit", body, &resp); err != nil {
+	bp := getFrameBuf()
+	*bp = appendSubmitFrame((*bp)[:0], &submitFrame{Token: t.token(n.ID()), Fence: t.Fence(), Requests: reqs})
+	// The HTTP client may still read a request body after Do returns,
+	// so the body is a copy and the pooled buffer goes back now.
+	body := bytes.Clone(*bp)
+	putFrameBuf(bp)
+	var res []fleet.Result
+	decode := func(b []byte) (err error) {
+		_, res, err = decodeResultFrame(b)
+		return err
+	}
+	if err := t.call(n, "/v1/node/submit", frameContentType, body, decode); err != nil {
 		return nil, err
 	}
-	if len(resp.Results) != len(reqs) {
+	if len(res) != len(reqs) {
 		return nil, fmt.Errorf("node %q: %d results for %d requests: %w",
-			n.ID(), len(resp.Results), len(reqs), ErrNodeUnreachable)
+			n.ID(), len(res), len(reqs), ErrNodeUnreachable)
 	}
-	// Err rides the wire as a bare message; rebuild it so cluster
-	// Results keep the local contract (Err non-nil on failure).
-	for i := range resp.Results {
-		if resp.Results[i].Error != "" && resp.Results[i].Err == nil {
-			resp.Results[i].Err = errors.New(resp.Results[i].Error)
-		}
-	}
-	return resp.Results, nil
+	return res, nil
 }
 
 // DetachDevice implements DeviceMover over POST /v1/node/detach.
@@ -274,7 +297,7 @@ func (t *HTTPTransport) DetachDevice(n *Node, device string) (*fleet.DeviceState
 	}
 	body := nodeDetachBody{Token: t.token(n.ID()), Fence: t.Fence(), Device: device}
 	var resp nodeDetachResponse
-	if err := t.call(n, "/v1/node/detach", body, &resp); err != nil {
+	if err := t.callJSON(n, "/v1/node/detach", body, &resp); err != nil {
 		return nil, err
 	}
 	if resp.State == nil {
@@ -289,7 +312,7 @@ func (t *HTTPTransport) AttachDevice(n *Node, st *fleet.DeviceState) error {
 		return m.ImportDevice(st)
 	}
 	body := nodeAttachBody{Token: t.token(n.ID()), Fence: t.Fence(), State: st}
-	return t.call(n, "/v1/node/attach", body, nil)
+	return t.callJSON(n, "/v1/node/attach", body, nil)
 }
 
 var _ Transport = (*HTTPTransport)(nil)

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 
@@ -46,9 +47,11 @@ type NodeAPI struct {
 }
 
 // apiOutcome is one remembered operation result, or — while inFlight —
-// the claim of the attempt that is producing it.
+// the claim of the attempt that is producing it. A submit is remembered
+// as its encoded response frame, a few hundred bytes where the results
+// it decodes to take ~100 B each.
 type apiOutcome struct {
-	results  []fleet.Result
+	frame    []byte
 	state    *fleet.DeviceState
 	err      error
 	inFlight bool
@@ -166,25 +169,45 @@ func (a *NodeAPI) Heartbeat(tok FencingToken) (int, error) {
 // Submit serves a batch, exactly once per token: a duplicate token
 // replays the original results without touching the devices. The
 // fence check runs first — a rejected submit never executed, so the
-// superseding coordinator may safely re-issue the work.
-func (a *NodeAPI) Submit(tok FencingToken, token string, reqs []fleet.Request) (res []fleet.Result, err error) {
+// superseding coordinator may safely re-issue the work. A replay is
+// decoded from the remembered frame, so a failed result's Err is
+// rebuilt from its message, as an HTTP caller has always received it.
+func (a *NodeAPI) Submit(tok FencingToken, token string, reqs []fleet.Request) ([]fleet.Result, error) {
+	res, frame, err := a.submit(tok, token, reqs)
+	if err != nil || res != nil {
+		return res, err
+	}
+	_, res, err = decodeResultFrame(frame)
+	return res, err
+}
+
+// submit is Submit in frame form: frame is the encoded response, which
+// the HTTP plane sends as is and a duplicate token replays. res holds
+// the live results when this call executed the batch, nil on a replay.
+func (a *NodeAPI) submit(tok FencingToken, token string, reqs []fleet.Request) (res []fleet.Result, frame []byte, err error) {
 	if err := a.checkFence(tok); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if token == "" {
-		return nil, fmt.Errorf("node %q: submit without idempotency token", a.n.ID())
+		return nil, nil, fmt.Errorf("node %q: submit without idempotency token", a.n.ID())
 	}
 	if out, replayed := a.begin(token); replayed {
-		return out.results, out.err
+		return nil, out.frame, nil
 	}
 	// A stopped node is not a committed outcome — the operation never
 	// executed, so a retry after Resume must be allowed to run. The
 	// same goes for an attempt that panics out of the fleet.
 	committed := false
-	defer func() { a.finish(token, apiOutcome{results: res}, committed) }()
-	res, err = a.n.Submit(reqs)
-	committed = err == nil
-	return res, err
+	defer func() { a.finish(token, apiOutcome{frame: frame}, committed) }()
+	if res, err = a.n.Submit(reqs); err != nil {
+		return nil, nil, err
+	}
+	bp := getFrameBuf()
+	*bp = appendResultFrame((*bp)[:0], a.n.ID(), res)
+	frame = bytes.Clone(*bp)
+	putFrameBuf(bp)
+	committed = true
+	return res, frame, nil
 }
 
 // Attach imports a device's wire state into the node's fleet, exactly

@@ -7,35 +7,15 @@ import (
 	"net/http"
 	"strings"
 
-	"ssdcheck/internal/blockdev"
 	"ssdcheck/internal/fleet"
 )
 
-// Wire forms for the node API. fleet.Request hides its Op from JSON
-// (the public daemon API parses op names); the node-to-node RPC plane
-// carries the numeric op instead — it is machine-to-machine and must
-// round-trip exactly.
-
-type wireRequest struct {
-	Device  string      `json:"device"`
-	Op      blockdev.Op `json:"op"`
-	LBA     int64       `json:"lba"`
-	Sectors int         `json:"sectors"`
-}
+// JSON bodies of the node API's control-plane routes: heartbeat, attach
+// and detach are rare and off the request path. Submit, the hot route,
+// carries the binary frame of frame.go.
 
 type nodeHeartbeatBody struct {
 	Fence FencingToken `json:"fence,omitempty"`
-}
-
-type nodeSubmitBody struct {
-	Token    string        `json:"token"`
-	Fence    FencingToken  `json:"fence,omitempty"`
-	Requests []wireRequest `json:"requests"`
-}
-
-type nodeSubmitResponse struct {
-	Node    string         `json:"node"`
-	Results []fleet.Result `json:"results"`
 }
 
 type nodeHeartbeatResponse struct {
@@ -64,22 +44,6 @@ type nodeErrorResponse struct {
 	Error string `json:"error"`
 }
 
-func toWire(reqs []fleet.Request) []wireRequest {
-	out := make([]wireRequest, len(reqs))
-	for i, r := range reqs {
-		out[i] = wireRequest{Device: r.DeviceID, Op: r.Op, LBA: r.LBA, Sectors: r.Sectors}
-	}
-	return out
-}
-
-func fromWire(reqs []wireRequest) []fleet.Request {
-	out := make([]fleet.Request, len(reqs))
-	for i, r := range reqs {
-		out[i] = fleet.Request{DeviceID: r.Device, Op: r.Op, LBA: r.LBA, Sectors: r.Sectors}
-	}
-	return out
-}
-
 // nodeAPIStatus maps node API errors onto HTTP statuses the transport
 // distinguishes: 503 for a down node (retryable reachability), 412
 // for a stale fencing term (authoritative: the caller was superseded
@@ -103,9 +67,7 @@ func nodeAPIStatus(err error) int {
 func nodeAPIJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 func nodeAPIError(w http.ResponseWriter, status int, err error) {
@@ -116,13 +78,16 @@ func nodeAPIError(w http.ResponseWriter, status int, err error) {
 // mounts it under /v1/node/ (strip the prefix before routing); tests
 // and benchmarks mount it on httptest servers. Routes, all POST:
 //
-//	/heartbeat  {fence?}                     → {node, devices}
-//	/submit     {token, fence?, requests[]}  → {node, results[]}
-//	/attach     {token, fence?, state}       → {node}
-//	/detach     {token, fence?, device}      → {node, state}
+//	/heartbeat  {fence?}                 → {node, devices}
+//	/submit     request frame            → response frame
+//	/attach     {token, fence?, state}   → {node}
+//	/detach     {token, fence?, device}  → {node, state}
 //
-// A stale fencing term answers 412 (Precondition Failed) before any
-// state is touched.
+// Submit takes only the binary frame (frame.go): any other
+// Content-Type answers 415 and a malformed frame 400, before the token
+// is claimed or a device touched. A stale fencing term answers 412
+// (Precondition Failed) before any state is touched. Every error
+// answer, on every route, is a JSON {error} body.
 func NodeAPIHandler(a *NodeAPI) http.Handler {
 	mux := http.NewServeMux()
 
@@ -140,17 +105,30 @@ func NodeAPIHandler(a *NodeAPI) http.Handler {
 	})
 
 	mux.HandleFunc("POST /submit", func(w http.ResponseWriter, r *http.Request) {
-		var body nodeSubmitBody
-		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
+		if ct := r.Header.Get("Content-Type"); ct != frameContentType {
+			nodeAPIError(w, http.StatusUnsupportedMediaType,
+				fmt.Errorf("submit body has Content-Type %q, want %s", ct, frameContentType))
+			return
+		}
+		bp := getFrameBuf()
+		defer putFrameBuf(bp)
+		b, err := readBody((*bp)[:0], r.Body)
+		*bp = b
+		var f submitFrame
+		if err == nil {
+			f, err = decodeSubmitFrame(b)
+		}
+		if err != nil {
 			nodeAPIError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 			return
 		}
-		res, err := a.Submit(body.Fence, body.Token, fromWire(body.Requests))
+		_, frame, err := a.submit(f.Fence, f.Token, f.Requests)
 		if err != nil {
 			nodeAPIError(w, nodeAPIStatus(err), err)
 			return
 		}
-		nodeAPIJSON(w, http.StatusOK, nodeSubmitResponse{Node: a.n.ID(), Results: res})
+		w.Header().Set("Content-Type", frameContentType)
+		_, _ = w.Write(frame)
 	})
 
 	mux.HandleFunc("POST /attach", func(w http.ResponseWriter, r *http.Request) {

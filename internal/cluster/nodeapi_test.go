@@ -1,19 +1,26 @@
 package cluster
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"ssdcheck/internal/blockdev"
+	"ssdcheck/internal/faults"
 	"ssdcheck/internal/fleet"
 	"ssdcheck/internal/obs"
 )
 
 // apiNode builds one member with the given devices for NodeAPI tests.
-func apiNode(t *testing.T, id string, devs []fleet.DeviceSpec) *Node {
+func apiNode(t testing.TB, id string, devs []fleet.DeviceSpec) *Node {
 	t.Helper()
 	cfg := nodeConfig()
 	cfg.Devices = devs
@@ -255,6 +262,159 @@ func TestNodeAPITokenEviction(t *testing.T) {
 	}
 	if got := served(n) - base; got != 4 {
 		t.Fatalf("evicted token served %d total, want 4", got)
+	}
+}
+
+// TestNodeAPIReplayFromFrame: a token's replay is its first answer,
+// byte for byte, on both carriers of the node plane. Over loopback,
+// which calls the NodeAPI directly, the replayed results encode to the
+// live results' frame. Over HTTP the first response is held past the
+// deadline after the node executed, and the retry's replay must send
+// the same frame. The batch mixes a served request with per-request
+// failures: an unknown device and a quarantined one.
+func TestNodeAPIReplayFromFrame(t *testing.T) {
+	specs := []fleet.DeviceSpec{clusterSpecs()[0], {ID: "dev-q", Preset: "A", Seed: 55,
+		Faults: &faults.Config{Schedules: []faults.Schedule{{Kind: faults.FailStop, At: 1}}}}}
+	batch := []fleet.Request{
+		{DeviceID: "dev-a", Op: blockdev.Read, LBA: 4096, Sectors: 8},
+		{DeviceID: "no-such-dev", Op: blockdev.Read, Sectors: 8},
+		{DeviceID: "dev-q", Op: blockdev.Write, LBA: 4096, Sectors: 8},
+	}
+	// One write fail-stops dev-q, which quarantines it.
+	quarantine := func(t *testing.T, n *Node) {
+		t.Helper()
+		if res, err := n.Submit(batch[2:]); err != nil || !errors.Is(res[0].Err, blockdev.ErrDeviceFailed) {
+			t.Fatalf("fail-stop write: %v / %+v", err, res)
+		}
+	}
+
+	t.Run("loopback", func(t *testing.T) {
+		n := apiNode(t, "replay-lb", specs)
+		quarantine(t, n)
+		api := NewNodeAPI(n, 0)
+		first, err := api.Submit(FencingToken{}, "tok-1", batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first[0].Err != nil || !errors.Is(first[1].Err, fleet.ErrUnknownDevice) ||
+			!errors.Is(first[2].Err, fleet.ErrDeviceQuarantined) {
+			t.Fatalf("batch outcomes not as set up: %+v", first)
+		}
+		replay, err := api.Submit(FencingToken{}, "tok-1", batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a, b := appendResultFrame(nil, n.ID(), first), appendResultFrame(nil, n.ID(), replay); !bytes.Equal(a, b) {
+			t.Fatalf("replay encodes differently:\nfirst  %x\nreplay %x", a, b)
+		}
+	})
+
+	t.Run("http", func(t *testing.T) {
+		const deadline = 100 * time.Millisecond
+		var (
+			mu     sync.Mutex
+			bodies [][]byte
+		)
+		wrap := func(inner http.Handler) http.Handler {
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				rec := httptest.NewRecorder()
+				inner.ServeHTTP(rec, r)
+				mu.Lock()
+				bodies = append(bodies, rec.Body.Bytes())
+				first := len(bodies) == 1
+				mu.Unlock()
+				if first {
+					time.Sleep(3 * deadline) // executed, but answered too late
+				}
+				for k, vs := range rec.Header() {
+					w.Header()[k] = vs
+				}
+				w.WriteHeader(rec.Code)
+				_, _ = w.Write(rec.Body.Bytes())
+			})
+		}
+		local, remote, srv := serveNodeAPI(t, "replay-http", specs, wrap)
+		quarantine(t, local)
+		tr := NewHTTPTransport(RPCPolicy{Deadline: deadline}, 1, nil)
+		res, err := tr.Submit(remote, batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res[0].Err != nil || res[1].Err == nil || !strings.Contains(res[2].Error, "quarantined") {
+			t.Fatalf("batch outcomes not as set up: %+v", res)
+		}
+		srv.Close() // waits out the held first response
+		if len(bodies) != 2 {
+			t.Fatalf("%d submit attempts reached the node, want 2", len(bodies))
+		}
+		if !bytes.Equal(bodies[0], bodies[1]) {
+			t.Fatalf("replay sent different bytes:\nfirst  %x\nreplay %x", bodies[0], bodies[1])
+		}
+	})
+}
+
+// TestNodeAPISubmitNeedsFrame: /submit speaks only the frame. A JSON
+// body (the old wire form) or any other content type answers 415 and
+// names the frame's type, without claiming the token or moving a
+// device; a frame of an unknown version answers 400. A transport that
+// meets the 415 makes exactly one attempt.
+func TestNodeAPISubmitNeedsFrame(t *testing.T) {
+	var attempts atomic.Int64
+	var asJSON atomic.Bool
+	wrap := func(inner http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			attempts.Add(1)
+			if asJSON.Load() {
+				r.Header.Set("Content-Type", "application/json")
+			}
+			inner.ServeHTTP(w, r)
+		})
+	}
+	local, remote, srv := serveNodeAPI(t, "net-ct", clusterSpecs()[:1], wrap)
+	base := served(local)
+	post := func(contentType string, body []byte) (int, string) {
+		t.Helper()
+		resp, err := http.Post(srv.URL+"/v1/node/submit", contentType, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var e nodeErrorResponse
+		_ = json.NewDecoder(resp.Body).Decode(&e)
+		return resp.StatusCode, e.Error
+	}
+
+	old := []byte(`{"token":"tok-j","requests":[{"device":"dev-a","op":0,"lba":4096,"sectors":8}]}`)
+	for _, ct := range []string{"application/json", "text/plain", ""} {
+		if code, msg := post(ct, old); code != http.StatusUnsupportedMediaType || !strings.Contains(msg, frameContentType) {
+			t.Fatalf("Content-Type %q: %d %q, want 415 naming %s", ct, code, msg, frameContentType)
+		}
+	}
+	future := appendSubmitFrame(nil, &submitFrame{Token: "tok-v", Requests: apiReqs("dev-a")})
+	future[0] = frameVersion + 1
+	if code, msg := post(frameContentType, future); code != http.StatusBadRequest {
+		t.Fatalf("unknown frame version: %d %q, want 400", code, msg)
+	}
+	if got := served(local) - base; got != 0 {
+		t.Fatalf("rejected bodies served %d requests", got)
+	}
+	// The JSON body's token was never claimed: a frame carrying it runs.
+	frame := appendSubmitFrame(nil, &submitFrame{Token: "tok-j", Requests: apiReqs("dev-a")})
+	if code, msg := post(frameContentType, frame); code != http.StatusOK {
+		t.Fatalf("frame after the 415s: %d %q", code, msg)
+	}
+	if got := served(local) - base; got != 1 {
+		t.Fatalf("frame served %d requests, want 1", got)
+	}
+
+	asJSON.Store(true)
+	before := attempts.Load()
+	_, err := NewHTTPTransport(RPCPolicy{}, 1, nil).Submit(remote, apiReqs("dev-a"))
+	if err == nil || errors.Is(err, ErrNodeUnreachable) || !strings.Contains(err.Error(), frameContentType) {
+		t.Fatalf("transport meeting a 415: err = %v, want an authoritative 4xx", err)
+	}
+	if n := attempts.Load() - before; n != 1 {
+		t.Fatalf("transport made %d attempts on a 415, want 1", n)
 	}
 }
 
