@@ -105,12 +105,11 @@ func (c *Coordinator) breakerTransitionLocked(mb *member, to BreakerState, cause
 	c.breakerGaugeLocked(mb.node.ID())
 }
 
-// breakerPeekLocked is breakerAdmitLocked without the mutation: it
-// answers whether the node would admit a sub-batch right now and
-// whether admitting would flip the breaker (open → half-open). The
-// replicated submit path needs the answer before the admit record is
-// proposed — the decision must be durable before the state machine
-// moves.
+// breakerPeekLocked answers, without moving the breaker, whether the
+// node would admit a sub-batch right now and whether admitting would
+// flip the breaker (open → half-open). The submit path needs the
+// answer before it proposes the admit record that moves the breaker.
+// Disabled breakers always admit.
 func (c *Coordinator) breakerPeekLocked(mb *member) (admit, flip bool) {
 	if c.pol.BreakerFailures <= 0 {
 		return true, false
@@ -124,23 +123,11 @@ func (c *Coordinator) breakerPeekLocked(mb *member) (admit, flip bool) {
 	return true, false
 }
 
-// breakerAdmitLocked decides whether a submit sub-batch may go to the
-// node right now. An open breaker whose cooldown has elapsed
-// half-opens and admits this sub-batch as the probe; an open breaker
-// inside the cooldown rejects. Disabled breakers always admit.
-func (c *Coordinator) breakerAdmitLocked(mb *member) bool {
-	if c.pol.BreakerFailures <= 0 {
-		return true
-	}
-	switch mb.brk {
-	case BreakerOpen:
-		if c.now.Sub(mb.brkOpenedAt) >= c.pol.BreakerCooldown {
-			c.breakerTransitionLocked(mb, BreakerHalfOpen, "cooldown elapsed")
-			return true
-		}
-		return false
-	default:
-		return true
+// breakerAdmitLocked applies an admit: an open breaker whose cooldown
+// has elapsed half-opens, letting this sub-batch through as the probe.
+func (c *Coordinator) breakerAdmitLocked(mb *member) {
+	if _, flip := c.breakerPeekLocked(mb); flip {
+		c.breakerTransitionLocked(mb, BreakerHalfOpen, "cooldown elapsed")
 	}
 }
 

@@ -77,9 +77,7 @@ func TestClusterLoopbackExactlyOnce(t *testing.T) {
 		c := h.Coordinator()
 		step := 0
 		for round := 0; round < 2; round++ {
-			if err := c.Tick(); err != nil {
-				t.Fatal(err)
-			}
+			tickFolded(t, c)
 			submitSteps(t, c, devs, strs, step, step+steps/2)
 			step += steps / 2
 		}
@@ -128,9 +126,7 @@ func TestClusterBreakerBoundsPartition(t *testing.T) {
 	{
 		h := rpcHarness(t, devs, 2, seed, -1, plan())
 		c := h.Coordinator()
-		if err := c.Tick(); err != nil {
-			t.Fatal(err)
-		}
+		tickFolded(t, c)
 		for step := 0; step < 10; step++ {
 			res := submitMixed(t, c, devs, strs, step)
 			for _, r := range res {
@@ -155,9 +151,7 @@ func TestClusterBreakerBoundsPartition(t *testing.T) {
 	h := rpcHarness(t, devs, 2, seed, 0, plan())
 	c := h.Coordinator()
 	lb := h.Loopback()
-	if err := c.Tick(); err != nil { // round 1: window opens, now=1s
-		t.Fatal(err)
-	}
+	tickFolded(t, c) // round 1: window opens, now=1s
 	threshold := int64(c.Policy().BreakerFailures)
 	for step := 0; step < 10; step++ {
 		res := submitMixed(t, c, devs, strs, step)
@@ -188,9 +182,7 @@ func TestClusterBreakerBoundsPartition(t *testing.T) {
 	// rides through as the half-open probe, fails (window still open),
 	// and re-opens the circuit; the one after fast-fails again.
 	for i := 0; i < 2; i++ {
-		if err := c.Tick(); err != nil { // rounds 2,3: now=3s
-			t.Fatal(err)
-		}
+		tickFolded(t, c) // rounds 2,3: now=3s
 	}
 	res := submitMixed(t, c, devs, strs, 10)
 	for _, r := range res {
@@ -211,9 +203,7 @@ func TestClusterBreakerBoundsPartition(t *testing.T) {
 	// Past the window: cooldown elapses, the probe succeeds, the
 	// circuit closes, traffic is whole again.
 	for i := 0; i < 4; i++ {
-		if err := c.Tick(); err != nil { // rounds 4..7: now=7s, window closed after 6
-			t.Fatal(err)
-		}
+		tickFolded(t, c) // rounds 4..7: now=7s, window closed after 6
 	}
 	res = submitMixed(t, c, devs, strs, 12)
 	for _, r := range res {
@@ -283,9 +273,7 @@ func TestClusterSynthesizedResults(t *testing.T) {
 	h := rpcHarness(t, devs, 2, seed, 0, plan)
 	c := h.Coordinator()
 	placement := c.Placement()
-	if err := c.Tick(); err != nil { // round 1: partition active
-		t.Fatal(err)
-	}
+	tickFolded(t, c) // round 1: partition active
 
 	// One request per device with an unknown device wedged mid-batch.
 	batch := []fleet.Request{
@@ -356,9 +344,7 @@ func rpcExposition(t *testing.T) []byte {
 	}}
 	h := rpcHarness(t, devs, 2, seed, 0, plan)
 	c := h.Coordinator()
-	if err := c.Tick(); err != nil {
-		t.Fatal(err)
-	}
+	tickFolded(t, c)
 	for step := 0; step < 5; step++ {
 		submitMixed(t, c, devs, strs, step)
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -470,6 +471,40 @@ func TestClusterLeave(t *testing.T) {
 	if res[0].Err != nil {
 		t.Fatal(res[0].Err)
 	}
+}
+
+// TestClusterLeaveKeepsFailoverHistory: a node quarantined (and
+// evacuated) before it leaves has nothing left to move, and its leave
+// must not relabel the failover moves of the quarantine as departures.
+func TestClusterLeaveKeepsFailoverHistory(t *testing.T) {
+	devs := clusterSpecs()
+	h := testHarness(t, devs, 3, nil)
+	c := h.Coordinator()
+
+	victim := c.Placement()[devs[0].ID]
+	if err := c.Kill(victim); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		tickFolded(t, c)
+	}
+	before := c.PlacementLog()
+	failover := 0
+	for _, e := range before {
+		if e.From == victim && e.Cause == "failover" {
+			failover++
+		}
+	}
+	if failover == 0 {
+		t.Fatalf("quarantine of %q moved no devices: %+v", victim, before)
+	}
+	if err := c.Leave(victim); err != nil {
+		t.Fatal(err)
+	}
+	if after := c.PlacementLog(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("leave of an evacuated node rewrote the placement log\nbefore: %+v\nafter:  %+v", before, after)
+	}
+	requireFolded(t, c)
 }
 
 // TestClusterMergedExposition: the cluster /metrics view carries the

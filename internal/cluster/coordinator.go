@@ -38,8 +38,12 @@ type roundAdvancer interface{ BeginRound() }
 // state machines, performs failover and rebalancing, and fans batched
 // submits out to the owning nodes.
 //
-// Every mutating decision happens under one lock in explicit calls —
-// Tick, Join, Leave, Kill, Restore — and iterates devices in
+// The coordinator is a fold of its committed log. Its entry points —
+// Join, Leave, AdoptDevices, Tick, and a breaker-touching Submit — only
+// compute a record and propose it; the log applies each record once it
+// commits, through applyRecord, on a live coordinator exactly as on a
+// standby or a recovering one. Devices move after that apply, for the
+// placement entries it appended. Every decision iterates devices in
 // first-placement order, so the seq-stamped placement and transition
 // logs are byte-identical across runs and GOMAXPROCS settings.
 // Heartbeats and submit sub-batches fan out in parallel goroutines,
@@ -64,20 +68,18 @@ type Coordinator struct {
 	translog   []NodeTransition
 	breakerlog []BreakerTransition
 
-	// replaying marks log replay (recovery, standby), which re-applies
-	// bookkeeping while suppressing physical side effects (device moves
-	// already happened in the previous life) and re-proposals.
-	replaying bool
-
-	// rep, when non-nil, makes every decision durable before the
-	// mutation it describes is applied: a Group replica (quorum
-	// acknowledgement, replica.go) or a one-replica log (recover.go).
-	// resolver maps replicated membership records back to node handles
-	// on standby replay; fence stamps this coordinator's term onto
-	// node-plane RPCs; onDeposed fires once when a node or peer
-	// authoritatively reports the coordinator's term is stale.
+	// rep is the log every decision is proposed to and applied from: a
+	// Group replica (quorum acknowledgement, replica.go) or a one-replica
+	// log (recover.go), on disk or in memory. resolver maps logged
+	// membership records back to node handles; pending is the handle of
+	// the node an in-flight Join or Leave concerns, which the join's apply
+	// takes instead of resolving the logged address and a leave's moves
+	// still reach after the apply drops it from membership. fence stamps
+	// this coordinator's term onto node-plane RPCs; onDeposed fires once
+	// when a node or peer authoritatively reports the term is stale.
 	rep         proposer
 	resolver    NodeResolver
+	pending     *Node
 	fence       FencingToken
 	onDeposed   func()
 	deposedSeen bool
@@ -94,16 +96,18 @@ type Coordinator struct {
 	breakerGauges                map[string]*obs.Gauge
 }
 
-// proposer is the durability seam: the coordinator hands every record
-// to it before applying the mutation, and the record is committed
-// (quorum-acknowledged, or fsynced) when propose returns nil.
+// proposer is the coordinator's log: propose returns nil once the
+// record — and any uncommitted tail before it — is committed
+// (quorum-acknowledged, or appended to a one-replica log) and applied
+// to the coordinator. Called with the coordinator's lock held.
 type proposer interface {
 	propose(rec walRecord) error
 }
 
-// NewCoordinator builds an empty cluster over the given transport. A
-// nil registry gets a private one; it holds only cluster-level series
-// and is merged with per-node registries on exposition.
+// NewCoordinator builds an empty cluster over the given transport, on a
+// one-replica log kept in memory. A nil registry gets a private one; it
+// holds only cluster-level series and is merged with per-node
+// registries on exposition.
 func NewCoordinator(pol Policy, tr Transport, reg *obs.Registry) (*Coordinator, error) {
 	if err := pol.Validate(); err != nil {
 		return nil, err
@@ -115,9 +119,10 @@ func NewCoordinator(pol Policy, tr Transport, reg *obs.Registry) (*Coordinator, 
 		reg = obs.NewRegistry()
 	}
 	p := pol.withDefaults()
-	return &Coordinator{
+	c := &Coordinator{
 		pol:           p,
 		tr:            tr,
+		resolver:      RemoteResolver,
 		ring:          NewRing(p.Seed, p.VirtualNodes),
 		members:       make(map[string]*member),
 		placement:     make(map[string]string),
@@ -131,7 +136,9 @@ func NewCoordinator(pol Policy, tr Transport, reg *obs.Registry) (*Coordinator, 
 		cFenceRejects: reg.Counter("ssdcheck_cluster_fencing_rejections_total", "Node-plane RPCs this coordinator had rejected for a stale term (it was superseded)."),
 		healthGauges:  make(map[string]*obs.Gauge),
 		breakerGauges: make(map[string]*obs.Gauge),
-	}, nil
+	}
+	c.rep = &soloLog{foldedLog{st: &logStore{}, coord: c}}
+	return c, nil
 }
 
 // Policy returns the effective (defaulted) policy.
@@ -198,33 +205,22 @@ func (c *Coordinator) placeLocked(dev, from, to, cause string) {
 	}
 }
 
-// migrateLocked moves one device's live state between nodes. When
-// both endpoints have local managers it rides the fleet's
-// portable-device path (full fidelity: the predictor's sliding
-// windows move with the device). Otherwise the transport's
-// DeviceMover carries the device's wire state between processes.
-// The source may be a stopped node: detaching from its (still
-// running) manager is the shared-enclosure salvage that failover is
-// built on. During log replay only the bookkeeping re-applies — the
-// physical move already happened in the coordinator's previous life.
-func (c *Coordinator) migrateLocked(dev, from, to, cause string) error {
-	if !c.replaying {
-		if err := c.moveDeviceLocked(dev, from, to); err != nil {
-			return err
-		}
-	}
-	c.placeLocked(dev, from, to, cause)
-	return nil
-}
-
 // moveDeviceLocked performs the physical half of a migration — the
 // device's live state leaves one node's manager and lands in the
-// other's — with no bookkeeping. Reconcile uses it directly: repairing
-// drift means making reality match the committed log, not logging a
-// new decision.
+// other's — with no bookkeeping. When both endpoints have local
+// managers it rides the fleet's portable-device path (full fidelity:
+// the predictor's sliding windows move with the device); otherwise the
+// transport's DeviceMover carries the device's wire state between
+// processes. The source may be a stopped node: detaching from its
+// (still running) manager is the shared-enclosure salvage that failover
+// is built on. Reconcile uses it directly: repairing drift means making
+// reality match the committed log, not logging a new decision.
 func (c *Coordinator) moveDeviceLocked(dev, from, to string) error {
-	fromM := c.members[from].node.Manager()
-	toM := c.members[to].node.Manager()
+	src, dst := c.nodeLocked(from), c.nodeLocked(to)
+	if src == nil || dst == nil {
+		return fmt.Errorf("cluster: moving %q from %q to %q: %w", dev, from, to, ErrUnknownNode)
+	}
+	fromM, toM := src.Manager(), dst.Manager()
 	if fromM != nil && toM != nil {
 		pd, err := fromM.Detach(dev)
 		if err != nil {
@@ -239,58 +235,86 @@ func (c *Coordinator) moveDeviceLocked(dev, from, to string) error {
 	if !ok {
 		return fmt.Errorf("cluster: moving %q from %q to %q: transport cannot move devices between processes", dev, from, to)
 	}
-	st, err := mover.DetachDevice(c.members[from].node, dev)
+	st, err := mover.DetachDevice(src, dev)
 	if err != nil {
 		return fmt.Errorf("cluster: evacuating %q from %q: %w", dev, from, err)
 	}
-	if err := mover.AttachDevice(c.members[to].node, st); err != nil {
+	if err := mover.AttachDevice(dst, st); err != nil {
 		return fmt.Errorf("cluster: placing %q on %q: %w", dev, to, err)
 	}
 	return nil
 }
 
-// rebalanceLocked re-derives every device's owner from the ring and
-// migrates the ones whose owner changed — the minimal-movement pass
-// run after a join or rejoin.
-func (c *Coordinator) rebalanceLocked(cause string) error {
-	for _, dev := range c.devOrder {
-		cur := c.placement[dev]
-		target, ok := c.ring.Owner(dev)
-		if !ok || target == cur {
-			continue
+// nodeLocked returns a member's handle, or the pending Join/Leave
+// handle, or nil.
+func (c *Coordinator) nodeLocked(id string) *Node {
+	if mb := c.members[id]; mb != nil {
+		return mb.node
+	}
+	if c.pending != nil && c.pending.ID() == id {
+		return c.pending
+	}
+	return nil
+}
+
+// commitLocked proposes one record and, once the log has committed and
+// applied it, makes reality follow the placement entries the apply
+// appended: bootstrap entries adopt their device from src, the rest
+// move it between members. Moving after the apply means a failed move
+// leaves physical drift for Reconcile to repair, never a coordinator
+// that disagrees with its log.
+func (c *Coordinator) commitLocked(rec walRecord, src *fleet.Manager) error {
+	from := len(c.placelog)
+	if err := c.rep.propose(rec); err != nil {
+		return err
+	}
+	for _, e := range c.placelog[from:] {
+		var err error
+		switch {
+		case e.From != "":
+			err = c.moveDeviceLocked(e.Device, e.From, e.To)
+		case src != nil:
+			err = c.adoptOneLocked(src, e.Device, e.To)
 		}
-		if err := c.migrateLocked(dev, cur, target, cause); err != nil {
+		if err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// evacuateLocked pulls a quarantined node's devices off it, to the
-// owners the ring names once the node's arcs are gone. Devices are
-// stranded in place (and logged as nothing) only when no node remains
-// in service.
-func (c *Coordinator) evacuateLocked(id string) error {
+// rebalanceLocked re-derives every device's owner from the ring and
+// places the ones whose owner changed — the minimal-movement pass run
+// after a join or rejoin.
+func (c *Coordinator) rebalanceLocked(cause string) {
+	for _, dev := range c.devOrder {
+		cur := c.placement[dev]
+		if target, ok := c.ring.Owner(dev); ok && target != cur {
+			c.placeLocked(dev, cur, target, cause)
+		}
+	}
+}
+
+// evacuateLocked takes a node's arcs off the ring and places its
+// devices on the owners the ring then names, under the given cause
+// (failover, leave). Devices are stranded in place (and logged as
+// nothing) only when no node remains in service.
+func (c *Coordinator) evacuateLocked(id, cause string) {
 	c.ring.Remove(id)
 	for _, dev := range c.devOrder {
 		if c.placement[dev] != id {
 			continue
 		}
-		target, ok := c.ring.Owner(dev)
-		if !ok {
-			continue
-		}
-		if err := c.migrateLocked(dev, id, target, "failover"); err != nil {
-			return err
+		if target, ok := c.ring.Owner(dev); ok {
+			c.placeLocked(dev, id, target, cause)
 		}
 	}
-	return nil
 }
 
 // Join adds a node to the cluster: it takes its arcs on the ring and
 // the rebalance pass migrates the devices those arcs now own. The
-// decision is made durable (quorum-acknowledged or fsync'd) before
-// any state mutates or any device moves.
+// decision commits (quorum-acknowledged or logged) and applies before
+// any device moves.
 func (c *Coordinator) Join(n *Node) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -300,15 +324,31 @@ func (c *Coordinator) Join(n *Node) error {
 	if _, dup := c.members[n.ID()]; dup {
 		return fmt.Errorf("cluster: duplicate node ID %q", n.ID())
 	}
-	if err := c.proposeLocked(walRecord{Type: "join", Node: n.ID(), Addr: n.Addr()}); err != nil {
-		return err
+	c.pending = n
+	defer func() { c.pending = nil }()
+	return c.commitLocked(walRecord{Type: "join", Node: n.ID(), Addr: n.Addr()}, nil)
+}
+
+// applyJoin adds a joined member — the pending handle when this is
+// the live Join, else the resolved logged address — and rebalances.
+func (c *Coordinator) applyJoin(rec walRecord) error {
+	if _, dup := c.members[rec.Node]; dup {
+		return fmt.Errorf("cluster: duplicate node ID %q", rec.Node)
 	}
-	c.members[n.ID()] = &member{node: n, health: fleet.Healthy}
-	c.order = append(c.order, n.ID())
-	c.ring.Add(n.ID())
-	c.healthGaugeLocked(n.ID()).Set(int64(fleet.Healthy))
-	c.breakerGaugeLocked(n.ID())
-	return c.rebalanceLocked("join")
+	n := c.pending
+	if n == nil || n.ID() != rec.Node {
+		var err error
+		if n, err = c.resolver(rec.Node, rec.Addr); err != nil {
+			return fmt.Errorf("cluster: recovering member %q: %w", rec.Node, err)
+		}
+	}
+	c.members[rec.Node] = &member{node: n, health: fleet.Healthy}
+	c.order = append(c.order, rec.Node)
+	c.ring.Add(rec.Node)
+	c.healthGaugeLocked(rec.Node).Set(int64(fleet.Healthy))
+	c.breakerGaugeLocked(rec.Node)
+	c.rebalanceLocked("join")
+	return nil
 }
 
 // Leave removes a node gracefully: its devices migrate to the owners a
@@ -320,15 +360,22 @@ func (c *Coordinator) Leave(id string) error {
 	if c.closed {
 		return ErrCoordinatorClosed
 	}
+	mb, ok := c.members[id]
+	if !ok {
+		return fmt.Errorf("node %q: %w", id, ErrUnknownNode)
+	}
+	c.pending = mb.node
+	defer func() { c.pending = nil }()
+	return c.commitLocked(walRecord{Type: "leave", Node: id}, nil)
+}
+
+// applyLeave evacuates a departing member and drops it from
+// membership and the registry.
+func (c *Coordinator) applyLeave(id string) error {
 	if _, ok := c.members[id]; !ok {
 		return fmt.Errorf("node %q: %w", id, ErrUnknownNode)
 	}
-	if err := c.proposeLocked(walRecord{Type: "leave", Node: id}); err != nil {
-		return err
-	}
-	if err := c.evacuateLocked(id); err != nil {
-		return err
-	}
+	c.evacuateLocked(id, "leave")
 	delete(c.members, id)
 	for i, o := range c.order {
 		if o == id {
@@ -339,15 +386,6 @@ func (c *Coordinator) Leave(id string) error {
 	c.reg.DropSeries(obs.Label{Name: "member", Value: id})
 	delete(c.healthGauges, id)
 	delete(c.breakerGauges, id)
-	// Rewrite departures in the log's vocabulary: the moves above were
-	// recorded as failover by evacuateLocked; relabel this batch.
-	for i := len(c.placelog) - 1; i >= 0; i-- {
-		if c.placelog[i].From == id && c.placelog[i].Cause == "failover" {
-			c.placelog[i].Cause = "leave"
-		} else {
-			break
-		}
-	}
 	return nil
 }
 
@@ -381,44 +419,29 @@ func (c *Coordinator) Restore(id string) error {
 }
 
 // AdoptDevices performs the initial placement: each device (in the
-// given order, which fixes the log order) is detached from the source
+// given order, which fixes the log order) is placed on the node the
+// ring names, and once that commits it is detached from the source
 // manager — typically a bootstrap fleet that just diagnosed everything
-// — and attached to the node the ring names. Local targets receive
-// the live portable handle; remote targets receive the device's wire
-// state over the transport's DeviceMover.
+// — and attached there. Local targets receive the live portable
+// handle; remote targets receive the device's wire state over the
+// transport's DeviceMover.
 func (c *Coordinator) AdoptDevices(src *fleet.Manager, ids []string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
 		return ErrCoordinatorClosed
 	}
-	targets := make([]string, len(ids))
-	for i, dev := range ids {
-		target, ok := c.ring.Owner(dev)
-		if !ok {
-			return ErrNoNodes
-		}
-		targets[i] = target
+	if c.ring.Len() == 0 {
+		return ErrNoNodes
 	}
-	if err := c.proposeLocked(walRecord{Type: "adopt", Devices: ids}); err != nil {
-		return err
-	}
-	for i, dev := range ids {
-		target := targets[i]
-		if !c.replaying {
-			if err := c.adoptOneLocked(src, dev, target); err != nil {
-				return err
-			}
-		}
-		c.placeLocked(dev, "", target, "bootstrap")
-	}
-	return nil
+	return c.commitLocked(walRecord{Type: "adopt", Devices: ids}, src)
 }
 
 // adoptOneLocked physically moves one device from the bootstrap
 // manager onto its target node.
 func (c *Coordinator) adoptOneLocked(src *fleet.Manager, dev, target string) error {
-	if m := c.members[target].node.Manager(); m != nil {
+	n := c.members[target].node
+	if m := n.Manager(); m != nil {
 		pd, err := src.Detach(dev)
 		if err != nil {
 			return fmt.Errorf("cluster: adopting %q: %w", dev, err)
@@ -436,33 +459,32 @@ func (c *Coordinator) adoptOneLocked(src *fleet.Manager, dev, target string) err
 	if err != nil {
 		return fmt.Errorf("cluster: adopting %q: %w", dev, err)
 	}
-	if err := mover.AttachDevice(c.members[target].node, st); err != nil {
+	if err := mover.AttachDevice(n, st); err != nil {
 		return fmt.Errorf("cluster: adopting %q: %w", dev, err)
 	}
 	return nil
 }
 
-// Tick runs one heartbeat round: the cluster clock advances by the
-// heartbeat interval, the fault plan (if any) advances one round,
-// every member is probed in parallel, and the outcomes drive the
-// health state machines in membership order — including failover
-// (quarantine + evacuation) and rejoin (ring re-entry + rebalance).
+// Tick runs one heartbeat round: the fault plan (if any) advances one
+// round, every member is probed in parallel, and the outcomes are
+// proposed as one tick record. Applying it advances the cluster clock
+// by the heartbeat interval and drives the health state machines in
+// membership order — including failover (quarantine + evacuation) and
+// rejoin (ring re-entry + rebalance) — and the devices those placed
+// move after it.
 //
-// The round's heartbeat outcomes — the one nondeterministic input the
-// health machines consume — are made durable before they are applied:
-// the tick record is proposed (quorum-acknowledged, or fsynced to a
-// one-replica log) between the read-only fan-out and the state-machine
-// pass. A replicated leader whose proposal fails applies nothing; the
-// group demotes it once its lease lapses.
+// The round's heartbeat outcomes are the one nondeterministic input the
+// health machines consume; the log carries them, so every replica and
+// every recovery folds the same round. A replicated leader whose
+// proposal fails applies nothing; the round applies when a later
+// proposal commits it, or the group demotes the leader once its lease
+// lapses.
 func (c *Coordinator) Tick() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
 		return ErrCoordinatorClosed
 	}
-	c.round++
-	c.now = c.now.Add(c.pol.HeartbeatInterval)
-	c.gRound.Set(c.round)
 	if ra, ok := c.tr.(roundAdvancer); ok {
 		ra.BeginRound()
 	}
@@ -495,20 +517,27 @@ func (c *Coordinator) Tick() error {
 		}
 		oks[i] = results[i].err == nil && results[i].rtt <= c.pol.HeartbeatDeadline
 	}
-	if err := c.proposeLocked(walRecord{Type: "tick", Nodes: ids, OK: oks}); err != nil {
-		return err
-	}
-	for i, id := range ids {
+	return c.commitLocked(walRecord{Type: "tick", Nodes: ids, OK: oks}, nil)
+}
+
+// applyTick folds one heartbeat round from its logged outcomes: the
+// clock and round counter advance and each beat or miss drives its
+// member's health machine.
+func (c *Coordinator) applyTick(rec walRecord) {
+	c.round++
+	c.now = c.now.Add(c.pol.HeartbeatInterval)
+	c.gRound.Set(c.round)
+	for i, id := range rec.Nodes {
 		mb := c.members[id]
-		if oks[i] {
-			if err := c.noteBeatLocked(mb); err != nil {
-				return err
-			}
-		} else if err := c.noteMissLocked(mb); err != nil {
-			return err
+		if mb == nil || i >= len(rec.OK) {
+			continue
+		}
+		if rec.OK[i] {
+			c.noteBeatLocked(mb)
+		} else {
+			c.noteMissLocked(mb)
 		}
 	}
-	return nil
 }
 
 // deposedLocked reports (once) that another coordinator's newer term
@@ -525,7 +554,7 @@ func (c *Coordinator) deposedLocked() {
 
 // noteMissLocked feeds one missed heartbeat into a node's state
 // machine.
-func (c *Coordinator) noteMissLocked(mb *member) error {
+func (c *Coordinator) noteMissLocked(mb *member) {
 	mb.misses++
 	mb.beats = 0
 	switch mb.health {
@@ -536,17 +565,16 @@ func (c *Coordinator) noteMissLocked(mb *member) error {
 	case fleet.Degraded:
 		if mb.misses >= c.pol.QuarantineAfterMisses {
 			c.transitionLocked(mb, fleet.Quarantined, "persistent heartbeat loss")
-			return c.evacuateLocked(mb.node.ID())
+			c.evacuateLocked(mb.node.ID(), "failover")
 		}
 	case fleet.Recovering:
 		c.transitionLocked(mb, fleet.Quarantined, "heartbeat lost during rejoin")
 	}
-	return nil
 }
 
 // noteBeatLocked feeds one on-deadline heartbeat into a node's state
 // machine.
-func (c *Coordinator) noteBeatLocked(mb *member) error {
+func (c *Coordinator) noteBeatLocked(mb *member) {
 	mb.beats++
 	mb.misses = 0
 	switch mb.health {
@@ -559,10 +587,9 @@ func (c *Coordinator) noteBeatLocked(mb *member) error {
 		if mb.beats >= c.pol.RejoinAfterBeats {
 			c.transitionLocked(mb, fleet.Healthy, "rejoin")
 			c.ring.Add(mb.node.ID())
-			return c.rebalanceLocked("rejoin")
+			c.rebalanceLocked("rejoin")
 		}
 	}
-	return nil
 }
 
 // Result is one request's outcome with node attribution: the fleet
@@ -592,6 +619,8 @@ func failedResult(dev, node string, err error) Result {
 // under the lock before the fan-out, and RPC outcomes feed back under
 // the lock after it, in membership order — so breaker transitions are
 // deterministic and seq-ordered against placement and health edges.
+// Only a batch that would move a breaker proposes a record (admit
+// before the fan-out, outcome after it); the rest log nothing.
 func (c *Coordinator) Submit(reqs []fleet.Request) ([]Result, error) {
 	if len(reqs) == 0 {
 		return nil, nil
@@ -617,9 +646,9 @@ func (c *Coordinator) Submit(reqs []fleet.Request) ([]Result, error) {
 	}
 	// Admit in membership order: fast-fail sub-batches for open
 	// breakers, let everything else (including half-open probes)
-	// through to the fan-out. The admit decision is peeked first —
-	// pure — so a breaker flip (open → half-open) can be proposed
-	// durably before the state machine moves.
+	// through to the fan-out. The admit decision is peeked — pure — and
+	// a breaker flip (open → half-open) moves the state machine only
+	// through a committed admit record.
 	var admitted []string
 	nodes := make(map[string]*Node, len(groups))
 	wouldFlip := false
@@ -645,15 +674,10 @@ func (c *Coordinator) Submit(reqs []fleet.Request) ([]Result, error) {
 		nodes[id] = mb.node
 	}
 	if wouldFlip {
-		// A breaker flip's seq bump must replay at exactly this
-		// position, on a quorum, before the flip happens here.
-		if err := c.proposeLocked(walRecord{Type: "admit", Nodes: admitted}); err != nil {
+		if err := c.commitLocked(walRecord{Type: "admit", Nodes: admitted}, nil); err != nil {
 			c.mu.Unlock()
 			return nil, err
 		}
-	}
-	for _, id := range admitted {
-		c.breakerAdmitLocked(c.members[id])
 	}
 	c.mu.Unlock()
 
@@ -710,16 +734,9 @@ func (c *Coordinator) Submit(reqs []fleet.Request) ([]Result, error) {
 		}
 	}
 	if dirty {
-		if err := c.proposeLocked(walRecord{Type: "outcome", Nodes: admitted, Failed: failed}); err != nil {
+		if err := c.commitLocked(walRecord{Type: "outcome", Nodes: admitted, Failed: failed}, nil); err != nil {
 			return out, err
 		}
-	}
-	for j, id := range admitted {
-		mb := c.members[id]
-		if mb == nil {
-			continue
-		}
-		c.breakerOutcomeLocked(mb, failed[j])
 	}
 	return out, nil
 }

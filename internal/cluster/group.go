@@ -277,14 +277,14 @@ func NewGroup(cfg GroupConfig) (*Group, error) {
 // coordinator wired to the group's node resolver.
 func (g *Group) buildReplica(id string, idx uint64) error {
 	r := &Replica{
-		id:    id,
-		grp:   g,
-		match: make(map[string]int64),
+		id:        id,
+		grp:       g,
+		foldedLog: foldedLog{st: &logStore{}},
+		match:     make(map[string]int64),
 		gTerm: g.reg.Gauge("ssdcheck_cluster_term",
 			"Replication term the replica is at.", obs.Label{Name: "replica", Value: id}),
 		gLeader: g.reg.Gauge("ssdcheck_cluster_is_leader",
 			"1 while the replica holds the lease.", obs.Label{Name: "replica", Value: id}),
-		st: &logStore{},
 	}
 	if g.cfg.Dir != "" {
 		r.st.dir = filepath.Join(g.cfg.Dir, id)
@@ -372,7 +372,7 @@ func (g *Group) takeoverLocked(r *Replica, newTerm int64) error {
 	// not yet known safe, but the noop below commits them before any
 	// new decision is proposed; if the noop cannot reach a quorum the
 	// lease lapses and demotion rebuilds from the committed prefix.
-	if err := r.applyUpTo(r.st.last()); err != nil {
+	if err := r.catchUp(r.st.last()); err != nil {
 		return err
 	}
 	r.role = RoleLeader
@@ -386,12 +386,15 @@ func (g *Group) takeoverLocked(r *Replica, newTerm int64) error {
 		}
 	}
 	tok := FencingToken{Term: newTerm, Leader: r.id}
-	r.coord.activate(r, tok, func() { r.deposed = true })
+	r.coord.activate(tok, func() { r.deposed = true })
 	g.cElections.Inc()
 	r.gTerm.Set(newTerm)
 	r.gLeader.Set(1)
 
-	if err := r.propose(walRecord{Type: "noop"}); err != nil {
+	r.coord.mu.Lock()
+	err := r.propose(walRecord{Type: "noop"})
+	r.coord.mu.Unlock()
+	if err != nil {
 		if errors.Is(err, ErrNoQuorum) || errors.Is(err, ErrStaleTerm) {
 			// Elected without a reachable quorum having stayed put:
 			// count it against the lease and let the round machinery
@@ -410,9 +413,8 @@ func (g *Group) takeoverLocked(r *Replica, newTerm int64) error {
 
 // demoteLocked turns a leader back into a follower: the live
 // coordinator is discarded and a fresh standby is rebuilt from the
-// snapshot and committed log prefix — which also resyncs any in-memory
-// drift a quorumless leader accumulated while its proposals were
-// failing.
+// snapshot and committed log prefix — which also drops any uncommitted
+// tail a quorumless leader applied when it took over.
 func (g *Group) demoteLocked(r *Replica) error {
 	r.role = RoleFollower
 	r.deposed = false

@@ -214,11 +214,11 @@ func (h *Harness) CrashCoordinator() error {
 	return nil
 }
 
-// Recover replays the log into a fresh coordinator over a fresh
-// transport and resumes: same seq counter, same logs, same member
-// state machines; the transport's fault plan fast-forwards in
-// lockstep with the replayed rounds. The live node handles are
-// resolved back into membership by ID.
+// Recover restores the log's snapshot and applies its entries into a
+// fresh coordinator over a fresh transport, and resumes: same seq
+// counter, same logs, same member state machines; the transport's
+// fault plan is advanced once to the recovered round. The live node
+// handles are resolved back into membership by ID.
 func (h *Harness) Recover() error {
 	if h.cfg.WALDir == "" {
 		return fmt.Errorf("cluster: harness has no log to recover from")

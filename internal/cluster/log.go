@@ -11,14 +11,15 @@ import (
 	"ssdcheck/internal/simclock"
 )
 
-// The coordinator's durability layer, shared by a Group's replicas
-// (replica.go) and the one-replica log of a recovered coordinator
-// (recover.go): a term+index log of every decision that mutates
-// deterministic state — Join, Leave, AdoptDevices, each Tick's
-// heartbeat outcomes, breaker-touching Submits, a new leader's noop —
-// but not Kill/Restore, which the health machine rediscovers through
-// logged heartbeats. Restoring the snapshot and replaying the entries
-// after it rebuilds the coordinator bit-for-bit.
+// The coordinator's log, shared by a Group's replicas (replica.go) and
+// the one-replica log of a single coordinator (recover.go): a
+// term+index log of every decision that mutates deterministic state —
+// Join, Leave, AdoptDevices, each Tick's heartbeat outcomes,
+// breaker-touching Submits, a new leader's noop — but not
+// Kill/Restore, which the health machine rediscovers through logged
+// heartbeats. The coordinator's state is the fold of its committed
+// entries, so restoring the snapshot and applying the entries after it
+// rebuilds the coordinator bit-for-bit.
 //
 // A log directory holds log.jsonl (one LogEntry per line, the entries
 // after the snapshot), meta.json (the term, durable before any action
@@ -373,24 +374,4 @@ func (s *logStore) install(snap logSnapshot, keep []LogEntry) error {
 	}
 	s.close()
 	return s.openAppend(int64(len(buf)))
-}
-
-// compactPoint is the compaction index at or below a commit index.
-func compactPoint(commit int64) int64 { return commit - commit%compactEvery }
-
-// foldTo compacts the log at committed index at, when that is past the
-// current snapshot: the previous snapshot is carried forward over the
-// entries in between on a scratch coordinator (foldSnapshot). A
-// snapshot is never a dump of a live coordinator, whose state can run
-// ahead of its log mid-proposal or after a lost commit.
-func (s *logStore) foldTo(pol Policy, at int64) error {
-	n := at - s.snap.Index
-	if n <= 0 {
-		return nil
-	}
-	state, err := foldSnapshot(pol, s.snap.State, s.entries[:n])
-	if err != nil {
-		return err
-	}
-	return s.install(logSnapshot{Index: at, Term: s.termAt(at), State: state}, s.entries[n:])
 }

@@ -92,13 +92,7 @@ func TestWALCompact(t *testing.T) {
 	s := openTestLog(t, dir)
 	es := logTestEntries()
 	appendAll(t, s, es)
-	if err := s.foldTo(Policy{}, 3); err != nil {
-		t.Fatal(err)
-	}
-	want, err := foldSnapshot(Policy{}, nil, es[:3])
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := compactAt(t, s, 3)
 	if s.snap.Index != 3 || s.snap.Term != 1 || !reflect.DeepEqual(s.snap.State, want) {
 		t.Fatalf("snapshot %+v, want index 3 term 1 state %+v", s.snap, want)
 	}
@@ -172,9 +166,7 @@ func TestWALTornTailEveryOffset(t *testing.T) {
 			s := openTestLog(t, dir)
 			appendAll(t, s, tc.entries)
 			if tc.foldAt > 0 {
-				if err := s.foldTo(Policy{}, tc.foldAt); err != nil {
-					t.Fatal(err)
-				}
+				compactAt(t, s, tc.foldAt)
 			}
 			s.close()
 			path := filepath.Join(dir, logFile)
@@ -222,7 +214,7 @@ func TestLogStoreSnapshotBeforeRewrite(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer c.Close()
-		buf, err := json.Marshal(c.snapshot())
+		buf, err := json.Marshal(snapshotOf(c))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,9 +227,7 @@ func TestLogStoreSnapshotBeforeRewrite(t *testing.T) {
 		s := openTestLog(t, dir)
 		appendAll(t, s, es)
 		stale, _ = os.ReadFile(filepath.Join(dir, logFile))
-		if err := s.foldTo(Policy{}, 3); err != nil {
-			t.Fatal(err)
-		}
+		compactAt(t, s, 3)
 		s.close()
 	}
 	if err := os.WriteFile(filepath.Join(torn, logFile), stale, 0o644); err != nil {
@@ -270,9 +260,7 @@ func TestLogStoreGapRejected(t *testing.T) {
 			s := openTestLog(t, dir)
 			appendAll(t, s, es)
 			if tc.foldAt > 0 {
-				if err := s.foldTo(Policy{}, tc.foldAt); err != nil {
-					t.Fatal(err)
-				}
+				compactAt(t, s, tc.foldAt)
 			}
 			if err := s.install(s.snap, tc.keep); err != nil {
 				t.Fatal(err)

@@ -7,12 +7,13 @@ import (
 )
 
 // Crash recovery: a coordinator opened through RecoverCoordinator runs
-// on a one-replica log (log.go). Every decision is appended as a term-1
-// entry and commits once fsynced; on restart the snapshot is restored
-// and the entries after it replay through applyRecord — exactly the
-// path a Group standby takes — so the coordinator resumes where the
-// dead one stopped, and subsequent log lines are byte-identical to an
-// uninterrupted run.
+// on a one-replica log (log.go) in a directory. Every decision is
+// appended as a term-1 entry, commits once fsynced, and applies through
+// applyRecord — the path every coordinator's state takes, live, standby
+// or recovering — so on restart the snapshot is restored, the entries
+// after it apply the same way, and the coordinator resumes where the
+// dead one stopped: subsequent log lines are byte-identical to an
+// uninterrupted run. NewCoordinator runs the same log in memory.
 
 // NodeResolver turns a logged membership record back into a node
 // handle during recovery. addr is the base URL the node joined with
@@ -30,37 +31,60 @@ func RemoteResolver(id, addr string) (*Node, error) {
 	return NewRemoteNode(id, addr)
 }
 
-// soloLog is the durable single coordinator's proposer: a log with one
-// replica, so every entry is term 1 and committed once it is on disk.
-type soloLog struct {
-	st  *logStore
-	pol Policy
+// foldedLog is a log store plus the coordinator its committed entries
+// apply into, in index order — shared by a Group replica and the
+// one-replica soloLog.
+type foldedLog struct {
+	st      *logStore
+	coord   *Coordinator
+	commit  int64 // highest committed index
+	applied int64 // highest index applied into coord
 }
+
+// applyUpTo applies entries applied+1..idx into the coordinator, whose
+// lock the caller holds. Once a committed multiple of compactEvery is
+// applied, the coordinator's state — the fold of entries 1..applied —
+// becomes the log's snapshot.
+func (l *foldedLog) applyUpTo(idx int64) error {
+	for l.applied < idx {
+		l.applied++
+		if err := l.coord.applyRecord(l.st.entry(l.applied).Rec); err != nil {
+			return fmt.Errorf("cluster: applying entry %d: %w", l.applied, err)
+		}
+		if l.applied%compactEvery == 0 && l.applied <= l.commit {
+			snap := logSnapshot{Index: l.applied, Term: l.st.termAt(l.applied), State: l.coord.snapshotLocked()}
+			if err := l.st.install(snap, l.st.after(l.applied)); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// catchUp is applyUpTo for a caller outside the coordinator's lock: a
+// follower applying its leader's commit, a standby being rebuilt, a
+// recovery.
+func (l *foldedLog) catchUp(idx int64) error {
+	l.coord.mu.Lock()
+	defer l.coord.mu.Unlock()
+	return l.applyUpTo(idx)
+}
+
+// soloLog is a single coordinator's log: one replica, so every entry
+// is term 1 and commits once it is appended (fsynced, with a
+// directory).
+type soloLog struct{ foldedLog }
 
 func (l *soloLog) propose(rec walRecord) error {
 	if err := l.st.append(LogEntry{Term: 1, Index: l.st.last() + 1, Rec: rec}); err != nil {
 		return err
 	}
-	return l.st.foldTo(l.pol, compactPoint(l.st.last()))
+	l.commit = l.st.last()
+	return l.applyUpTo(l.commit)
 }
 
-// proposeLocked makes one decision durable before the mutation it
-// describes is applied: a replicated coordinator's record reaches a
-// quorum of its group (replica.go), a recovered coordinator's is
-// fsynced to its one-replica log, and a log-less coordinator proceeds
-// immediately. A no-op during replay — the record is already durable
-// in whichever log is being replayed.
-func (c *Coordinator) proposeLocked(rec walRecord) error {
-	if c.replaying || c.rep == nil {
-		return nil
-	}
-	return c.rep.propose(rec)
-}
-
-// snapshot captures the coordinator's full deterministic state.
-func (c *Coordinator) snapshot() *walSnapshot {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// snapshotLocked captures the coordinator's full deterministic state.
+func (c *Coordinator) snapshotLocked() *walSnapshot {
 	snap := &walSnapshot{
 		Round:      c.round,
 		Now:        c.now,
@@ -92,12 +116,16 @@ func (c *Coordinator) snapshot() *walSnapshot {
 	return snap
 }
 
-// restoreSnapshot rebuilds the coordinator's state from a compaction
-// point (nil: none yet). Runs before any records replay, on a freshly
-// built (empty) coordinator.
-func (c *Coordinator) restoreSnapshot(snap *walSnapshot, resolve NodeResolver) error {
+// restoreCoordinator builds a coordinator restored from a compaction
+// point (nil: none yet), resolving its members through resolve.
+func restoreCoordinator(pol Policy, tr Transport, reg *obs.Registry, snap *walSnapshot, resolve NodeResolver) (*Coordinator, error) {
+	c, err := NewCoordinator(pol, tr, reg)
+	if err != nil {
+		return nil, err
+	}
+	c.resolver = resolve
 	if snap == nil {
-		return nil
+		return c, nil
 	}
 	c.round = snap.Round
 	c.now = snap.Now
@@ -107,7 +135,7 @@ func (c *Coordinator) restoreSnapshot(snap *walSnapshot, resolve NodeResolver) e
 	for _, wm := range snap.Members {
 		n, err := resolve(wm.ID, wm.Addr)
 		if err != nil {
-			return fmt.Errorf("cluster: recovering member %q: %w", wm.ID, err)
+			return nil, fmt.Errorf("cluster: recovering member %q: %w", wm.ID, err)
 		}
 		c.members[wm.ID] = &member{
 			node:        n,
@@ -132,125 +160,61 @@ func (c *Coordinator) restoreSnapshot(snap *walSnapshot, resolve NodeResolver) e
 	c.placelog = append(c.placelog, snap.PlaceLog...)
 	c.translog = append(c.translog, snap.TransLog...)
 	c.breakerlog = append(c.breakerlog, snap.BreakerLog...)
-	return nil
+	return c, nil
 }
 
-// applyRecord replays one logged record. Join/Leave/Adopt re-run the
-// real entry points (the replaying flag suppresses re-proposals and
-// physical device moves); tick and breaker records feed their logged
-// outcomes straight into the state machines.
-func (c *Coordinator) applyRecord(rec walRecord, resolve NodeResolver) error {
+// applyRecord applies one committed record: the only way coordinator
+// state changes, on a live leader, a standby, a recovering coordinator
+// and a log-less one alike. Called with the coordinator's lock held,
+// from its log's applyUpTo. It moves no device — the entry point that
+// proposed the record does, after the apply (commitLocked).
+func (c *Coordinator) applyRecord(rec walRecord) error {
 	switch rec.Type {
 	case "join":
-		n, err := resolve(rec.Node, rec.Addr)
-		if err != nil {
-			return fmt.Errorf("cluster: recovering member %q: %w", rec.Node, err)
-		}
-		return c.Join(n)
+		return c.applyJoin(rec)
 	case "leave":
-		return c.Leave(rec.Node)
+		return c.applyLeave(rec.Node)
 	case "adopt":
-		return c.AdoptDevices(nil, rec.Devices)
+		for _, dev := range rec.Devices {
+			target, ok := c.ring.Owner(dev)
+			if !ok {
+				return ErrNoNodes
+			}
+			c.placeLocked(dev, "", target, "bootstrap")
+		}
 	case "tick":
-		return c.replayTick(rec)
+		c.applyTick(rec)
 	case "admit":
-		c.mu.Lock()
-		defer c.mu.Unlock()
 		for _, id := range rec.Nodes {
 			if mb := c.members[id]; mb != nil {
 				c.breakerAdmitLocked(mb)
 			}
 		}
-		return nil
 	case "outcome":
-		c.mu.Lock()
-		defer c.mu.Unlock()
 		for i, id := range rec.Nodes {
-			mb := c.members[id]
-			if mb == nil || i >= len(rec.Failed) {
-				continue
+			if mb := c.members[id]; mb != nil && i < len(rec.Failed) {
+				c.breakerOutcomeLocked(mb, rec.Failed[i])
 			}
-			c.breakerOutcomeLocked(mb, rec.Failed[i])
 		}
-		return nil
 	case "noop":
 		// A new leader's commit assertion: replicated for its index,
 		// applies nothing.
-		return nil
 	default:
 		return fmt.Errorf("cluster: unknown log record type %q", rec.Type)
 	}
-}
-
-// replayTick re-runs one heartbeat round from its logged outcomes: no
-// transport fan-out — the recorded beat/miss decisions drive the
-// health machines — but the clock, round counter, and the transport's
-// fault plan all advance, so a fault plan resumes in lockstep.
-func (c *Coordinator) replayTick(rec walRecord) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.round++
-	c.now = c.now.Add(c.pol.HeartbeatInterval)
-	c.gRound.Set(c.round)
-	if ra, ok := c.tr.(roundAdvancer); ok {
-		ra.BeginRound()
-	}
-	for i, id := range rec.Nodes {
-		mb := c.members[id]
-		if mb == nil || i >= len(rec.OK) {
-			continue
-		}
-		if rec.OK[i] {
-			if err := c.noteBeatLocked(mb); err != nil {
-				return err
-			}
-		} else if err := c.noteMissLocked(mb); err != nil {
-			return err
-		}
-	}
 	return nil
-}
-
-// replayLog builds a replaying coordinator restored from snap (nil:
-// empty) and advanced over entries.
-func replayLog(pol Policy, tr Transport, reg *obs.Registry, snap *walSnapshot, entries []LogEntry, resolve NodeResolver) (*Coordinator, error) {
-	c, err := NewCoordinator(pol, tr, reg)
-	if err != nil {
-		return nil, err
-	}
-	c.replaying = true
-	if err := c.restoreSnapshot(snap, resolve); err != nil {
-		return nil, err
-	}
-	for _, e := range entries {
-		if err := c.applyRecord(e.Rec, resolve); err != nil {
-			return nil, fmt.Errorf("cluster: replaying entry %d: %w", e.Index, err)
-		}
-	}
-	return c, nil
-}
-
-// foldSnapshot carries a snapshot forward over entries on a scratch
-// coordinator. Replay moves no devices, so placeholder handles stand
-// in for the members.
-func foldSnapshot(pol Policy, base *walSnapshot, entries []LogEntry) (*walSnapshot, error) {
-	c, err := replayLog(pol, nil, nil, base, entries, func(id, addr string) (*Node, error) {
-		return &Node{id: id, addr: addr}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return c.snapshot(), nil
 }
 
 // RecoverCoordinator opens (or creates) a durable coordinator on the
 // one-replica log in dir. An empty directory yields a fresh
 // coordinator that logs from its first decision; an existing one
-// restores its snapshot, replays the entries after it, and resumes.
+// restores its snapshot, applies the entries after it, and resumes.
 // resolve turns logged membership back into node handles —
 // RemoteResolver suffices when every member is a real process;
 // in-process members need the caller's live handles. A torn tail
-// record (crash mid-append) is dropped and truncated.
+// record (crash mid-append) is dropped and truncated. A fault plan on
+// tr must be fresh: it is advanced to the recovered round, so it
+// resumes in lockstep with the coordinator.
 func RecoverCoordinator(pol Policy, tr Transport, reg *obs.Registry, dir string, resolve NodeResolver) (*Coordinator, error) {
 	if resolve == nil {
 		resolve = RemoteResolver
@@ -262,21 +226,28 @@ func RecoverCoordinator(pol Policy, tr Transport, reg *obs.Registry, dir string,
 	}
 	var c *Coordinator
 	if err == nil {
-		c, err = replayLog(pol, tr, reg, st.snap.State, st.entries, resolve)
+		c, err = restoreCoordinator(pol, tr, reg, st.snap.State, resolve)
+	}
+	if err == nil {
+		l := &soloLog{foldedLog{st: st, coord: c, commit: st.last(), applied: st.snap.Index}}
+		c.rep = l
+		err = l.catchUp(l.commit)
 	}
 	if err != nil {
 		st.close()
 		return nil, err
 	}
-	c.mu.Lock()
-	c.replaying = false
-	c.rep = &soloLog{st: st, pol: c.pol}
-	c.mu.Unlock()
+	if ra, ok := c.tr.(roundAdvancer); ok {
+		for i := int64(0); i < c.round; i++ {
+			ra.BeginRound()
+		}
+	}
 	return c, nil
 }
 
-// Checkpoint compacts a recovered coordinator's log at its newest
-// entry. Errors on a coordinator without a one-replica log.
+// Checkpoint compacts a coordinator's one-replica log at its newest
+// entry, snapshotting the live coordinator — the fold of every entry
+// its log holds. Errors on a Group replica's coordinator.
 func (c *Coordinator) Checkpoint() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -284,5 +255,9 @@ func (c *Coordinator) Checkpoint() error {
 	if !ok {
 		return fmt.Errorf("cluster: coordinator has no local log")
 	}
-	return l.st.foldTo(c.pol, l.st.last())
+	at := l.st.last()
+	if at == l.st.snap.Index {
+		return nil
+	}
+	return l.st.install(logSnapshot{Index: at, Term: l.st.termAt(at), State: c.snapshotLocked()}, nil)
 }

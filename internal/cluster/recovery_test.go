@@ -5,9 +5,12 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"ssdcheck/internal/blockdev"
+	"ssdcheck/internal/faults"
 	"ssdcheck/internal/fleet"
 )
 
@@ -48,9 +51,7 @@ func recoveryScenario(t *testing.T, mode crashMode) (snaps, placeLog, transLog [
 
 	submitSteps(t, c, devs, strs, 0, n/2)
 	for i := 0; i < 2; i++ {
-		if err := c.Tick(); err != nil {
-			t.Fatal(err)
-		}
+		tickFolded(t, c)
 	}
 	if mode == crashAfterCheckpoint {
 		if err := c.Checkpoint(); err != nil {
@@ -78,9 +79,7 @@ func recoveryScenario(t *testing.T, mode crashMode) (snaps, placeLog, transLog [
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		if err := c.Tick(); err != nil {
-			t.Fatal(err)
-		}
+		tickFolded(t, c)
 	}
 	for _, st := range c.Nodes() {
 		if st.ID == victim && (st.Health != fleet.Quarantined || st.Devices != 0) {
@@ -164,9 +163,7 @@ func TestClusterRecoveryTornTail(t *testing.T) {
 	t.Cleanup(h.Close)
 	c := h.Coordinator()
 	for i := 0; i < 2; i++ {
-		if err := c.Tick(); err != nil {
-			t.Fatal(err)
-		}
+		tickFolded(t, c)
 	}
 	placement := c.Placement()
 	if err := h.CrashCoordinator(); err != nil {
@@ -195,9 +192,7 @@ func TestClusterRecoveryTornTail(t *testing.T) {
 			t.Fatalf("device %q recovered on %q, was on %q", dev, got[dev], node)
 		}
 	}
-	if err := c.Tick(); err != nil {
-		t.Fatal(err)
-	}
+	tickFolded(t, c)
 	res, err := c.Submit([]fleet.Request{{DeviceID: devs[0].ID, Op: blockdev.Read, Sectors: 8}})
 	if err != nil {
 		t.Fatal(err)
@@ -241,9 +236,7 @@ func TestClusterWALAutoCompaction(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := c.Tick(); err != nil {
-			t.Fatal(err)
-		}
+		tickFolded(t, c)
 	}
 	if _, err := os.Stat(filepath.Join(dir, snapFile)); err != nil {
 		t.Fatalf("no snapshot after %d ticks: %v", crossing, err)
@@ -276,7 +269,104 @@ func TestClusterWALAutoCompaction(t *testing.T) {
 	if after := state(c); !bytes.Equal(after, before) {
 		t.Fatalf("coordinator diverged across snapshot recovery\nbefore:\n%s\nafter:\n%s", before, after)
 	}
-	if err := c.Tick(); err != nil {
+	tickFolded(t, c)
+}
+
+// TestClusterRecoveryResumesFaultPlan: a coordinator recovered from a
+// compacted log resumes its transport's fault plan at the recovered
+// round, not at round 0. A heartbeat-loss window that opens after the
+// crash drives exactly the transitions it drives in an uninterrupted
+// run.
+func TestClusterRecoveryResumesFaultPlan(t *testing.T) {
+	const crashAfter, rounds = 290, 320
+	run := func(crash bool) []NodeTransition {
+		dir := t.TempDir()
+		h, err := NewHarness(HarnessConfig{
+			Nodes:   3,
+			Devices: clusterSpecs()[:2],
+			Node:    nodeConfig(),
+			WALDir:  dir,
+			Faults: &faults.NodePlan{Seed: 7, Schedules: []faults.NodeSchedule{
+				{Kind: faults.HeartbeatLoss, Node: "node-1", At: 300, Rounds: 4},
+			}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(h.Close)
+		for round := 1; round <= rounds; round++ {
+			tickFolded(t, h.Coordinator())
+			if crash && round == crashAfter {
+				if _, err := os.Stat(filepath.Join(dir, snapFile)); err != nil {
+					t.Fatalf("log not compacted by round %d: %v", round, err)
+				}
+				if err := h.CrashCoordinator(); err != nil {
+					t.Fatal(err)
+				}
+				if err := h.Recover(); err != nil {
+					t.Fatal(err)
+				}
+				requireFolded(t, h.Coordinator())
+			}
+		}
+		return h.Coordinator().Transitions()
+	}
+	base := run(false)
+	if len(base) == 0 {
+		t.Fatal("the heartbeat-loss window drove no transitions")
+	}
+	if got := run(true); !reflect.DeepEqual(got, base) {
+		t.Fatalf("transitions after recovery at round %d:\n%+v\nwant:\n%+v", crashAfter, got, base)
+	}
+}
+
+// TestClusterFailedMoveFollowsLog: a join whose device moves cannot
+// run — the direct transport cannot carry a device to a remote node —
+// still commits and applies. The live placement is the log's (a
+// recovery agrees with it), and Reconcile reports the device the
+// failed move left behind.
+func TestClusterFailedMoveFollowsLog(t *testing.T) {
+	h, err := NewHarness(HarnessConfig{
+		Nodes:   3,
+		Devices: clusterSpecs(),
+		Node:    nodeConfig(),
+		WALDir:  t.TempDir(),
+	})
+	if err != nil {
 		t.Fatal(err)
+	}
+	t.Cleanup(h.Close)
+	c := h.Coordinator()
+	remote, err := NewRemoteNode("node-r", "http://127.0.0.1:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Join(remote); err == nil {
+		t.Fatal("join moved devices onto a remote node over the direct transport")
+	}
+	requireFolded(t, c)
+	var stranded string
+	for _, e := range c.PlacementLog() {
+		if e.To == remote.ID() {
+			stranded = e.Device
+			break
+		}
+	}
+	if stranded == "" {
+		t.Fatalf("join placed nothing on %s: %+v", remote.ID(), c.PlacementLog())
+	}
+	if _, err := c.Reconcile(); err == nil || !strings.Contains(err.Error(), stranded) {
+		t.Fatalf("reconcile after the failed move: %v, want an error naming %s", err, stranded)
+	}
+
+	live := c.Placement()
+	if err := h.CrashCoordinator(); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if got := h.Coordinator().Placement(); !reflect.DeepEqual(got, live) {
+		t.Fatalf("recovered placement %v, live %v", got, live)
 	}
 }

@@ -8,14 +8,14 @@ import (
 )
 
 // Replicated coordination: a raft-lite placement log. The group's
-// leader runs the real Coordinator; every record it proposes is
+// leader runs the live Coordinator; every record it proposes is
 // appended to the leader's log and streamed to the standby replicas,
 // and the mutation it describes applies only once a quorum holds the
-// record. Standbys replay committed records into shadow coordinators
-// (permanently in replaying mode: bookkeeping only, no physical device
-// moves, which already happened on the leader), so any of them can take
-// over with the full placement/health/breaker state machines already
-// warm.
+// record — on the leader as on every standby, through the same
+// applyRecord. Only the leader moves devices, after its apply; standbys
+// fold committed records into shadow coordinators, so any of them can
+// take over with the full placement/health/breaker state machines
+// already warm.
 //
 // Entries are (term, index)-stamped. Terms are leadership epochs:
 // adopted and persisted before any action under them, compared on
@@ -30,11 +30,11 @@ import (
 // nothing twice.
 //
 // Every replica's log compacts at multiples of compactEvery over
-// committed entries (log.go): a follower snapshots its standby when it
-// has applied that index, the leader folds its previous snapshot
-// forward over the log. A follower whose position the leader has
-// compacted away receives the leader's snapshot with the next append
-// and restores its standby from it instead of replaying from index 1.
+// committed entries (log.go): each replica snapshots its coordinator
+// when it has applied that index. A follower whose position the leader
+// has compacted away receives the leader's snapshot with the next
+// append and restores its standby from it instead of replaying from
+// index 1.
 
 // Role is a replica's position in the group.
 type Role uint8
@@ -143,15 +143,15 @@ type Replica struct {
 	id  string
 	grp *Group
 
-	// st is the durable state, in <Dir>/<id>/ or in memory (where it
-	// plays the disk: a crash clears only the volatile state below).
-	st *logStore
+	// The log's st is the durable state, in <Dir>/<id>/ or in memory
+	// (where it plays the disk: a crash clears only the volatile state);
+	// its coord is live when leader, standby otherwise; commit is the
+	// highest quorum-acknowledged index.
+	foldedLog
 
 	// Volatile state — reset by a crash.
 	role          Role
 	leader        string           // leader last heard from
-	commit        int64            // highest quorum-acknowledged index
-	applied       int64            // highest index applied into coord
 	lastHeard     int64            // group round a leader was last heard in
 	match         map[string]int64 // leader-only: per-peer replicated index
 	failedCommits int              // consecutive proposals without quorum
@@ -160,8 +160,7 @@ type Replica struct {
 	leasePinned   bool  // chaos: refuse lease-lapse demotion (dueling leader)
 	applyErr      error // first standby-apply failure, surfaced by status
 
-	coord *Coordinator // live when leader, standby otherwise
-	tr    *LoopbackTransport
+	tr *LoopbackTransport
 
 	gTerm, gLeader *obs.Gauge
 }
@@ -179,47 +178,26 @@ func (r *Replica) status() PeerStatus {
 }
 
 // rebuildStandby replaces the replica's coordinator with a fresh
-// standby restored from the replica's snapshot and replayed up to its
+// standby restored from the replica's snapshot and caught up to its
 // commit index: at start, after a demotion (which also discards any
-// drift a quorumless leader accumulated), a restart, or an installed
-// snapshot. The standby is permanently replaying — records apply as
-// bookkeeping, physical moves and re-proposals are suppressed — until
-// activate flips it live at takeover. It gets a private registry;
-// cluster-visible metrics come from the active coordinator and the
-// group.
+// uncommitted tail a quorumless leader applied at takeover), a
+// restart, or an installed snapshot. The standby proposes through the
+// replica, which refuses while it is not the leader. It gets a private
+// registry; cluster-visible metrics come from the active coordinator
+// and the group.
 func (r *Replica) rebuildStandby() error {
-	sb, err := replayLog(r.grp.cpol, r.tr, nil, r.st.snap.State, nil, r.grp.resolveNode)
+	sb, err := restoreCoordinator(r.grp.cpol, r.tr, nil, r.st.snap.State, r.grp.resolveNode)
 	if err != nil {
 		return err
 	}
-	sb.resolver = r.grp.resolveNode
+	sb.rep = r
 	if r.coord != nil {
 		r.coord.Close()
 	}
 	r.coord = sb
 	r.applied = r.st.snap.Index
 	r.commit = max(r.commit, r.applied)
-	return r.applyUpTo(r.commit)
-}
-
-// applyUpTo replays log records into the replica's coordinator through
-// the resolver path, advancing applied. Once a committed multiple of
-// compactEvery is applied, the standby's state — a pure replay of
-// entries 1..applied — becomes the replica's snapshot.
-func (r *Replica) applyUpTo(idx int64) error {
-	for r.applied < idx {
-		r.applied++
-		if err := r.coord.applyRecord(r.st.entry(r.applied).Rec, r.coord.resolver); err != nil {
-			return fmt.Errorf("cluster: replica %q: applying entry %d: %w", r.id, r.applied, err)
-		}
-		if r.applied%compactEvery == 0 && r.applied <= r.commit {
-			snap := logSnapshot{Index: r.applied, Term: r.st.termAt(r.applied), State: r.coord.snapshot()}
-			if err := r.st.install(snap, r.st.after(r.applied)); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return r.catchUp(r.commit)
 }
 
 // propose implements the coordinator's proposer seam: append the
@@ -227,7 +205,8 @@ func (r *Replica) applyUpTo(idx int64) error {
 // reachable peer in sorted order, and return nil only once a quorum
 // (the leader included) holds it. On quorum the entry commits — and so
 // does everything before it, including any tail left uncommitted by
-// earlier quorum failures. Called with the group's lock held (the
+// earlier quorum failures — and applies into the live coordinator.
+// Called with the group's lock and the coordinator's lock held (the
 // coordinator invoking it runs under Group.Tick/Submit).
 func (r *Replica) propose(rec walRecord) error {
 	if r.crashed {
@@ -278,11 +257,7 @@ func (r *Replica) propose(rec walRecord) error {
 		return fmt.Errorf("replica %q: %d/%d acks: %w", r.id, acks, q, ErrNoQuorum)
 	}
 	r.commit = e.Index
-	// The live coordinator applies the mutation itself when propose
-	// returns; track it as applied so a later demotion rebuilds from
-	// the right prefix.
-	r.applied = e.Index
-	return r.st.foldTo(r.grp.cpol, compactPoint(r.commit))
+	return r.applyUpTo(r.commit)
 }
 
 // handleAppend is the follower-side replication endpoint: term check,
@@ -331,7 +306,7 @@ func (p *Replica) handleAppend(req AppendRequest) AppendResponse {
 	// not replay into its live coordinator; its standby is rebuilt from
 	// the committed prefix at demotion.
 	if p.role == RoleFollower {
-		p.fail(p.applyUpTo(p.commit))
+		p.fail(p.catchUp(p.commit))
 	}
 	return AppendResponse{Term: p.st.term, Ok: true, LastIndex: p.st.last()}
 }
@@ -355,14 +330,11 @@ func (p *Replica) installSnapshot(s logSnapshot) error {
 	return p.rebuildStandby()
 }
 
-// activate flips a standby coordinator live at takeover: replay mode
-// ends, proposals route through the replica, node-plane RPCs carry the
-// new term's fencing token, and fencing rejections report back through
-// onDeposed.
-func (c *Coordinator) activate(rep proposer, fence FencingToken, onDeposed func()) {
+// activate flips a standby coordinator live at takeover: node-plane
+// RPCs carry the new term's fencing token, and fencing rejections
+// report back through onDeposed.
+func (c *Coordinator) activate(fence FencingToken, onDeposed func()) {
 	c.mu.Lock()
-	c.replaying = false
-	c.rep = rep
 	c.fence = fence
 	c.onDeposed = onDeposed
 	c.deposedSeen = false

@@ -112,9 +112,7 @@ func TestGroupBootstrap(t *testing.T) {
 		t.Fatalf("placement %v missing devices", lead.Placement())
 	}
 	for i := 0; i < 3; i++ {
-		if err := g.Tick(); err != nil {
-			t.Fatal(err)
-		}
+		groupTick(t, g)
 		groupSubmit(t, g, groupSpecs(), i)
 	}
 	requireLogsIdentical(t, g)
@@ -142,9 +140,7 @@ func TestGroupBootstrap(t *testing.T) {
 func TestGroupLeaderCrashFailover(t *testing.T) {
 	g := testGroup(t, GroupConfig{})
 	for i := 0; i < 2; i++ {
-		if err := g.Tick(); err != nil {
-			t.Fatal(err)
-		}
+		groupTick(t, g)
 	}
 	wantPlacement := g.Leader().Placement()
 
@@ -153,9 +149,7 @@ func TestGroupLeaderCrashFailover(t *testing.T) {
 	}
 	outage := 0
 	for g.LeaderID() == "" {
-		if err := g.Tick(); err != nil {
-			t.Fatal(err)
-		}
+		groupTick(t, g)
 		outage++
 		if outage > 10 {
 			t.Fatal("no re-election within 10 rounds")
@@ -184,9 +178,7 @@ func TestGroupLeaderCrashFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if err := g.Tick(); err != nil {
-			t.Fatal(err)
-		}
+		groupTick(t, g)
 	}
 	rs, _ := g.Replica("rep-0")
 	if rs.Role != RoleFollower || rs.Term != 2 {
@@ -201,17 +193,13 @@ func TestGroupLeaderCrashFailover(t *testing.T) {
 // divergent uncommitted tail is truncated away on catch-up.
 func TestGroupLeaseStepDown(t *testing.T) {
 	g := testGroup(t, GroupConfig{})
-	if err := g.Tick(); err != nil {
-		t.Fatal(err)
-	}
+	groupTick(t, g)
 	if err := g.Partition("rep-0"); err != nil {
 		t.Fatal(err)
 	}
 	// Lease lapses on the second failed commit.
 	for i := 0; i < 2; i++ {
-		if err := g.Tick(); err != nil {
-			t.Fatal(err)
-		}
+		groupTick(t, g)
 	}
 	rs, _ := g.Replica("rep-0")
 	if rs.Role != RoleFollower {
@@ -221,9 +209,7 @@ func TestGroupLeaseStepDown(t *testing.T) {
 		t.Fatalf("unexpected leader %q before election timeout", g.LeaderID())
 	}
 	// Followers elect one round later (timeout 3 > lease 2).
-	if err := g.Tick(); err != nil {
-		t.Fatal(err)
-	}
+	groupTick(t, g)
 	if g.LeaderID() != "rep-1" {
 		t.Fatalf("leader %q, want rep-1", g.LeaderID())
 	}
@@ -231,9 +217,7 @@ func TestGroupLeaseStepDown(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if err := g.Tick(); err != nil {
-			t.Fatal(err)
-		}
+		groupTick(t, g)
 	}
 	requireLogsIdentical(t, g)
 	groupSubmit(t, g, groupSpecs(), 0)
@@ -248,9 +232,7 @@ func TestGroupLeaseStepDown(t *testing.T) {
 // stale leader commits nothing during the duel.
 func TestGroupDuelingLeaderFenced(t *testing.T) {
 	g := testGroup(t, GroupConfig{})
-	if err := g.Tick(); err != nil {
-		t.Fatal(err)
-	}
+	groupTick(t, g)
 	if err := g.Partition("rep-0"); err != nil {
 		t.Fatal(err)
 	}
@@ -262,9 +244,7 @@ func TestGroupDuelingLeaderFenced(t *testing.T) {
 	// Ride out lease rounds (pinned: no abdication) and the election.
 	deadRounds := 0
 	for g.Elections() < 2 {
-		if err := g.Tick(); err != nil {
-			t.Fatal(err)
-		}
+		groupTick(t, g)
 		deadRounds++
 		if deadRounds > 10 {
 			t.Fatal("no second election within 10 rounds")
@@ -276,9 +256,7 @@ func TestGroupDuelingLeaderFenced(t *testing.T) {
 	if rs.Role != RoleLeader {
 		t.Fatalf("pinned leader demoted early (%v) — fencing untested", rs.Role)
 	}
-	if err := g.Tick(); err != nil {
-		t.Fatal(err)
-	}
+	groupTick(t, g)
 	rs, _ = g.Replica("rep-0")
 	if rs.Role != RoleFollower {
 		t.Fatalf("stale leader still %v after fenced round", rs.Role)
@@ -300,9 +278,7 @@ func TestGroupDuelingLeaderFenced(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if err := g.Tick(); err != nil {
-			t.Fatal(err)
-		}
+		groupTick(t, g)
 	}
 	requireLogsIdentical(t, g)
 }
@@ -314,9 +290,7 @@ func TestGroupElectionTieBreak(t *testing.T) {
 		t.Fatal(err)
 	}
 	for g.LeaderID() == "" {
-		if err := g.Tick(); err != nil {
-			t.Fatal(err)
-		}
+		groupTick(t, g)
 		if g.Round() > 10 {
 			t.Fatal("no re-election within 10 rounds")
 		}
@@ -339,9 +313,7 @@ func TestGroupMinorityCannotElect(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 6; i++ {
-		if err := g.Tick(); err != nil {
-			t.Fatal(err)
-		}
+		groupTick(t, g)
 	}
 	if id := g.LeaderID(); id != "" {
 		t.Fatalf("minority elected %q", id)
@@ -354,9 +326,7 @@ func TestGroupMinorityCannotElect(t *testing.T) {
 		t.Fatal(err)
 	}
 	for g.LeaderID() == "" {
-		if err := g.Tick(); err != nil {
-			t.Fatal(err)
-		}
+		groupTick(t, g)
 		if g.Round() > 20 {
 			t.Fatal("no recovery after quorum restored")
 		}
@@ -370,17 +340,13 @@ func TestGroupDurableRestart(t *testing.T) {
 	dir := t.TempDir()
 	g := testGroup(t, GroupConfig{Dir: dir})
 	for i := 0; i < 2; i++ {
-		if err := g.Tick(); err != nil {
-			t.Fatal(err)
-		}
+		groupTick(t, g)
 	}
 	if err := g.Crash("rep-2"); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := g.Tick(); err != nil {
-			t.Fatal(err)
-		}
+		groupTick(t, g)
 	}
 	if err := g.Restart("rep-2"); err != nil {
 		t.Fatal(err)
@@ -393,9 +359,7 @@ func TestGroupDurableRestart(t *testing.T) {
 		t.Fatal("restarted replica lost its durable log")
 	}
 	for i := 0; i < 2; i++ {
-		if err := g.Tick(); err != nil {
-			t.Fatal(err)
-		}
+		groupTick(t, g)
 	}
 	requireLogsIdentical(t, g)
 	rs, _ = g.Replica("rep-2")
@@ -411,9 +375,7 @@ func TestGroupTornReplicaLogTail(t *testing.T) {
 	dir := t.TempDir()
 	g := testGroup(t, GroupConfig{Dir: dir})
 	for i := 0; i < 2; i++ {
-		if err := g.Tick(); err != nil {
-			t.Fatal(err)
-		}
+		groupTick(t, g)
 	}
 	if err := g.Crash("rep-2"); err != nil {
 		t.Fatal(err)
@@ -431,9 +393,7 @@ func TestGroupTornReplicaLogTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if err := g.Tick(); err != nil {
-			t.Fatal(err)
-		}
+		groupTick(t, g)
 	}
 	requireLogsIdentical(t, g)
 }
@@ -449,9 +409,7 @@ func TestGroupScheduledChaosDeterministic(t *testing.T) {
 	run := func() ([]byte, int64, int64) {
 		g := testGroup(t, GroupConfig{Faults: plan})
 		for i := 0; i < 24; i++ {
-			if err := g.Tick(); err != nil {
-				t.Fatal(err)
-			}
+			groupTick(t, g)
 		}
 		requireLogsIdentical(t, g)
 		buf, err := json.Marshal(g.ReplicaLog("rep-0"))
@@ -559,9 +517,7 @@ func TestGroupPredictionMatchesHarness(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := g.Tick(); err != nil {
-			t.Fatal(err)
-		}
+		groupTick(t, g)
 		if g.LeaderID() == "" {
 			continue // deferred below
 		}
@@ -572,9 +528,7 @@ func TestGroupPredictionMatchesHarness(t *testing.T) {
 
 	h := testHarness(t, devs, 3, nil)
 	for step := 0; step < steps; step++ {
-		if err := h.Coordinator().Tick(); err != nil {
-			t.Fatal(err)
-		}
+		tickFolded(t, h.Coordinator())
 	}
 
 	// Compare per-device simulator positions: the replicated run
@@ -597,20 +551,18 @@ func TestGroupPredictionMatchesHarness(t *testing.T) {
 // index are byte-identical on every replica, and no log outgrows
 // 2×compactEvery entries in memory or on disk. rep-2 is crashed across
 // two compaction points and catches up from the leader's snapshot, not
-// by replaying from index 1. A one-round leader partition (the live
-// leader then counts one beat fewer than its log) and a lease-lapse
-// partition whose uncommitted tail straddles a compaction point are
-// what a snapshot of the live leader, or a fold of uncommitted
-// entries, would diverge on.
+// by replaying from index 1. A one-round leader partition (the leader
+// applies the lost round when the next proposal commits it) and a
+// lease-lapse partition whose uncommitted tail straddles a compaction
+// point are what a snapshot taken off the commit index would diverge
+// on.
 func TestGroupCompactionInstallSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	g := testGroup(t, GroupConfig{Dir: dir})
 	tick := func(n int) {
 		t.Helper()
 		for i := 0; i < n; i++ {
-			if err := g.Tick(); err != nil {
-				t.Fatal(err)
-			}
+			groupTick(t, g)
 		}
 	}
 	status := func(id string) ReplicaStatus {
@@ -727,9 +679,7 @@ func TestGroupCompactionInstallSnapshot(t *testing.T) {
 func TestGroupDirReuseRejected(t *testing.T) {
 	dir := t.TempDir()
 	g := testGroup(t, GroupConfig{Dir: dir})
-	if err := g.Tick(); err != nil {
-		t.Fatal(err)
-	}
+	groupTick(t, g)
 	g.Close()
 	before := dirContents(t, dir)
 	if _, err := NewGroup(GroupConfig{Dir: dir, Devices: groupSpecs(), Node: nodeConfig()}); err == nil ||
