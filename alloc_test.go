@@ -136,6 +136,65 @@ func TestFleetSubmitZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestVolumeOpsZeroAlloc pins a healthy predictive 3+2 erasure-coded
+// volume's Read and Write to zero allocations once warm: the steering
+// view is refilled in place, fleet results land in the volume's own
+// buffer, the donor ranking sorts without reflection and a decode
+// reuses its slot set's cached inverse. The measured reads must include
+// both direct and steered ones, so the reconstruct path is on the hook
+// too; the writes include the parity flushes the scheduler runs after
+// them.
+func TestVolumeOpsZeroAlloc(t *testing.T) {
+	skipUnderRace(t)
+	m := allocFleet(t, 6, 2)
+	v, err := ssdcheck.NewECVolume(m, ssdcheck.ECVolumeConfig{
+		ID: "alloc", Devices: m.DeviceIDs(), Data: 3, Parity: 2,
+		Stripes: 64, Seed: 77, Predictive: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunks := v.Chunks()
+	i := int64(0)
+	read := func() {
+		if _, err := v.Read(i * 7 % chunks); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}
+	write := func() {
+		if _, err := v.Write(i * 5 % chunks); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}
+	// Warm-up: every scratch buffer grows to its largest shape and the
+	// decode cache meets the slot sets the donor ranking produces.
+	for n := 0; n < 4000; n++ {
+		if n%3 == 0 {
+			write()
+		} else {
+			read()
+		}
+	}
+
+	before := v.Status()
+	if n := testing.AllocsPerRun(2000, read); n != 0 {
+		t.Errorf("Read allocates %.2f objects per op, want 0", n)
+	}
+	after := v.Status()
+	if after.DirectReads == before.DirectReads || after.SteeredReads == before.SteeredReads {
+		t.Errorf("measured reads were %d direct and %d steered; the guard needs both",
+			after.DirectReads-before.DirectReads, after.SteeredReads-before.SteeredReads)
+	}
+	if n := testing.AllocsPerRun(2000, write); n != 0 {
+		t.Errorf("Write allocates %.2f objects per op, want 0", n)
+	}
+	if s := v.Status(); s.ReadErrors+s.WriteErrors != 0 {
+		t.Errorf("healthy volume failed %d reads and %d writes", s.ReadErrors, s.WriteErrors)
+	}
+}
+
 // TestPredictZeroAlloc pins Predictor.Predict to zero allocations.
 func TestPredictZeroAlloc(t *testing.T) {
 	skipUnderRace(t)

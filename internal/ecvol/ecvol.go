@@ -14,11 +14,13 @@
 //   - Parity scheduling: writes update the data shard in the
 //     foreground but stage parity in memory, flushing it
 //     opportunistically into predicted-HL windows on the parity
-//     devices (the background write rides the slow window foreground
-//     reads are being steered around), bounded by a durability budget:
-//     a deadline on the virtual clock, a cap on staged stripes, and
-//     forced flushes on device-health transitions, reconstruct demand,
-//     and degraded data writes.
+//     devices (hl_window: the background write rides the slow window
+//     foreground reads are being steered around), bounded by a
+//     durability budget: a deadline on the virtual clock (deadline), a
+//     cap on staged stripes (budget), and forced flushes when a parity
+//     device leaves the healthy state (health), after a degraded data
+//     write (degraded_write), and on Flush or Close (force). The
+//     oblivious baseline writes parity inline with the data (inline).
 //   - Degraded placement: quarantined devices are never selected;
 //     conservative (fallback-model) devices rank last among donors.
 //
@@ -190,11 +192,9 @@ type Volume struct {
 	stripes []stripeState
 	pending []int // stripes with staged parity, oldest first
 
-	// memberPos maps fleet device IDs to member indices; snaps is the
-	// member-indexed steering view refreshed before each planning
-	// decision.
-	memberPos map[string]int
-	snaps     []fleet.SteeringSnapshot
+	// snaps is the member-indexed steering view (snaps[i] is
+	// cfg.Devices[i]), refreshed in place before each planning decision.
+	snaps []fleet.SteeringSnapshot
 
 	// vnow is the volume's virtual progress: the latest completion
 	// seen on any member. Parity deadlines are phrased against it.
@@ -210,13 +210,15 @@ type Volume struct {
 	hWrite   *obs.Histogram
 	hFlush   *obs.Histogram
 
-	// Scratch buffers for the per-op hot paths, so a healthy read or
-	// write allocates only what fleet.SubmitBatch itself does.
-	scratchReqs  []fleet.Request
-	scratchSlots []int
-	scratchWork  []int
-	scratchVals  []uint64
-	scratchRank  []donor
+	// Scratch buffers for the per-op hot paths, so a read or write
+	// allocates nothing once they have grown to the op's shape.
+	scratchReqs    []fleet.Request
+	scratchOut     []fleet.Result
+	scratchSlots   []int
+	scratchWork    []int
+	scratchVals    []uint64
+	scratchDecoded []uint64
+	scratchRank    []donor
 }
 
 // flush causes, in the order Stats reports them.
@@ -251,15 +253,13 @@ func New(fl *fleet.Manager, cfg Config) (*Volume, error) {
 		return nil, err
 	}
 	v := &Volume{
-		cfg:       cfg,
-		fl:        fl,
-		cod:       cod,
-		place:     newPlacement(len(cfg.Devices), cfg.Data+cfg.Parity, cfg.Seed),
-		memberPos: make(map[string]int, len(cfg.Devices)),
-		snaps:     make([]fleet.SteeringSnapshot, len(cfg.Devices)),
-	}
-	for i, id := range cfg.Devices {
-		v.memberPos[id] = i
+		cfg:            cfg,
+		fl:             fl,
+		cod:            cod,
+		place:          newPlacement(len(cfg.Devices), cfg.Data+cfg.Parity, cfg.Seed),
+		snaps:          make([]fleet.SteeringSnapshot, len(cfg.Devices)),
+		scratchOut:     make([]fleet.Result, cfg.Data+cfg.Parity),
+		scratchDecoded: make([]uint64, cfg.Data),
 	}
 	v.stats = Stats{
 		ID:            cfg.ID,
@@ -352,9 +352,20 @@ func (v *Volume) note(t simclock.Time) {
 	}
 }
 
+// submitLocked routes the requests staged in v.scratchReqs through the
+// fleet. The results land in the volume's own buffer, valid until the
+// next submit, so a round trip allocates nothing. No batch is wider
+// than a stripe, which is the buffer's length.
+func (v *Volume) submitLocked() ([]fleet.Result, error) {
+	out := v.scratchOut[:len(v.scratchReqs)]
+	if err := v.fl.SubmitBatchInto(v.scratchReqs, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 // submitOne routes one chunk request to a member and returns the
-// result. The scratch request slice keeps the hot path's allocations
-// bounded.
+// result.
 func (v *Volume) submitOne(dev int, op blockdev.Op, stripe int) (fleet.Result, error) {
 	v.scratchReqs = v.scratchReqs[:0]
 	v.scratchReqs = append(v.scratchReqs, fleet.Request{
@@ -363,7 +374,7 @@ func (v *Volume) submitOne(dev int, op blockdev.Op, stripe int) (fleet.Result, e
 		LBA:      v.deviceLBA(stripe),
 		Sectors:  v.cfg.ChunkSectors,
 	})
-	out, err := v.fl.SubmitBatch(v.scratchReqs)
+	out, err := v.submitLocked()
 	if err != nil {
 		return fleet.Result{}, err
 	}

@@ -317,9 +317,11 @@ func TestVolumeConfigErrors(t *testing.T) {
 	}
 }
 
-// TestVolumeAllocs: the healthy direct-read path stays within a
-// bounded allocation budget per operation (the steering refresh and
-// the fleet batch are the only allocators).
+// TestVolumeAllocs: the healthy read path stays within a loose
+// allocation budget per operation, one that also holds under -race,
+// where the detector allocates on its own account. The exact figure
+// (zero) is pinned outside -race by the root package's
+// TestVolumeOpsZeroAlloc.
 func TestVolumeAllocs(t *testing.T) {
 	m := testFleet(t, 6, 1, nil)
 	v := testVolume(t, m, nil)

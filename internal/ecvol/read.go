@@ -2,7 +2,6 @@ package ecvol
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"ssdcheck/internal/blockdev"
@@ -79,13 +78,10 @@ type donor struct {
 }
 
 // refreshSteeringLocked pulls the fleet's cached steering snapshots
-// into the volume's member-indexed view.
+// into the volume's member-indexed view, in place. A member the fleet
+// no longer holds keeps its last snapshot.
 func (v *Volume) refreshSteeringLocked() {
-	for _, s := range v.fl.SteeringAll() {
-		if i, ok := v.memberPos[s.ID]; ok {
-			v.snaps[i] = s
-		}
-	}
+	v.fl.SteeringInto(v.cfg.Devices, v.snaps)
 }
 
 // Read serves logical chunk `chunk`, verified against the volume's
@@ -222,7 +218,15 @@ func (v *Volume) reconstructLocked(stripe, skip int) (time.Duration, error) {
 		rank = append(rank, donor{slot: s, dev: dev, score: score})
 	}
 	v.scratchRank = rank
-	sort.SliceStable(rank, func(i, j int) bool { return rank[i].score < rank[j].score })
+	// Stable insertion sort by score: at most m+k-1 donors.
+	for i := 1; i < len(rank); i++ {
+		d := rank[i]
+		j := i
+		for ; j > 0 && rank[j-1].score > d.score; j-- {
+			rank[j] = rank[j-1]
+		}
+		rank[j] = d
+	}
 
 	next := 0
 	for len(slots) < v.cfg.Data {
@@ -243,7 +247,7 @@ func (v *Volume) reconstructLocked(stripe, skip int) (time.Duration, error) {
 				Sectors:  v.cfg.ChunkSectors,
 			})
 		}
-		out, err := v.fl.SubmitBatch(v.scratchReqs)
+		out, err := v.submitLocked()
 		if err != nil {
 			v.scratchSlots, v.scratchVals = slots, vals
 			return total, err
@@ -272,8 +276,8 @@ func (v *Volume) reconstructLocked(stripe, skip int) (time.Duration, error) {
 	}
 	v.scratchSlots, v.scratchVals = slots, vals
 
-	decoded, err := v.cod.decode(slots, vals)
-	if err != nil {
+	decoded := v.scratchDecoded
+	if err := v.cod.decode(slots, vals, decoded); err != nil {
 		return total, err
 	}
 	// The decode must reproduce the logical stripe exactly — anything

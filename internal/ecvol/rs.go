@@ -66,9 +66,21 @@ func mul64(c byte, x uint64) uint64 {
 
 // codec is one m+k Reed-Solomon code: enc holds the k parity rows of
 // the systematic encoding matrix (the data rows are the identity).
+//
+// decode keeps a cache and scratch space, so a codec is not safe for
+// concurrent use; the volume calls it under its mutex.
 type codec struct {
 	m, k int
 	enc  [][]byte // k rows × m cols
+
+	// inv caches the decode matrix of each ascending slot set, keyed by
+	// the slot numbers as bytes (m+k ≤ 255, so a slot fits one). Only
+	// decodable sets enter it, so it holds at most C(m+k, m) entries.
+	inv map[string][][]byte
+	// key and vals are decode's scratch: the caller's (slot, value)
+	// pairs sorted by slot.
+	key  []byte
+	vals []uint64
 }
 
 // newCodec builds the systematic code: rows m..m+k-1 of
@@ -95,7 +107,12 @@ func newCodec(m, k int) (*codec, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ecvol: vandermonde top not invertible: %w", err)
 	}
-	c := &codec{m: m, k: k}
+	c := &codec{
+		m: m, k: k,
+		inv:  make(map[string][][]byte),
+		key:  make([]byte, m),
+		vals: make([]uint64, m),
+	}
 	for r := m; r < m+k; r++ {
 		row := make([]byte, m)
 		for col := 0; col < m; col++ {
@@ -142,35 +159,50 @@ func (c *codec) parityRow(r int, data []uint64) uint64 {
 	return acc
 }
 
-// decode recovers the full data vector from any m shard slots. slots
-// lists which stripe slots (0..m+k-1) the values came from; it must
-// contain exactly m distinct entries.
-func (c *codec) decode(slots []int, values []uint64) ([]uint64, error) {
+// decode recovers the full data vector from any m shard slots into
+// out (len m). slots lists which stripe slots (0..m+k-1) the values
+// came from, in any order; it must contain exactly m distinct entries.
+// The pairs are sorted by slot, and the inverse for that slot set is
+// computed once and cached, so a repeat decode allocates nothing.
+// Reordering the rows of a linear system does not change its solution,
+// so the result is the same for every order of the same pairs.
+func (c *codec) decode(slots []int, values, out []uint64) error {
 	if len(slots) != c.m || len(values) != c.m {
-		return nil, fmt.Errorf("ecvol: decode needs exactly %d shards, got %d", c.m, len(slots))
+		return fmt.Errorf("ecvol: decode needs exactly %d shards, got %d", c.m, len(slots))
 	}
-	mat := make([][]byte, c.m)
+	// Insertion sort of the (slot, value) pairs into the scratch key.
 	for i, s := range slots {
 		if s < 0 || s >= c.m+c.k {
-			return nil, fmt.Errorf("ecvol: decode slot %d out of range", s)
+			return fmt.Errorf("ecvol: decode slot %d out of range", s)
 		}
-		// Copy: gfInvertMatrix consumes its input, and parity rows
-		// alias the codec's long-lived encoding matrix.
-		mat[i] = append([]byte(nil), c.row(s)...)
+		j := i
+		for ; j > 0 && c.key[j-1] > byte(s); j-- {
+			c.key[j], c.vals[j] = c.key[j-1], c.vals[j-1]
+		}
+		c.key[j], c.vals[j] = byte(s), values[i]
 	}
-	inv, err := gfInvertMatrix(mat)
-	if err != nil {
-		return nil, fmt.Errorf("ecvol: shard subset not decodable: %w", err)
+	inv, ok := c.inv[string(c.key)]
+	if !ok {
+		mat := make([][]byte, c.m)
+		for i, s := range c.key {
+			// Copy: gfInvertMatrix consumes its input, and parity rows
+			// alias the codec's long-lived encoding matrix.
+			mat[i] = append([]byte(nil), c.row(int(s))...)
+		}
+		var err error
+		if inv, err = gfInvertMatrix(mat); err != nil {
+			return fmt.Errorf("ecvol: shard subset not decodable: %w", err)
+		}
+		c.inv[string(c.key)] = inv
 	}
-	out := make([]uint64, c.m)
 	for r := 0; r < c.m; r++ {
 		var acc uint64
 		for i := 0; i < c.m; i++ {
-			acc ^= mul64(inv[r][i], values[i])
+			acc ^= mul64(inv[r][i], c.vals[i])
 		}
 		out[r] = acc
 	}
-	return out, nil
+	return nil
 }
 
 // gfInvertMatrix inverts a square GF(2^8) matrix by Gauss-Jordan

@@ -53,9 +53,43 @@ func TestMul64Linear(t *testing.T) {
 	}
 }
 
+// oracleDecode is the uncached decode, kept as the test's reference: a
+// Gauss-Jordan inverse computed fresh for the slots in the order given.
+func oracleDecode(t *testing.T, c *codec, slots []int, values []uint64) []uint64 {
+	t.Helper()
+	mat := make([][]byte, len(slots))
+	for i, s := range slots {
+		mat[i] = append([]byte(nil), c.row(s)...)
+	}
+	inv, err := gfInvertMatrix(mat)
+	if err != nil {
+		t.Fatalf("oracle: slots %v: %v", slots, err)
+	}
+	out := make([]uint64, c.m)
+	for r := range out {
+		for i := range values {
+			out[r] ^= mul64(inv[r][i], values[i])
+		}
+	}
+	return out
+}
+
+// slotKey is the cache key of an ascending slot set.
+func slotKey(slots []int) string {
+	b := make([]byte, len(slots))
+	for i, s := range slots {
+		b[i] = byte(s)
+	}
+	return string(b)
+}
+
 // TestCodecAllErasures: for several geometries, every m-subset of the
 // m+k shards decodes back to the original data — the MDS property the
-// systematic Vandermonde construction guarantees.
+// systematic Vandermonde construction guarantees — and the inverse
+// cache gives the same answer as a fresh inversion. Each subset is
+// decoded on two rounds of fresh data: the first meets a cold cache
+// (a miss), the second a warm one (a hit). Each round passes the slots
+// both ascending and shuffled, the order a donor ranking produces.
 func TestCodecAllErasures(t *testing.T) {
 	for _, geo := range []struct{ m, k int }{{1, 1}, {2, 1}, {3, 2}, {4, 3}, {5, 4}} {
 		cod, err := newCodec(geo.m, geo.k)
@@ -64,37 +98,71 @@ func TestCodecAllErasures(t *testing.T) {
 		}
 		rng := simclock.NewRNG(uint64(geo.m*100 + geo.k))
 		data := make([]uint64, geo.m)
-		for i := range data {
-			data[i] = rng.Uint64()
-		}
 		parity := make([]uint64, geo.k)
-		cod.encode(data, parity)
-		shard := func(s int) uint64 {
-			if s < geo.m {
-				return data[s]
+		got := make([]uint64, geo.m)
+		subsets := 0
+		combinations(geo.m+geo.k, geo.m, func(asc []int) {
+			subsets++
+			key := slotKey(asc)
+			shuffled := append([]int(nil), asc...)
+			for i := len(shuffled) - 1; i > 0; i-- {
+				j := int(rng.Uint64() % uint64(i+1))
+				shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 			}
-			return parity[s-geo.m]
-		}
-		combinations(geo.m+geo.k, geo.m, func(slots []int) {
-			vals := make([]uint64, geo.m)
-			for i, s := range slots {
-				vals[i] = shard(s)
+			orders := [][]int{shuffled, append([]int(nil), asc...)}
+			if subsets%2 == 0 {
+				// Let the ascending order meet the cold cache half the time.
+				orders[0], orders[1] = orders[1], orders[0]
 			}
-			got, err := cod.decode(append([]int(nil), slots...), vals)
-			if err != nil {
-				t.Fatalf("%d+%d slots %v: %v", geo.m, geo.k, slots, err)
-			}
-			for i := range data {
-				if got[i] != data[i] {
-					t.Fatalf("%d+%d slots %v: data[%d] = %#x, want %#x",
-						geo.m, geo.k, slots, i, got[i], data[i])
+			for round, hit := range []bool{false, true} {
+				for i := range data {
+					data[i] = rng.Uint64()
+				}
+				cod.encode(data, parity)
+				for n, slots := range orders {
+					if _, cached := cod.inv[key]; cached != (hit || n > 0) {
+						t.Fatalf("%d+%d slots %v round %d: cached=%v before decode", geo.m, geo.k, slots, round, cached)
+					}
+					vals := make([]uint64, geo.m)
+					for i, s := range slots {
+						if s < geo.m {
+							vals[i] = data[s]
+						} else {
+							vals[i] = parity[s-geo.m]
+						}
+					}
+					inSlots, inVals := append([]int(nil), slots...), append([]uint64(nil), vals...)
+					if err := cod.decode(slots, vals, got); err != nil {
+						t.Fatalf("%d+%d slots %v: %v", geo.m, geo.k, slots, err)
+					}
+					want := oracleDecode(t, cod, slots, vals)
+					for i := range data {
+						if want[i] != data[i] {
+							t.Fatalf("%d+%d slots %v: oracle data[%d] = %#x, want %#x",
+								geo.m, geo.k, slots, i, want[i], data[i])
+						}
+						if got[i] != want[i] {
+							t.Fatalf("%d+%d slots %v round %d: data[%d] = %#x, oracle %#x",
+								geo.m, geo.k, slots, round, i, got[i], want[i])
+						}
+					}
+					for i := range slots {
+						if slots[i] != inSlots[i] || vals[i] != inVals[i] {
+							t.Fatalf("%d+%d: decode reordered its input: %v/%v, was %v/%v",
+								geo.m, geo.k, slots, vals, inSlots, inVals)
+						}
+					}
 				}
 			}
 		})
+		if len(cod.inv) != subsets {
+			t.Errorf("%d+%d: %d cached inverses for %d slot sets", geo.m, geo.k, len(cod.inv), subsets)
+		}
 	}
 }
 
-// TestCodecRejects: bad geometries and bad decode inputs fail loudly.
+// TestCodecRejects: bad geometries and bad decode inputs fail loudly,
+// and a failed decode leaves nothing in the inverse cache.
 func TestCodecRejects(t *testing.T) {
 	if _, err := newCodec(0, 1); err == nil {
 		t.Error("0+1 accepted")
@@ -106,14 +174,24 @@ func TestCodecRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cod.decode([]int{0, 1}, []uint64{1, 2}); err == nil {
+	out := make([]uint64, 3)
+	if err := cod.decode([]int{0, 1}, []uint64{1, 2}, out); err == nil {
 		t.Error("short decode accepted")
 	}
-	if _, err := cod.decode([]int{0, 1, 9}, []uint64{1, 2, 3}); err == nil {
+	if err := cod.decode([]int{0, 1, 9}, []uint64{1, 2, 3}, out); err == nil {
 		t.Error("out-of-range slot accepted")
 	}
-	if _, err := cod.decode([]int{0, 1, 1}, []uint64{1, 2, 2}); err == nil {
-		t.Error("duplicate slot accepted")
+	if err := cod.decode([]int{0, -1, 2}, []uint64{1, 2, 3}, out); err == nil {
+		t.Error("negative slot accepted")
+	}
+	// Twice: a singular set must fail again, not come back from the cache.
+	for i := 0; i < 2; i++ {
+		if err := cod.decode([]int{0, 1, 1}, []uint64{1, 2, 2}, out); err == nil {
+			t.Errorf("duplicate slot accepted (attempt %d)", i+1)
+		}
+	}
+	if len(cod.inv) != 0 {
+		t.Errorf("rejected decodes cached %d inverses", len(cod.inv))
 	}
 }
 

@@ -26,8 +26,7 @@ type Stats struct {
 	DonorRetries int64 `json:"donor_retries"`
 
 	// ParityFlushes counts flush batches by cause: inline (oblivious),
-	// hl_window, deadline, budget, reconstruct, degraded_write,
-	// health, force.
+	// hl_window, deadline, budget, degraded_write, health, force.
 	ParityFlushes map[string]int64 `json:"parity_flushes"`
 
 	// FlushRetries counts flush batches that left a stripe staged

@@ -127,7 +127,7 @@ func (v *Volume) writeInlineLocked(stripe, slot, owner int) (time.Duration, bool
 			Sectors:  v.cfg.ChunkSectors,
 		})
 	}
-	out, err := v.fl.SubmitBatch(v.scratchReqs)
+	out, err := v.submitLocked()
 	if err != nil {
 		return 0, false, err
 	}
@@ -243,7 +243,7 @@ func (v *Volume) flushStripeLocked(stripe int, cause string) (time.Duration, boo
 		v.dropPendingLocked(stripe)
 		return 0, true
 	}
-	out, err := v.fl.SubmitBatch(v.scratchReqs)
+	out, err := v.submitLocked()
 	if err != nil {
 		return 0, false
 	}

@@ -380,6 +380,12 @@ func TestIngressReadersDuringRuns(t *testing.T) {
 
 	lastReq := map[string]int64{}
 	lastClock := map[string]simclock.Time{}
+	intoIDs := make([]string, len(devs))
+	for i, d := range devs {
+		intoIDs[i] = d.ID
+	}
+	into := make([]SteeringSnapshot, len(devs))
+	m.SteeringInto(intoIDs, into)
 	var lastTotal, lastDigest int64
 	check := func() {
 		for _, s := range m.Devices() {
@@ -396,6 +402,14 @@ func TestIngressReadersDuringRuns(t *testing.T) {
 				t.Fatalf("%s: steering clock went back from %v to %v", s.ID, lastClock[s.ID], s.Clock)
 			}
 			lastClock[s.ID] = s.Clock
+		}
+		prevInto := append([]SteeringSnapshot(nil), into...)
+		m.SteeringInto(intoIDs, into)
+		for i, s := range into {
+			if s.ID != intoIDs[i] || s.Clock < prevInto[i].Clock {
+				t.Fatalf("slot %d (%s): SteeringInto gave %s at clock %v, previously %v",
+					i, intoIDs[i], s.ID, s.Clock, prevInto[i].Clock)
+			}
 		}
 		met := m.Metrics()
 		if int64(met.Latency.Samples) != met.Counters.Requests || met.Counters.Requests < lastTotal {

@@ -108,3 +108,25 @@ func (m *Manager) SteeringAll() []SteeringSnapshot {
 	}
 	return out
 }
+
+// SteeringInto fills dst[i] with the steering snapshot of ids[i], all
+// under one membership read lock. It is the allocation-free form of
+// SteeringAll for a scheduler that polls a fixed member list between
+// requests: dst is the caller's long-lived view. An ID the fleet does
+// not hold (detached, or never attached) leaves its slot untouched, so
+// that slot keeps the last snapshot it was given. len(dst) must be at
+// least len(ids).
+func (m *Manager) SteeringInto(ids []string, dst []SteeringSnapshot) {
+	dst = dst[:len(ids)]
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	for i, id := range ids {
+		md, ok := m.devs[id]
+		if !ok {
+			continue
+		}
+		md.mu.Lock()
+		dst[i] = md.steeringLocked()
+		md.mu.Unlock()
+	}
+}
