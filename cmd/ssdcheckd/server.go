@@ -120,8 +120,7 @@ func newServer(m *fleet.Manager, tr *obs.Tracer, nodeID string) http.Handler {
 	// with idempotency tokens, heartbeats, and the attach/detach pair
 	// that migrates device state during networked failover.
 	if node, err := cluster.NewNodeFromManager(nodeID, m, obs.Observer{Reg: m.Registry(), Tr: tr}); err == nil {
-		api := cluster.NewNodeAPI(node, 0)
-		mux.Handle("POST /v1/node/", http.StripPrefix("/v1/node", cluster.NodeAPIHandler(api)))
+		mux.Handle("POST /v1/node/", http.StripPrefix("/v1/node", cluster.NodeAPIHandler(node.API())))
 	}
 
 	// Erasure-coded volumes: API-created striped m+k volumes over the

@@ -28,9 +28,10 @@ type member struct {
 	brkOpenedAt simclock.Time
 }
 
-// roundAdvancer lets a transport (FaultTransport) advance its seeded
-// per-round fault state in lockstep with the coordinator's heartbeat
-// rounds.
+// roundAdvancer lets a transport with a seeded fault plan
+// (FaultTransport, or the RPC client over a faulted memory carrier)
+// advance its per-round fault state in lockstep with the
+// coordinator's heartbeat rounds.
 type roundAdvancer interface{ BeginRound() }
 
 // Coordinator is the cluster control plane: it owns the placement ring

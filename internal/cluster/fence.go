@@ -25,10 +25,12 @@ type FencingToken struct {
 }
 
 // FencedTransport is implemented by transports that can stamp a
-// fencing token onto every node-plane RPC they issue. The replication
-// layer calls SetFence when a replica wins an election; transports
-// that do not implement it (DirectTransport, FaultTransport) carry
-// unfenced traffic by design.
+// fencing token onto every node-plane RPC they issue: the RPC client
+// (LoopbackTransport and HTTPTransport, one type over two carriers)
+// holds the token and writes it into every request body. The
+// replication layer calls SetFence when a replica wins an election;
+// transports that do not implement it (DirectTransport,
+// FaultTransport) carry unfenced traffic by design.
 type FencedTransport interface {
 	SetFence(tok FencingToken)
 }

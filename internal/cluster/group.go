@@ -80,7 +80,7 @@ type GroupConfig struct {
 	// defaults.
 	Group GroupPolicy
 
-	// RPC tunes the shared loopback transports; the zero value takes
+	// RPC tunes the replicas' loopback clients; the zero value takes
 	// the defaults.
 	RPC RPCPolicy
 
@@ -124,7 +124,6 @@ type Group struct {
 
 	nodes     []*Node
 	nodesByID map[string]*Node
-	dir       *NodeAPIDirectory
 
 	// Chaos: the partition matrix (replica → cut off the peer plane)
 	// and the latched targets of the currently-open fault windows.
@@ -141,10 +140,11 @@ type Group struct {
 }
 
 // NewGroup stands the replicated group up: build the node plane, the
-// replicas (each with a shared-directory loopback transport and a
-// standby coordinator), elect the lowest replica ID at term 1, and
-// drive membership and bootstrap placement through the replicated log
-// so every replica starts from the same committed prefix.
+// replicas (each with its own loopback client, reaching the nodes' own
+// APIs, and a standby coordinator), elect the lowest replica ID at
+// term 1, and drive membership and bootstrap placement through the
+// replicated log so every replica starts from the same committed
+// prefix.
 func NewGroup(cfg GroupConfig) (*Group, error) {
 	if cfg.Replicas == 0 {
 		cfg.Replicas = 3
@@ -183,7 +183,6 @@ func NewGroup(cfg GroupConfig) (*Group, error) {
 		pol:         cfg.Group.withDefaults(),
 		replicas:    make(map[string]*Replica),
 		nodesByID:   make(map[string]*Node),
-		dir:         NewNodeAPIDirectory(),
 		partitioned: make(map[string]bool),
 		reg:         reg,
 		cElections:  reg.Counter("ssdcheck_cluster_elections_total", "Leadership elections completed."),
@@ -272,8 +271,8 @@ func NewGroup(cfg GroupConfig) (*Group, error) {
 	return g, nil
 }
 
-// buildReplica constructs one replica: durable storage, a shared-node-
-// plane transport owned by the replica, gauges, and a standby
+// buildReplica constructs one replica: durable storage, a loopback
+// client owned by the replica, gauges, and a standby
 // coordinator wired to the group's node resolver.
 func (g *Group) buildReplica(id string, idx uint64) error {
 	r := &Replica{
@@ -289,7 +288,7 @@ func (g *Group) buildReplica(id string, idx uint64) error {
 	if g.cfg.Dir != "" {
 		r.st.dir = filepath.Join(g.cfg.Dir, id)
 	}
-	tr, err := NewSharedLoopbackTransport(g.cfg.RPC, nil, g.cpol.Seed^(idx+0x7265706c), obs.NewRegistry(), g.dir, id)
+	tr, err := NewLoopbackTransport(g.cfg.RPC, nil, g.cpol.Seed^(idx+0x7265706c), obs.NewRegistry())
 	if err == nil {
 		r.tr = tr
 		err = r.st.open()
@@ -651,7 +650,7 @@ type GroupStatus struct {
 	Leader string `json:"leader,omitempty"`
 	Quorum int    `json:"quorum"`
 	// FencingRejections is the node-plane total: stale-term RPCs the
-	// shared node APIs bounced.
+	// nodes' APIs bounced.
 	FencingRejections int64           `json:"fencing_rejections"`
 	Replicas          []ReplicaStatus `json:"replicas"`
 }
@@ -663,7 +662,7 @@ func (g *Group) Status() GroupStatus {
 	st := GroupStatus{
 		Round:             g.round,
 		Quorum:            g.quorum(),
-		FencingRejections: g.dir.FencingRejections(),
+		FencingRejections: g.fencingRejectionsLocked(),
 	}
 	if lead := g.currentLeaderLocked(); lead != nil {
 		st.Leader = lead.id
@@ -824,7 +823,15 @@ func (g *Group) ReplicaErr(id string) error {
 func (g *Group) FencingRejections() int64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.dir.FencingRejections()
+	return g.fencingRejectionsLocked()
+}
+
+func (g *Group) fencingRejectionsLocked() int64 {
+	var total int64
+	for _, n := range g.nodes {
+		total += n.API().FencingRejections()
+	}
+	return total
 }
 
 // Elections returns the number of completed leadership elections

@@ -34,11 +34,12 @@ type HarnessConfig struct {
 	// set, the RPC-layer kinds (drop, duplicate, delay, timeout).
 	Faults *faults.NodePlan
 
-	// RPC, when non-nil, routes coordinator traffic through the
-	// in-memory loopback transport — the NodeAPI path with idempotency
-	// tokens, per-attempt deadlines, and bounded retries — instead of
-	// the direct in-process call. Required for the RPC-layer fault
-	// kinds; the zero RPCPolicy value takes the defaults.
+	// RPC, when non-nil, routes coordinator traffic through the RPC
+	// client over the memory carrier — wire bytes into each node's
+	// NodeAPI, with idempotency tokens, per-attempt deadlines, and
+	// bounded retries — instead of the direct in-process call.
+	// Required for the RPC-layer fault kinds; the zero RPCPolicy value
+	// takes the defaults.
 	RPC *RPCPolicy
 
 	// WALDir, when non-empty, makes the coordinator durable: every
@@ -197,8 +198,8 @@ func (h *Harness) Nodes() []*Node { return append([]*Node(nil), h.nodes...) }
 // harness runs fault-free.
 func (h *Harness) Faults() *faults.NodeFaults { return h.nf }
 
-// Loopback returns the in-memory RPC transport, or nil when the
-// harness runs on the direct in-process path.
+// Loopback returns the RPC client over the memory carrier, or nil when
+// the harness runs on the direct in-process path.
 func (h *Harness) Loopback() *LoopbackTransport { return h.lb }
 
 // CrashCoordinator kills the control plane mid-flight: the

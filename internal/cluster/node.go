@@ -25,6 +25,9 @@ type Node struct {
 	reg  *obs.Registry
 	rec  obs.Recorder // the fleet's recorder; tracer discovery for merged traces
 
+	apiOnce sync.Once
+	api     *NodeAPI
+
 	mu      sync.RWMutex
 	m       *fleet.Manager
 	stopped bool
@@ -95,6 +98,16 @@ func (n *Node) Tracer() *obs.Tracer {
 		return r.Tr
 	}
 	return nil
+}
+
+// API returns the node's RPC surface, built on first use. A node has
+// exactly one, as a real process does: every coordinator that reaches
+// the node in process — a recovered one, each replica of a group —
+// meets the same dedupe cache and fencing state, and ssdcheckd mounts
+// the same API on HTTP.
+func (n *Node) API() *NodeAPI {
+	n.apiOnce.Do(func() { n.api = NewNodeAPI(n, 0) })
+	return n.api
 }
 
 // ID returns the node's cluster-unique identifier.

@@ -27,11 +27,12 @@ import (
 // its process still is. Term 0 (unfenced legacy traffic) is always
 // accepted.
 //
-// The same NodeAPI backs both deployment shapes: the ssdcheckd daemon
-// mounts it under /v1/node/* (via NodeAPIHandler), and the in-memory
-// loopback transport calls it directly, so the dedupe and fencing
-// paths the chaos tests exercise hermetically are byte-for-byte the
-// ones real processes run.
+// The same NodeAPI backs both deployment shapes, through one byte-level
+// entry point (serve): the ssdcheckd daemon mounts it under /v1/node/*
+// (via NodeAPIHandler), and the RPC client's memory carrier calls it in
+// process, so the frame decoder, status codes, dedupe and fencing
+// paths the chaos tests exercise hermetically are the ones real
+// processes run. Each Node owns one (Node.API).
 type NodeAPI struct {
 	n *Node
 

@@ -8,10 +8,12 @@ import (
 	"ssdcheck/internal/fleet"
 )
 
-// Transport carries the coordinator's traffic to nodes. The in-process
-// implementations below call the node directly; the interface exists
-// so the harness can interpose deterministic network faults (drop,
-// delay, partition) without the coordinator knowing.
+// Transport carries the coordinator's traffic to nodes. The
+// implementations below call the node directly; the RPC client
+// (rpc.go) speaks the node plane's wire form over a memory or HTTP
+// carrier. The interface lets the harness interpose deterministic
+// network faults (drop, delay, partition) without the coordinator
+// knowing.
 type Transport interface {
 	// Heartbeat probes the node, returning the round-trip time the
 	// coordinator should account. An error is a lost heartbeat.
@@ -24,11 +26,11 @@ type Transport interface {
 }
 
 // DeviceMover is the optional transport surface for migrating device
-// state between nodes that do not share an address space. Transports
-// that implement it (HTTPTransport) let the coordinator fail devices
-// over between real processes; the in-process transports don't need
-// it — the coordinator moves fleet.PortableDevice handles directly
-// when both endpoints have local managers.
+// state between nodes that do not share an address space. The RPC
+// client implements it (over either carrier) and so lets the
+// coordinator fail devices over between real processes; when both
+// endpoints have local managers the coordinator moves
+// fleet.PortableDevice handles directly and never needs it.
 type DeviceMover interface {
 	// DetachDevice exports a device's wire state off the node.
 	DetachDevice(n *Node, device string) (*fleet.DeviceState, error)

@@ -283,12 +283,13 @@ type (
 	// ClusterTransport carries coordinator→node traffic; swap it to
 	// move between in-process, loopback-RPC and networked clusters.
 	ClusterTransport = cluster.Transport
-	// ClusterHTTPTransport talks to real ssdcheckd processes over
-	// their /v1/node/* API: per-attempt deadlines, bounded retries,
-	// idempotency tokens with an incarnation nonce.
+	// ClusterHTTPTransport is the node-plane RPC client over HTTP, for
+	// real ssdcheckd processes' /v1/node/* API: per-attempt deadlines,
+	// bounded retries, idempotency tokens with an incarnation.
 	ClusterHTTPTransport = cluster.HTTPTransport
-	// ClusterLoopbackTransport is the in-memory network: the same
-	// NodeAPI path on virtual time, with injectable RPC faults.
+	// ClusterLoopbackTransport is the same client type over the memory
+	// carrier: the same request bytes, handed to each in-process node's
+	// own NodeAPI on virtual time, with injectable RPC faults.
 	ClusterLoopbackTransport = cluster.LoopbackTransport
 	// ClusterRPCPolicy bounds one RPC: deadline + retry schedule.
 	ClusterRPCPolicy = cluster.RPCPolicy
@@ -375,8 +376,8 @@ var NewClusterRing = cluster.NewRing
 // ssdcheckd members.
 var NewClusterHTTPTransport = cluster.NewHTTPTransport
 
-// NewClusterLoopbackTransport builds the in-memory RPC network used by
-// the chaos tests and the partition experiment.
+// NewClusterLoopbackTransport builds the RPC client over the memory
+// carrier, used by the chaos tests and the partition experiment.
 var NewClusterLoopbackTransport = cluster.NewLoopbackTransport
 
 // NewClusterNodeAPI wraps a node in the token-deduped RPC surface.
