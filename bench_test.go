@@ -382,9 +382,11 @@ func BenchmarkFleetManyClients(b *testing.B) {
 
 // BenchmarkClusterSubmit measures cluster fan-out throughput
 // (predictions per wall second across a 16-device fleet placed on
-// 1/2/4 nodes behind the coordinator). Against BenchmarkFleetSubmit
-// this isolates the coordinator's routing and merge overhead; across
-// node counts it shows the fan-out parallelism.
+// 1/2/4 nodes behind the coordinator, reached through the RPC client
+// over the memory carrier). Against BenchmarkFleetSubmit this isolates
+// the coordinator's routing and merge overhead plus the node-plane hop
+// (submit frames, token dedupe); across node counts it shows the
+// fan-out parallelism.
 func BenchmarkClusterSubmit(b *testing.B) {
 	const nDevices = 16
 	for _, nodes := range []int{1, 2, 4} {

@@ -34,12 +34,22 @@ type rpcError struct {
 func (e *rpcError) Error() string { return e.err.Error() }
 func (e *rpcError) Unwrap() error { return e.err }
 
+// directRTT is the memory carrier's constant round-trip time:
+// comfortably under the default heartbeat deadline, and fixed so
+// heartbeat accounting is deterministic.
+const directRTT = time.Millisecond
+
 // memCarrier hands the bytes to the in-process node's own NodeAPI, on
 // virtual time: every round trip costs directRTT, and backoff is
-// accounted, not slept.
+// accounted, not slept. A node with an address lives in another
+// process this carrier cannot reach; it answers as the HTTP carrier
+// answers a refused connection, down, without a call into the handle.
 type memCarrier struct{}
 
 func (memCarrier) roundTrip(n *Node, route, contentType string, body, resp []byte) (int, []byte, time.Duration, *rpcError) {
+	if n.Addr() != "" {
+		return 0, resp, 0, &rpcError{err: fmt.Errorf("node %q: remote over the memory carrier: %w", n.ID(), ErrNodeDown)}
+	}
 	status, out := n.API().serve(route, contentType, body)
 	return status, append(resp, out...), directRTT, nil
 }

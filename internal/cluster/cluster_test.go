@@ -541,3 +541,64 @@ func TestClusterMergedExposition(t *testing.T) {
 		t.Errorf("ssdcheck_device_health TYPE header appears %d times", n)
 	}
 }
+
+// TestClusterHarnessRunsRPCClient: a harness configured with neither
+// an RPC policy nor a fault plan still reaches its nodes through the
+// RPC client, so a submit is an attempt in the client's stats.
+func TestClusterHarnessRunsRPCClient(t *testing.T) {
+	devs := clusterSpecs()[:2]
+	h := testHarness(t, devs, 2, nil)
+	c := h.Coordinator()
+	res, err := c.Submit(apiReqs(devs[0].ID))
+	if err != nil || res[0].Err != nil {
+		t.Fatalf("submit: %v / %+v", err, res)
+	}
+	node := c.Placement()[devs[0].ID]
+	if got := h.Loopback().Stats(node).Attempts; got != 1 {
+		t.Fatalf("%s: %d RPC attempts for one submit, want 1", node, got)
+	}
+}
+
+// TestClusterRemoteMemberOverMemoryCarrier: a remote handle joined to a
+// harness is down as far as the memory carrier can tell — its
+// heartbeat is a miss, not a call into a handle without a manager, and
+// a submit to a device placed on it fails at once with ErrNodeDown.
+func TestClusterRemoteMemberOverMemoryCarrier(t *testing.T) {
+	h := testHarness(t, clusterSpecs(), 3, nil)
+	c := h.Coordinator()
+	remote, err := NewRemoteNode("node-r", "http://127.0.0.1:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Join(remote); err == nil {
+		t.Fatal("join moved devices onto a remote member over the memory carrier")
+	}
+	if err := c.Tick(); err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range c.Nodes() {
+		if st.ID == remote.ID() && st.Misses != 1 {
+			t.Fatalf("%s after one round: %d misses, want 1", st.ID, st.Misses)
+		}
+	}
+	var dev string
+	for _, e := range c.PlacementLog() {
+		if e.To == remote.ID() {
+			dev = e.Device
+			break
+		}
+	}
+	if dev == "" {
+		t.Fatalf("join placed nothing on %s: %+v", remote.ID(), c.PlacementLog())
+	}
+	res, err := c.Submit(apiReqs(dev))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(res[0].Err, ErrNodeDown) {
+		t.Fatalf("submit to %s on %s: %v, want ErrNodeDown", dev, remote.ID(), res[0].Err)
+	}
+	if got := h.Loopback().Stats(remote.ID()).Retries; got != 0 {
+		t.Fatalf("%d retries against a down member, want 0", got)
+	}
+}

@@ -28,12 +28,6 @@ type member struct {
 	brkOpenedAt simclock.Time
 }
 
-// roundAdvancer lets a transport with a seeded fault plan
-// (FaultTransport, or the RPC client over a faulted memory carrier)
-// advance its per-round fault state in lockstep with the
-// coordinator's heartbeat rounds.
-type roundAdvancer interface{ BeginRound() }
-
 // Coordinator is the cluster control plane: it owns the placement ring
 // and device→node map, drives the heartbeat rounds and node health
 // state machines, performs failover and rebalancing, and fans batched
@@ -52,13 +46,14 @@ type roundAdvancer interface{ BeginRound() }
 type Coordinator struct {
 	mu  sync.Mutex
 	pol Policy
-	tr  Transport
+	tr  *rpcClient // the one path to the members, over either carrier
 
 	ring      *Ring
 	members   map[string]*member
 	order     []string          // node IDs in join order
 	placement map[string]string // device ID → node ID
 	devOrder  []string          // device IDs in first-placement order
+	strays    map[string]string // device ID → member a refused move left it on
 
 	now    simclock.Time // cluster virtual clock, advanced by Tick
 	round  int64         // heartbeat rounds so far
@@ -105,19 +100,21 @@ type proposer interface {
 	propose(rec walRecord) error
 }
 
-// NewCoordinator builds an empty cluster over the given transport, on a
-// one-replica log kept in memory. A nil registry gets a private one; it
-// holds only cluster-level series and is merged with per-node
-// registries on exposition.
-func NewCoordinator(pol Policy, tr Transport, reg *obs.Registry) (*Coordinator, error) {
+// NewCoordinator builds an empty cluster on a one-replica log kept in
+// memory, reaching its members through tr — the RPC client built by
+// NewLoopbackTransport or NewHTTPTransport. A nil tr gets the client
+// over the memory carrier with the default policy. A nil registry gets
+// a private one; it holds only cluster-level series and is merged with
+// per-node registries on exposition.
+func NewCoordinator(pol Policy, tr *rpcClient, reg *obs.Registry) (*Coordinator, error) {
 	if err := pol.Validate(); err != nil {
 		return nil, err
 	}
-	if tr == nil {
-		tr = DirectTransport{}
-	}
 	if reg == nil {
 		reg = obs.NewRegistry()
+	}
+	if tr == nil {
+		tr, _ = NewLoopbackTransport(RPCPolicy{}, nil, pol.Seed, reg) // no fault plan, no error
 	}
 	p := pol.withDefaults()
 	c := &Coordinator{
@@ -127,6 +124,7 @@ func NewCoordinator(pol Policy, tr Transport, reg *obs.Registry) (*Coordinator, 
 		ring:          NewRing(p.Seed, p.VirtualNodes),
 		members:       make(map[string]*member),
 		placement:     make(map[string]string),
+		strays:        make(map[string]string),
 		reg:           reg,
 		gNodes:        reg.Gauge("ssdcheck_cluster_nodes", "Known cluster members."),
 		gInService:    reg.Gauge("ssdcheck_cluster_nodes_in_service", "Members currently owning placement arcs."),
@@ -211,11 +209,17 @@ func (c *Coordinator) placeLocked(dev, from, to, cause string) {
 // other's — with no bookkeeping. When both endpoints have local
 // managers it rides the fleet's portable-device path (full fidelity:
 // the predictor's sliding windows move with the device); otherwise the
-// transport's DeviceMover carries the device's wire state between
-// processes. The source may be a stopped node: detaching from its
-// (still running) manager is the shared-enclosure salvage that failover
-// is built on. Reconcile uses it directly: repairing drift means making
-// reality match the committed log, not logging a new decision.
+// RPC client carries the device's wire state between processes. The
+// source may be a stopped node: detaching from its (still running)
+// manager is the shared-enclosure salvage that failover is built on.
+// Reconcile uses it directly: repairing drift means making reality
+// match the committed log, not logging a new decision.
+//
+// A destination that answers with a refusal imported nothing, so the
+// state goes back to the source and the device is remembered as a
+// stray for Reconcile. An attach whose outcome is unknown (its
+// retries ran out without an answer) may have landed; the state is not
+// re-attached, and the error says so.
 func (c *Coordinator) moveDeviceLocked(dev, from, to string) error {
 	src, dst := c.nodeLocked(from), c.nodeLocked(to)
 	if src == nil || dst == nil {
@@ -230,20 +234,26 @@ func (c *Coordinator) moveDeviceLocked(dev, from, to string) error {
 		if err := toM.Attach(pd); err != nil {
 			return fmt.Errorf("cluster: placing %q on %q: %w", dev, to, err)
 		}
+		delete(c.strays, dev)
 		return nil
 	}
-	mover, ok := c.tr.(DeviceMover)
-	if !ok {
-		return fmt.Errorf("cluster: moving %q from %q to %q: transport cannot move devices between processes", dev, from, to)
-	}
-	st, err := mover.DetachDevice(src, dev)
+	st, err := c.tr.DetachDevice(src, dev)
 	if err != nil {
 		return fmt.Errorf("cluster: evacuating %q from %q: %w", dev, from, err)
 	}
-	if err := mover.AttachDevice(dst, st); err != nil {
-		return fmt.Errorf("cluster: placing %q on %q: %w", dev, to, err)
+	err = c.tr.AttachDevice(dst, st)
+	switch {
+	case err == nil:
+		delete(c.strays, dev)
+		return nil
+	case errors.Is(err, ErrNodeUnreachable):
+		return fmt.Errorf("cluster: placing %q on %q: outcome unknown, state not returned to %q: %w", dev, to, from, err)
 	}
-	return nil
+	if rerr := c.tr.AttachDevice(src, st); rerr != nil {
+		return fmt.Errorf("cluster: placing %q on %q: %w; returning it to %q also failed, state lost: %v", dev, to, err, from, rerr)
+	}
+	c.strays[dev] = from
+	return fmt.Errorf("cluster: placing %q on %q: %w; state returned to %q", dev, to, err, from)
 }
 
 // nodeLocked returns a member's handle, or the pending Join/Leave
@@ -424,8 +434,8 @@ func (c *Coordinator) Restore(id string) error {
 // ring names, and once that commits it is detached from the source
 // manager — typically a bootstrap fleet that just diagnosed everything
 // — and attached there. Local targets receive the live portable
-// handle; remote targets receive the device's wire state over the
-// transport's DeviceMover.
+// handle; remote targets receive the device's wire state over an
+// attach RPC.
 func (c *Coordinator) AdoptDevices(src *fleet.Manager, ids []string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -452,15 +462,11 @@ func (c *Coordinator) adoptOneLocked(src *fleet.Manager, dev, target string) err
 		}
 		return nil
 	}
-	mover, ok := c.tr.(DeviceMover)
-	if !ok {
-		return fmt.Errorf("cluster: adopting %q onto remote node %q: transport cannot move devices between processes", dev, target)
-	}
 	st, err := src.ExportDevice(dev)
 	if err != nil {
 		return fmt.Errorf("cluster: adopting %q: %w", dev, err)
 	}
-	if err := mover.AttachDevice(n, st); err != nil {
+	if err := c.tr.AttachDevice(n, st); err != nil {
 		return fmt.Errorf("cluster: adopting %q: %w", dev, err)
 	}
 	return nil
@@ -486,9 +492,7 @@ func (c *Coordinator) Tick() error {
 	if c.closed {
 		return ErrCoordinatorClosed
 	}
-	if ra, ok := c.tr.(roundAdvancer); ok {
-		ra.BeginRound()
-	}
+	c.tr.BeginRound()
 
 	type hb struct {
 		rtt time.Duration
@@ -610,7 +614,7 @@ func failedResult(dev, node string, err error) Result {
 
 // Submit fans a batch out to the nodes owning each request's device
 // and merges the results back in input order. Requests to unknown
-// devices fail in place; a transport failure (partition, dead node)
+// devices fail in place; an RPC failure (partition, dead node)
 // fails that node's sub-batch without poisoning the rest — the same
 // per-entry failure contract fleet.SubmitBatch has.
 //

@@ -9,7 +9,9 @@ import "errors"
 // log lineage can never both drive the fleet: the moment any node
 // hears from the new leader, the old one's writes bounce off it.
 //
-// Term 0 is the unfenced legacy token: a standalone (non-replicated)
+// The RPC client (rpc.go) writes its token into every request body;
+// the replication layer sets it when a replica wins an election. Term
+// 0 is the unfenced legacy token: a standalone (non-replicated)
 // coordinator never fences, and nodes accept its RPCs regardless of
 // the fenced term. Fencing is a property of the replicated control
 // plane, not of single-coordinator deployments.
@@ -22,17 +24,6 @@ type FencingToken struct {
 	Term int64 `json:"term,omitempty"`
 	// Leader is the coordinator replica that holds the term.
 	Leader string `json:"leader,omitempty"`
-}
-
-// FencedTransport is implemented by transports that can stamp a
-// fencing token onto every node-plane RPC they issue: the RPC client
-// (LoopbackTransport and HTTPTransport, one type over two carriers)
-// holds the token and writes it into every request body. The
-// replication layer calls SetFence when a replica wins an election;
-// transports that do not implement it (DirectTransport,
-// FaultTransport) carry unfenced traffic by design.
-type FencedTransport interface {
-	SetFence(tok FencingToken)
 }
 
 // Replication and leadership errors, errors.Is-compatible.

@@ -88,7 +88,7 @@ type GroupConfig struct {
 	// LeaderPartition, DuelingLeader windows — evaluated once per group
 	// round against whoever holds the lease when the window opens.
 	// Non-leader kinds in the plan are ignored by the group (replica
-	// transports run fault-free; node-plane fault injection belongs to
+	// RPC clients run fault-free; node-plane fault injection belongs to
 	// the single-coordinator harness).
 	Faults *faults.NodePlan
 

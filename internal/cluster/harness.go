@@ -29,17 +29,15 @@ type HarnessConfig struct {
 	// defaults.
 	Policy Policy
 
-	// Faults, when non-nil, interposes a seeded node-fault plan on the
-	// transport: heartbeat loss, partitions, slow nodes — and, with RPC
-	// set, the RPC-layer kinds (drop, duplicate, delay, timeout).
+	// Faults, when non-nil, interposes a seeded node-fault plan between
+	// the RPC client and the nodes: heartbeat loss, partitions, slow
+	// nodes, and the RPC-layer kinds (drop, duplicate, delay, timeout).
 	Faults *faults.NodePlan
 
-	// RPC, when non-nil, routes coordinator traffic through the RPC
-	// client over the memory carrier — wire bytes into each node's
-	// NodeAPI, with idempotency tokens, per-attempt deadlines, and
-	// bounded retries — instead of the direct in-process call.
-	// Required for the RPC-layer fault kinds; the zero RPCPolicy value
-	// takes the defaults.
+	// RPC tunes the RPC client every harness reaches its nodes through
+	// over the memory carrier — wire bytes into each node's NodeAPI,
+	// with idempotency tokens, per-attempt deadlines and bounded
+	// retries. nil, like the zero value, takes the defaults.
 	RPC *RPCPolicy
 
 	// WALDir, when non-empty, makes the coordinator durable: every
@@ -57,36 +55,25 @@ type HarnessConfig struct {
 }
 
 // Harness is a deterministic in-process cluster: goroutine-hosted
-// nodes, an injectable transport, and a coordinator driven entirely by
-// explicit Tick calls on the simulated clock. Two harness runs with
-// the same config produce byte-identical placement and transition
-// logs, at any GOMAXPROCS.
+// nodes, the RPC client over the memory carrier (with the configured
+// fault plan between it and the nodes), and a coordinator driven
+// entirely by explicit Tick calls on the simulated clock. Two harness
+// runs with the same config produce byte-identical placement and
+// transition logs, at any GOMAXPROCS.
 type Harness struct {
 	cfg   HarnessConfig
 	coord *Coordinator
 	nodes []*Node
-	nf    *faults.NodeFaults
-	lb    *LoopbackTransport
 }
 
-// buildTransport stands up the configured transport and the
+// newClient builds the harness's RPC client, reporting into the
 // coordinator's registry.
-func buildTransport(cfg HarnessConfig, reg *obs.Registry) (Transport, *faults.NodeFaults, *LoopbackTransport, error) {
+func (cfg HarnessConfig) newClient(reg *obs.Registry) (*LoopbackTransport, error) {
+	var pol RPCPolicy
 	if cfg.RPC != nil {
-		lb, err := NewLoopbackTransport(*cfg.RPC, cfg.Faults, cfg.Policy.Seed, reg)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return lb, lb.Faults(), lb, nil
+		pol = *cfg.RPC
 	}
-	if cfg.Faults != nil {
-		ft, err := NewFaultTransport(*cfg.Faults)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return ft, ft.Faults, nil, nil
-	}
-	return DirectTransport{}, nil, nil, nil
+	return NewLoopbackTransport(pol, cfg.Faults, cfg.Policy.Seed, reg)
 }
 
 // resolver maps recovered member IDs back to the harness's live node
@@ -115,7 +102,7 @@ func NewHarness(cfg HarnessConfig) (*Harness, error) {
 	}
 
 	reg := obs.NewRegistry()
-	tr, nf, lb, err := buildTransport(cfg, reg)
+	tr, err := cfg.newClient(reg)
 	if err != nil {
 		return nil, err
 	}
@@ -131,7 +118,7 @@ func NewHarness(cfg HarnessConfig) (*Harness, error) {
 		return nil, err
 	}
 
-	h := &Harness{cfg: cfg, coord: coord, nf: nf, lb: lb}
+	h := &Harness{cfg: cfg, coord: coord}
 	nodeCfg := cfg.Node
 	nodeCfg.Devices = nil
 	for i := 0; i < cfg.Nodes; i++ {
@@ -194,13 +181,9 @@ func (h *Harness) Node(id string) *Node {
 // Nodes returns the members in join order.
 func (h *Harness) Nodes() []*Node { return append([]*Node(nil), h.nodes...) }
 
-// Faults returns the transport's fault evaluator, or nil when the
-// harness runs fault-free.
-func (h *Harness) Faults() *faults.NodeFaults { return h.nf }
-
-// Loopback returns the RPC client over the memory carrier, or nil when
-// the harness runs on the direct in-process path.
-func (h *Harness) Loopback() *LoopbackTransport { return h.lb }
+// Loopback returns the coordinator's RPC client, whose per-node stats
+// account every submit, attach and detach the harness has issued.
+func (h *Harness) Loopback() *LoopbackTransport { return h.coord.tr }
 
 // CrashCoordinator kills the control plane mid-flight: the
 // coordinator (and its log handle) closes abruptly, the nodes — the
@@ -216,16 +199,16 @@ func (h *Harness) CrashCoordinator() error {
 }
 
 // Recover restores the log's snapshot and applies its entries into a
-// fresh coordinator over a fresh transport, and resumes: same seq
-// counter, same logs, same member state machines; the transport's
-// fault plan is advanced once to the recovered round. The live node
-// handles are resolved back into membership by ID.
+// fresh coordinator over a fresh RPC client, and resumes: same seq
+// counter, same logs, same member state machines; the client's fault
+// plan is advanced to the recovered round. The live node handles are
+// resolved back into membership by ID.
 func (h *Harness) Recover() error {
 	if h.cfg.WALDir == "" {
 		return fmt.Errorf("cluster: harness has no log to recover from")
 	}
 	reg := obs.NewRegistry()
-	tr, nf, lb, err := buildTransport(h.cfg, reg)
+	tr, err := h.cfg.newClient(reg)
 	if err != nil {
 		return err
 	}
@@ -233,7 +216,7 @@ func (h *Harness) Recover() error {
 	if err != nil {
 		return err
 	}
-	h.coord, h.nf, h.lb = coord, nf, lb
+	h.coord = coord
 	return nil
 }
 

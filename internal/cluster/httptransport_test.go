@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -243,5 +244,65 @@ func TestHTTPTransportTokenIncarnations(t *testing.T) {
 		if !strings.HasPrefix(a, "node-x-") || !strings.HasSuffix(a, fmt.Sprintf("-%d", i+1)) {
 			t.Fatalf("token %q missing node/counter structure", a)
 		}
+	}
+}
+
+// TestHTTPRefusedAttachKeepsDevice: a member whose process is gone
+// refuses the attach of a device the ring sends it at join. The device
+// goes back to the member it came from, which still holds and serves
+// it, and Reconcile reports it as placed where it cannot land.
+func TestHTTPRefusedAttachKeepsDevice(t *testing.T) {
+	devs := clusterSpecs()
+	locals := make(map[string]*Node)
+	remotes := make(map[string]*Node)
+	for _, id := range []string{"net-a", "net-b"} {
+		locals[id], remotes[id], _ = serveNodeAPI(t, id, nil, nil)
+	}
+	_, dead, srv := serveNodeAPI(t, "net-dead", nil, nil)
+	srv.Close()
+	tr := NewHTTPTransport(RPCPolicy{}, 1, nil)
+	c, err := NewCoordinator(Policy{}, tr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	for _, id := range []string{"net-a", "net-b"} {
+		if err := c.Join(remotes[id]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ids := make([]string, len(devs))
+	for i, d := range devs {
+		ids[i] = d.ID
+	}
+	if err := c.AdoptDevices(apiNode(t, "boot", devs).Manager(), ids); err != nil {
+		t.Fatal(err)
+	}
+	before := c.Placement()
+
+	if err := c.Join(dead); err == nil {
+		t.Fatal("join moved devices onto a member whose process is gone")
+	}
+	var sent []string
+	for _, e := range c.PlacementLog() {
+		if e.To == dead.ID() {
+			sent = append(sent, e.Device)
+		}
+	}
+	if len(sent) == 0 {
+		t.Fatalf("join placed nothing on %s: %+v", dead.ID(), c.PlacementLog())
+	}
+	for _, dev := range sent {
+		src := before[dev]
+		if !slices.Contains(locals[src].Manager().DeviceIDs(), dev) {
+			t.Fatalf("%s: not held by its source %s after the refused attach", dev, src)
+		}
+		res, err := tr.Submit(remotes[src], apiReqs(dev))
+		if err != nil || res[0].Err != nil {
+			t.Fatalf("%s on %s: %v / %+v", dev, src, err, res)
+		}
+	}
+	if _, err := c.Reconcile(); err == nil || !strings.Contains(err.Error(), sent[0]) {
+		t.Fatalf("reconcile after the refused attach: %v, want an error naming %s", err, sent[0])
 	}
 }

@@ -10,9 +10,9 @@ import (
 
 // Node is one cluster member: a fleet.Manager plus an identity and a
 // serving switch. In the in-process harness nodes are goroutine-hosted
-// manager instances; the coordinator talks to them only through a
-// Transport, so the same coordinator logic would drive remote
-// ssdcheckd processes.
+// manager instances; the coordinator talks to them only through the
+// RPC client, whose memory carrier hands the same bytes its HTTP
+// carrier sends to remote ssdcheckd processes to the node's NodeAPI.
 //
 // Stop models the node's process going away: Submit and Heartbeat
 // fail, but the manager — the device state — survives, playing the
@@ -71,9 +71,9 @@ func NewNodeFromManager(id string, m *fleet.Manager, rec obs.Recorder) (*Node, e
 // NewRemoteNode names a cluster member living in another process,
 // reachable at the given base URL (e.g. "http://127.0.0.1:8801").
 // A remote node has no local manager: the coordinator talks to it
-// only through a network transport, and device migration runs over
-// the transport's DeviceMover surface instead of the in-process
-// Detach/Attach path.
+// only over the HTTP carrier (the memory carrier answers for it as
+// down), and device migration runs over attach and detach RPCs
+// instead of the in-process Detach/Attach path.
 func NewRemoteNode(id, addr string) (*Node, error) {
 	if id == "" {
 		return nil, fmt.Errorf("cluster: node with empty ID")

@@ -118,7 +118,7 @@ func (c *Coordinator) snapshotLocked() *walSnapshot {
 
 // restoreCoordinator builds a coordinator restored from a compaction
 // point (nil: none yet), resolving its members through resolve.
-func restoreCoordinator(pol Policy, tr Transport, reg *obs.Registry, snap *walSnapshot, resolve NodeResolver) (*Coordinator, error) {
+func restoreCoordinator(pol Policy, tr *rpcClient, reg *obs.Registry, snap *walSnapshot, resolve NodeResolver) (*Coordinator, error) {
 	c, err := NewCoordinator(pol, tr, reg)
 	if err != nil {
 		return nil, err
@@ -212,10 +212,10 @@ func (c *Coordinator) applyRecord(rec walRecord) error {
 // resolve turns logged membership back into node handles —
 // RemoteResolver suffices when every member is a real process;
 // in-process members need the caller's live handles. A torn tail
-// record (crash mid-append) is dropped and truncated. A fault plan on
-// tr must be fresh: it is advanced to the recovered round, so it
-// resumes in lockstep with the coordinator.
-func RecoverCoordinator(pol Policy, tr Transport, reg *obs.Registry, dir string, resolve NodeResolver) (*Coordinator, error) {
+// record (crash mid-append) is dropped and truncated. tr is as for
+// NewCoordinator; a fault plan on it must be fresh: it is advanced to
+// the recovered round, so it resumes in lockstep with the coordinator.
+func RecoverCoordinator(pol Policy, tr *rpcClient, reg *obs.Registry, dir string, resolve NodeResolver) (*Coordinator, error) {
 	if resolve == nil {
 		resolve = RemoteResolver
 	}
@@ -237,10 +237,8 @@ func RecoverCoordinator(pol Policy, tr Transport, reg *obs.Registry, dir string,
 		st.close()
 		return nil, err
 	}
-	if ra, ok := c.tr.(roundAdvancer); ok {
-		for i := int64(0); i < c.round; i++ {
-			ra.BeginRound()
-		}
+	for i := int64(0); i < c.round; i++ {
+		c.tr.BeginRound()
 	}
 	return c, nil
 }

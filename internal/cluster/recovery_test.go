@@ -321,10 +321,10 @@ func TestClusterRecoveryResumesFaultPlan(t *testing.T) {
 }
 
 // TestClusterFailedMoveFollowsLog: a join whose device moves cannot
-// run — the direct transport cannot carry a device to a remote node —
-// still commits and applies. The live placement is the log's (a
-// recovery agrees with it), and Reconcile reports the device the
-// failed move left behind.
+// run — the memory carrier answers a remote node as down, so its
+// attach is refused — still commits and applies. The live placement is
+// the log's (a recovery agrees with it), and Reconcile reports the
+// device the failed move left behind.
 func TestClusterFailedMoveFollowsLog(t *testing.T) {
 	h, err := NewHarness(HarnessConfig{
 		Nodes:   3,
@@ -342,7 +342,7 @@ func TestClusterFailedMoveFollowsLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := c.Join(remote); err == nil {
-		t.Fatal("join moved devices onto a remote node over the direct transport")
+		t.Fatal("join moved devices onto a remote node over the memory carrier")
 	}
 	requireFolded(t, c)
 	var stranded string

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"maps"
 	"time"
 
 	"ssdcheck/internal/obs"
@@ -338,11 +339,8 @@ func (c *Coordinator) activate(fence FencingToken, onDeposed func()) {
 	c.fence = fence
 	c.onDeposed = onDeposed
 	c.deposedSeen = false
-	tr := c.tr
 	c.mu.Unlock()
-	if ft, ok := tr.(FencedTransport); ok {
-		ft.SetFence(fence)
-	}
+	c.tr.SetFence(fence)
 }
 
 // fenceMembers pushes the new term onto the node plane: one
@@ -355,20 +353,21 @@ func (c *Coordinator) fenceMembers() {
 	for _, id := range c.order {
 		nodes = append(nodes, c.members[id].node)
 	}
-	tr := c.tr
 	c.mu.Unlock()
 	for _, n := range nodes {
-		_, _ = tr.Heartbeat(n)
+		_, _ = c.tr.Heartbeat(n)
 	}
 }
 
 // Reconcile repairs physical placement drift after a failover: every
 // device whose actual holder (the member whose manager has it)
 // disagrees with the committed placement map is moved back to where
-// the log says it belongs. The repair is purely physical — no
-// placement entry, no seq bump — because the committed log is the
-// authority and reconciliation makes reality match it, so replicas
-// stay byte-identical whether or not a repair ran. Idempotent: a
+// the log says it belongs. A member without a local manager is seen
+// to hold only the strays a refused move returned to it. The repair is
+// purely physical — no placement entry, no seq bump — because the
+// committed log is the authority and reconciliation makes reality
+// match it, so replicas stay byte-identical whether or not a repair
+// ran. Idempotent: a
 // device already home is left alone, and in the common case (the old
 // leader died between operations, not mid-move) nothing moves at all.
 // Returns the number of devices moved.
@@ -378,7 +377,7 @@ func (c *Coordinator) Reconcile() (int, error) {
 	if c.closed {
 		return 0, ErrCoordinatorClosed
 	}
-	holders := make(map[string]string)
+	holders := maps.Clone(c.strays)
 	for _, id := range c.order {
 		m := c.members[id].node.Manager()
 		if m == nil {

@@ -49,7 +49,8 @@ func (p RPCPolicy) WithDefaults() RPCPolicy {
 // reaches in-process nodes through their own NodeAPI on virtual time,
 // NewHTTPTransport reaches ssdcheckd processes over /v1/node/*. Both
 // send the same bytes — submit frames, JSON control bodies — and read
-// the same answers through the same status mapping.
+// the same answers through the same status mapping. A coordinator
+// reaches its members through one of them and by no other path.
 type (
 	LoopbackTransport = rpcClient
 	HTTPTransport     = rpcClient
@@ -158,24 +159,17 @@ func NewHTTPTransport(pol RPCPolicy, seed uint64, reg *obs.Registry) *HTTPTransp
 	return newRPCClient(pol, httpCarrier{client: &http.Client{}, deadline: pol.Deadline}, seed^0x68747470, reg) // "http"
 }
 
-// Faults returns the client's fault evaluator, or nil.
-func (c *rpcClient) Faults() *faults.NodeFaults {
-	if fc, ok := c.car.(faultCarrier); ok {
-		return fc.nf
-	}
-	return nil
-}
-
-// BeginRound advances the fault plan one heartbeat round; the
-// coordinator calls it under its lock at the top of every Tick.
+// BeginRound advances the fault plan, if any, one heartbeat round;
+// the coordinator calls it under its lock at the top of every Tick.
 func (c *rpcClient) BeginRound() {
-	if nf := c.Faults(); nf != nil {
-		nf.BeginRound()
+	if fc, ok := c.car.(faultCarrier); ok {
+		fc.nf.BeginRound()
 	}
 }
 
-// SetFence implements FencedTransport: subsequent RPCs carry the
-// token, and nodes that have witnessed a newer term reject them.
+// SetFence stamps the token onto subsequent RPCs; nodes that have
+// witnessed a newer term reject them. The replication layer calls it
+// when a replica wins an election.
 func (c *rpcClient) SetFence(tok FencingToken) {
 	c.fenceMu.Lock()
 	c.fence = tok
@@ -337,9 +331,10 @@ func (c *rpcClient) callJSON(n *Node, route string, body, out any) error {
 	return c.call(n, route, "application/json", buf, decode)
 }
 
-// Heartbeat implements Transport. Heartbeats are never retried: a
-// lost probe is exactly the signal the health machine consumes. The
-// RTT is the cost of the single attempt.
+// Heartbeat probes the node, returning the round-trip time the
+// coordinator accounts; an error is a lost heartbeat. Heartbeats are
+// never retried: a lost probe is exactly the signal the health machine
+// consumes. The RTT is the cost of the single attempt.
 func (c *rpcClient) Heartbeat(n *Node) (time.Duration, error) {
 	body, err := json.Marshal(nodeHeartbeatBody{Fence: c.Fence()})
 	if err != nil {
@@ -352,7 +347,7 @@ func (c *rpcClient) Heartbeat(n *Node) (time.Duration, error) {
 	return rtt, nil
 }
 
-// Submit implements Transport: one idempotency token per batch,
+// Submit delivers a batch to the node: one idempotency token per batch,
 // retried under the policy; a retry after a lost response replays the
 // original results out of the node's dedupe cache. The batch and its
 // results cross as binary frames (frame.go).
@@ -378,7 +373,8 @@ func (c *rpcClient) Submit(n *Node, reqs []fleet.Request) ([]fleet.Result, error
 	return res, nil
 }
 
-// DetachDevice implements DeviceMover over /detach.
+// DetachDevice exports a device's wire state off the node over
+// /detach.
 func (c *rpcClient) DetachDevice(n *Node, device string) (*fleet.DeviceState, error) {
 	body := nodeDetachBody{Token: c.token(n.ID()), Fence: c.Fence(), Device: device}
 	var resp nodeDetachResponse
@@ -391,18 +387,12 @@ func (c *rpcClient) DetachDevice(n *Node, device string) (*fleet.DeviceState, er
 	return resp.State, nil
 }
 
-// AttachDevice implements DeviceMover over /attach.
+// AttachDevice imports a device's wire state into the node over
+// /attach.
 func (c *rpcClient) AttachDevice(n *Node, st *fleet.DeviceState) error {
 	body := nodeAttachBody{Token: c.token(n.ID()), Fence: c.Fence(), State: st}
 	return c.callJSON(n, "/attach", body, nil)
 }
-
-var (
-	_ Transport       = (*rpcClient)(nil)
-	_ DeviceMover     = (*rpcClient)(nil)
-	_ FencedTransport = (*rpcClient)(nil)
-	_ roundAdvancer   = (*rpcClient)(nil)
-)
 
 // rpcMetrics is the client-side observability for the network layer:
 // per-node retry and timeout counters plus per-node RPC latency

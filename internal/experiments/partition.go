@@ -177,7 +177,6 @@ func Partition(o Opts) PartitionResult {
 			Node:    nodeCfg,
 			Policy:  p,
 			Faults:  plan,
-			RPC:     &cluster.RPCPolicy{},
 		})
 		if err != nil {
 			panic(err)

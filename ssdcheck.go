@@ -280,16 +280,16 @@ type (
 	// ClusterRing is the consistent-hash placement ring.
 	ClusterRing = cluster.Ring
 
-	// ClusterTransport carries coordinator→node traffic; swap it to
-	// move between in-process, loopback-RPC and networked clusters.
-	ClusterTransport = cluster.Transport
 	// ClusterHTTPTransport is the node-plane RPC client over HTTP, for
 	// real ssdcheckd processes' /v1/node/* API: per-attempt deadlines,
-	// bounded retries, idempotency tokens with an incarnation.
+	// bounded retries, idempotency tokens with an incarnation. A
+	// coordinator reaches its members only through this one client
+	// type, over HTTP or the memory carrier.
 	ClusterHTTPTransport = cluster.HTTPTransport
 	// ClusterLoopbackTransport is the same client type over the memory
 	// carrier: the same request bytes, handed to each in-process node's
-	// own NodeAPI on virtual time, with injectable RPC faults.
+	// own NodeAPI on virtual time, with injectable RPC faults. Every
+	// harness runs it.
 	ClusterLoopbackTransport = cluster.LoopbackTransport
 	// ClusterRPCPolicy bounds one RPC: deadline + retry schedule.
 	ClusterRPCPolicy = cluster.RPCPolicy
@@ -329,7 +329,7 @@ type (
 
 	// NodeFaultPlan is a seeded set of node-level fault schedules
 	// (heartbeat loss, partition, slow node, RPC drop/duplicate/
-	// delay/timeout) for the harness transports.
+	// delay/timeout) for the harness's memory carrier.
 	NodeFaultPlan = faults.NodePlan
 	// NodeFaultSchedule arms one node-level fault window.
 	NodeFaultSchedule = faults.NodeSchedule
@@ -377,7 +377,7 @@ var NewClusterRing = cluster.NewRing
 var NewClusterHTTPTransport = cluster.NewHTTPTransport
 
 // NewClusterLoopbackTransport builds the RPC client over the memory
-// carrier, used by the chaos tests and the partition experiment.
+// carrier, the one every harness runs.
 var NewClusterLoopbackTransport = cluster.NewLoopbackTransport
 
 // NewClusterNodeAPI wraps a node in the token-deduped RPC surface.
@@ -387,8 +387,9 @@ var NewClusterNodeAPI = cluster.NewNodeAPI
 // serves it under /v1/node/).
 var ClusterNodeAPIHandler = cluster.NodeAPIHandler
 
-// NewClusterCoordinator builds a coordinator over an explicit
-// transport (no harness, no log).
+// NewClusterCoordinator builds a coordinator over an explicit RPC
+// client (no harness, no log); a nil client is the memory carrier's
+// with the default policy.
 var NewClusterCoordinator = cluster.NewCoordinator
 
 // RecoverClusterCoordinator opens (or creates) a durable coordinator
