@@ -25,7 +25,6 @@ var commands = []struct {
 	{"ssdcheck-cluster", []string{"stray"}},
 	{"experiments", []string{"-run", "fig1", "stray"}},
 	{"replay", []string{"stray.json"}},
-	{"bench", []string{"-count", "1", "stray"}},
 }
 
 // buildAll compiles every command once into a shared temp dir.

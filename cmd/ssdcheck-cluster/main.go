@@ -5,24 +5,33 @@
 // merges every node's metrics into one observability surface (see
 // internal/cluster).
 //
-// Endpoints:
+// Endpoints, served alike in every mode except where marked: "not
+// -peers" routes change membership on the coordinator directly, and a
+// replicated group takes membership only through its log; "-peers
+// only" routes act on the replica group.
 //
 //	POST /v1/submit                          fan-out batched submit, node-attributed results
 //	GET  /v1/cluster/nodes                   members: health, ring arcs, device counts
 //	GET  /v1/cluster/nodes/{id}              one member: status plus its fleet metrics
-//	POST /v1/cluster/nodes/{id}/kill         stop the node's serving path (devices survive)
-//	POST /v1/cluster/nodes/{id}/restore      bring a killed node back (rejoins via heartbeats)
-//	POST /v1/cluster/nodes/{id}/drain        graceful leave: migrate devices, drop member
-//	POST /v1/cluster/nodes/{id}/join         add a fresh empty node and rebalance onto it
+//	POST /v1/cluster/nodes/{id}/kill         not -peers: stop the node's serving path (devices survive)
+//	POST /v1/cluster/nodes/{id}/restore      not -peers: bring a killed node back (rejoins via heartbeats)
+//	POST /v1/cluster/nodes/{id}/drain        not -peers: graceful leave: migrate devices, drop member
+//	POST /v1/cluster/nodes/{id}/join         not -peers: add a fresh empty node and rebalance onto it
 //	GET  /v1/cluster/placement               device→node map plus the seq-stamped placement log
 //	GET  /v1/cluster/transitions             node health-transition log
 //	GET  /v1/cluster/breakers                per-node circuit-breaker states and transition log
 //	GET  /v1/cluster/metrics                 merged cluster aggregate (JSON)
 //	GET  /v1/traces                          merged cross-node traces, node-stamped (?device=, ?node=, ?format=chrome)
 //	POST /v1/cluster/tick                    run one heartbeat round now
-//	GET  /metrics                            merged Prometheus exposition (node-labeled)
+//	GET  /v1/coordinator/status              -peers only: term, leader, quorum, per-replica log state
+//	POST /v1/coordinator/replicas/{id}/{crash,restart,partition,heal}  -peers only: coordinator chaos
+//	GET  /metrics                            merged Prometheus exposition (node-labeled; -peers adds the group's series)
 //	GET  /v1/version                         build identity, role and uptime
-//	GET  /healthz                            liveness, quorum-aware
+//	GET  /debug/pprof/                       runtime profiling
+//	GET  /healthz                            liveness, quorum-aware, with term, leader and quorum size
+//
+// In -peers mode the coordinator routes answer from the current
+// leader, and 503 while the group elects one.
 //
 // The heartbeat rounds that drive failure detection run on a
 // wall-clock ticker (-tick-interval); set it to 0 for a fully manual
@@ -58,12 +67,9 @@
 // leadership is a tick-clock lease (-lease, -election-timeout, in
 // heartbeat rounds), failover is a deterministic election
 // (longest-log, lowest-ID tie-break), and a superseded leader is
-// fenced off the node plane by term. /healthz then reports the current
-// term, leader ID and quorum size, /v1/coordinator/status the full
-// per-replica log state, and /v1/coordinator/replicas/{id}/
-// {crash,restart,partition,heal} inject coordinator chaos. -wal-dir
-// makes every replica's log durable under <dir>/<replica-id>/ in the
-// same format; the directory must start empty.
+// fenced off the node plane by term. -wal-dir makes every replica's
+// log durable under <dir>/<replica-id>/ in the same format; the
+// directory must start empty.
 //
 //	ssdcheck-cluster -peers 3 -nodes 3 -devices 12 -fastdiag -tick-interval 500ms
 package main
@@ -77,11 +83,10 @@ import (
 	"log"
 	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
+	"ssdcheck/cmd/internal/daemon"
 	"ssdcheck/internal/cluster"
 	"ssdcheck/internal/fleet"
 	"ssdcheck/internal/obs"
@@ -153,47 +158,9 @@ func runMain(args []string, stderr io.Writer) int {
 }
 
 // serve runs the HTTP front end and the optional wall-clock heartbeat
-// ticker over an up-and-running coordinator, then shuts down
-// gracefully on SIGINT/SIGTERM.
+// ticker until SIGINT/SIGTERM, then closes what it served.
 func serve(addr string, handler http.Handler, tick func() error, tickInterval time.Duration, closeAll func()) error {
-	srv := &http.Server{Addr: addr, Handler: handler}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	if tickInterval > 0 {
-		ticker := time.NewTicker(tickInterval)
-		defer ticker.Stop()
-		go func() {
-			for {
-				select {
-				case <-ticker.C:
-					if err := tick(); err != nil {
-						return
-					}
-				case <-ctx.Done():
-					return
-				}
-			}
-		}()
-	}
-
-	errCh := make(chan error, 1)
-	go func() {
-		log.Printf("listening on %s", addr)
-		errCh <- srv.ListenAndServe()
-	}()
-
-	select {
-	case err := <-errCh:
-		return err
-	case <-ctx.Done():
-	}
-
-	log.Printf("shutting down...")
-	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(shutCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
+	if err := daemon.Serve(context.Background(), addr, handler, tick, tickInterval); err != nil {
 		return err
 	}
 	closeAll()
@@ -201,14 +168,14 @@ func serve(addr string, handler http.Handler, tick func() error, tickInterval ti
 	return nil
 }
 
-func parseCycle(presets string) []string {
-	var cycle []string
-	for _, p := range strings.Split(presets, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			cycle = append(cycle, p)
-		}
+// nodeConfig is the fleet template every mode builds its nodes, or its
+// bootstrap fleet, from.
+func nodeConfig(shards int, fastDiag bool) fleet.Config {
+	cfg := fleet.Config{Shards: shards}
+	if fastDiag {
+		cfg.Diagnosis = fleet.FastDiagnosis()
 	}
-	return cycle
+	return cfg
 }
 
 func run(addr string, nodes, devices int, presets string, shards int, seed uint64, vnodes int, fastDiag bool, tickInterval time.Duration, traceSample float64, traceBuffer int) error {
@@ -222,16 +189,13 @@ func run(addr string, nodes, devices int, presets string, shards int, seed uint6
 		return fmt.Errorf("-trace-sample %v outside [0,1]", traceSample)
 	}
 
-	nodeCfg := fleet.Config{Shards: shards}
-	if fastDiag {
-		nodeCfg.Diagnosis = fleet.FastDiagnosis()
-	}
+	nodeCfg := nodeConfig(shards, fastDiag)
 
 	log.Printf("bootstrapping %d devices across %d nodes...", devices, nodes)
 	start := time.Now()
 	h, err := cluster.NewHarness(cluster.HarnessConfig{
 		Nodes:       nodes,
-		Devices:     fleet.PresetDevices(devices, parseCycle(presets), seed),
+		Devices:     fleet.PresetDevices(devices, daemon.Presets(presets), seed),
 		Node:        nodeCfg,
 		Policy:      cluster.Policy{Seed: seed, VirtualNodes: vnodes},
 		TraceSample: traceSample,
@@ -270,17 +234,14 @@ func runReplicated(addr string, peers, nodes, devices int, presets string, shard
 		return fmt.Errorf("need at least one device (-devices)")
 	}
 
-	nodeCfg := fleet.Config{Shards: shards}
-	if fastDiag {
-		nodeCfg.Diagnosis = fleet.FastDiagnosis()
-	}
+	nodeCfg := nodeConfig(shards, fastDiag)
 
 	log.Printf("bootstrapping %d devices across %d nodes behind %d coordinator replicas...", devices, nodes, peers)
 	start := time.Now()
 	g, err := cluster.NewGroup(cluster.GroupConfig{
 		Replicas: peers,
 		Nodes:    nodes,
-		Devices:  fleet.PresetDevices(devices, parseCycle(presets), seed),
+		Devices:  fleet.PresetDevices(devices, daemon.Presets(presets), seed),
 		Node:     nodeCfg,
 		Policy:   cluster.Policy{Seed: seed, VirtualNodes: vnodes},
 		Group:    cluster.GroupPolicy{LeaseRounds: lease, ElectionTimeoutRounds: electionTimeout},
@@ -358,13 +319,8 @@ func runRemote(addr, joinSpec string, devices int, presets string, shards int, s
 	// each device's state to its ring owner over attach RPCs. Skipped
 	// when the (recovered) coordinator already placed devices.
 	if devices > 0 && len(c.Placement()) == 0 {
-		bootCfg := fleet.Config{
-			Shards:  shards,
-			Devices: fleet.PresetDevices(devices, parseCycle(presets), seed),
-		}
-		if fastDiag {
-			bootCfg.Diagnosis = fleet.FastDiagnosis()
-		}
+		bootCfg := nodeConfig(shards, fastDiag)
+		bootCfg.Devices = fleet.PresetDevices(devices, daemon.Presets(presets), seed)
 		log.Printf("diagnosing %d devices for adoption...", devices)
 		boot, err := fleet.New(bootCfg)
 		if err != nil {

@@ -1,39 +1,20 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"strings"
 	"time"
 
-	"ssdcheck/internal/blockdev"
+	"ssdcheck/cmd/internal/daemon"
 	"ssdcheck/internal/buildinfo"
 	"ssdcheck/internal/cluster"
 	"ssdcheck/internal/fleet"
 	"ssdcheck/internal/obs"
 )
 
-// submitRequest is the wire form of one request, identical to the
-// single-node daemon's.
-type submitRequest struct {
-	Device  string `json:"device"`
-	Op      string `json:"op"`
-	LBA     int64  `json:"lba"`
-	Sectors int    `json:"sectors"`
-}
-
-type submitBody struct {
-	Requests []submitRequest `json:"requests"`
-}
-
 type submitResponse struct {
 	Results []cluster.Result `json:"results"`
-}
-
-type errorResponse struct {
-	Error string `json:"error"`
 }
 
 type versionResponse struct {
@@ -44,130 +25,156 @@ type versionResponse struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
 }
 
-func parseOp(s string) (blockdev.Op, error) {
-	switch strings.ToLower(s) {
-	case "read", "r":
-		return blockdev.Read, nil
-	case "write", "w":
-		return blockdev.Write, nil
-	case "trim", "t":
-		return blockdev.Trim, nil
-	default:
-		return 0, fmt.Errorf("unknown op %q (want read, write or trim)", s)
-	}
+// mode is what one way of running the coordinator (hosted, -join,
+// -peers) supplies to the routes every mode serves.
+type mode struct {
+	// leader resolves the coordinator that answers this request; nil
+	// while a replicated group has no leader (503 ErrNoLeader).
+	leader func() *cluster.Coordinator
+	submit func([]fleet.Request) ([]cluster.Result, error)
+	// tick runs one heartbeat round and returns the response body.
+	tick func() (any, error)
+	// probe returns the /healthz identity fields: term, leader and
+	// quorum size, the same keys in every mode.
+	probe func() map[string]any
+	// identity returns the /v1/version node and role.
+	identity func() (node, role string)
+	// newMember builds nodes for the join endpoint; nil leaves the
+	// node-mutating routes (join, drain, kill, restore) unregistered.
+	newMember func(id, addr string) (*cluster.Node, error)
+	// registry, when non-nil, is rendered on /metrics after the
+	// leader's merged exposition.
+	registry *obs.Registry
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, errorResponse{Error: err.Error()})
-}
-
-// newServer wires a coordinator into the cluster daemon's HTTP
-// surface. newMember builds nodes for the join endpoint — from the
-// founding fleet template in hosted mode, from a base URL in
+// newServer serves one coordinator: hosted mode, or -join mode's
+// networked coordinator. newMember builds nodes for the join endpoint —
+// from the founding fleet template in hosted mode, from a base URL in
 // networked mode (addr is the endpoint's ?addr= query, empty when
 // absent).
 func newServer(c *cluster.Coordinator, newMember func(id, addr string) (*cluster.Node, error)) http.Handler {
+	return newMux(mode{
+		leader: func() *cluster.Coordinator { return c },
+		submit: c.Submit,
+		tick: func() (any, error) {
+			if err := c.Tick(); err != nil {
+				return nil, err
+			}
+			return map[string]any{"round": c.Round(), "nodes": c.Nodes()}, nil
+		},
+		// A standalone coordinator is its own one-member quorum at
+		// term 0, so operator tooling parses one healthz format.
+		probe: func() map[string]any {
+			return map[string]any{"round": c.Round(), "term": 0, "leader": "standalone", "quorum_size": 1}
+		},
+		identity:  func() (string, string) { return "coordinator", "cluster-coordinator" },
+		newMember: newMember,
+	})
+}
+
+// newMux registers the coordinator routes once for every mode.
+func newMux(md mode) *http.ServeMux {
 	start := time.Now()
 	mux := http.NewServeMux()
+	daemon.MountPprof(mux)
+
+	// withLeader adapts a handler that needs the current coordinator;
+	// a leaderless window (election in progress) answers 503.
+	withLeader := func(h func(http.ResponseWriter, *http.Request, *cluster.Coordinator)) http.HandlerFunc {
+		return func(w http.ResponseWriter, r *http.Request) {
+			c := md.leader()
+			if c == nil {
+				daemon.WriteError(w, http.StatusServiceUnavailable, cluster.ErrNoLeader)
+				return
+			}
+			h(w, r, c)
+		}
+	}
 
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		nodes := c.Nodes()
-		inService := 0
-		for _, st := range nodes {
-			if st.InRing {
-				inService++
-			}
-		}
-		// Quorum-aware liveness: with no node in service the cluster
-		// cannot place or serve anything (503); a partially evacuated
-		// ring still serves everything that remains placed (200, but
-		// flagged degraded for operators).
+		body := md.probe()
 		status, code := "ok", http.StatusOK
-		switch {
-		case inService == 0:
-			status, code = "unhealthy", http.StatusServiceUnavailable
-		case inService < len(nodes):
-			status = "degraded"
+		if c := md.leader(); c == nil {
+			status, code = "electing", http.StatusServiceUnavailable
+		} else {
+			nodes := c.Nodes()
+			inService := 0
+			for _, st := range nodes {
+				if st.InRing {
+					inService++
+				}
+			}
+			// Quorum-aware liveness: with no node in service the
+			// cluster cannot place or serve anything (503); a partially
+			// evacuated ring still serves everything that remains
+			// placed (200, but flagged degraded for operators).
+			switch {
+			case inService == 0:
+				status, code = "unhealthy", http.StatusServiceUnavailable
+			case inService < len(nodes):
+				status = "degraded"
+			}
+			body["nodes"], body["in_service"] = len(nodes), inService
 		}
-		// term/leader/quorum_size mirror the replicated mode's probe
-		// shape (-peers; see server_group.go) so operator tooling can
-		// parse one healthz format: a standalone coordinator is its own
-		// one-member quorum at term 0.
-		writeJSON(w, code, map[string]any{
-			"status":      status,
-			"nodes":       len(nodes),
-			"in_service":  inService,
-			"round":       c.Round(),
-			"term":        0,
-			"leader":      "standalone",
-			"quorum_size": 1,
-		})
+		body["status"] = status
+		daemon.WriteJSON(w, code, body)
 	})
 
 	mux.HandleFunc("GET /v1/version", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, versionResponse{
-			Info:          buildinfo.Get(),
-			Node:          "coordinator",
-			Role:          "cluster-coordinator",
-			Nodes:         len(c.Nodes()),
-			UptimeSeconds: time.Since(start).Seconds(),
-		})
+		v := versionResponse{Info: buildinfo.Get(), UptimeSeconds: time.Since(start).Seconds()}
+		v.Node, v.Role = md.identity()
+		if c := md.leader(); c != nil {
+			v.Nodes = len(c.Nodes())
+		}
+		daemon.WriteJSON(w, http.StatusOK, v)
 	})
 
 	mux.HandleFunc("POST /v1/submit", func(w http.ResponseWriter, r *http.Request) {
-		var body submitBody
-		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		batch, err := daemon.DecodeSubmit(r.Body, nil)
+		if err != nil {
+			daemon.WriteError(w, http.StatusBadRequest, err)
 			return
 		}
-		if len(body.Requests) == 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("empty batch"))
-			return
-		}
-		batch := make([]fleet.Request, 0, len(body.Requests))
-		for i, sr := range body.Requests {
-			op, err := parseOp(sr.Op)
-			if err != nil {
-				writeError(w, http.StatusBadRequest, fmt.Errorf("request %d: %w", i, err))
-				return
-			}
-			batch = append(batch, fleet.Request{DeviceID: sr.Device, Op: op, LBA: sr.LBA, Sectors: sr.Sectors})
-		}
-		results, err := c.Submit(batch)
+		results, err := md.submit(batch)
 		if err != nil {
 			code := http.StatusBadRequest
+			if errors.Is(err, cluster.ErrNoLeader) || errors.Is(err, cluster.ErrNoQuorum) ||
+				errors.Is(err, cluster.ErrCoordinatorClosed) {
+				code = http.StatusServiceUnavailable
+			}
+			daemon.WriteError(w, code, err)
+			return
+		}
+		daemon.WriteJSON(w, http.StatusOK, submitResponse{Results: results})
+	})
+
+	mux.HandleFunc("POST /v1/cluster/tick", func(w http.ResponseWriter, r *http.Request) {
+		body, err := md.tick()
+		if err != nil {
+			code := http.StatusInternalServerError
 			if errors.Is(err, cluster.ErrCoordinatorClosed) {
 				code = http.StatusServiceUnavailable
 			}
-			writeError(w, code, err)
+			daemon.WriteError(w, code, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, submitResponse{Results: results})
+		daemon.WriteJSON(w, http.StatusOK, body)
 	})
 
-	mux.HandleFunc("GET /v1/cluster/nodes", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"nodes": c.Nodes()})
-	})
+	mux.HandleFunc("GET /v1/cluster/nodes", withLeader(func(w http.ResponseWriter, r *http.Request, c *cluster.Coordinator) {
+		daemon.WriteJSON(w, http.StatusOK, map[string]any{"nodes": c.Nodes()})
+	}))
 
-	mux.HandleFunc("GET /v1/cluster/nodes/{id}", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/cluster/nodes/{id}", withLeader(func(w http.ResponseWriter, r *http.Request, c *cluster.Coordinator) {
 		id := r.PathValue("id")
 		n := c.Node(id)
 		if n == nil {
-			writeError(w, http.StatusNotFound, fmt.Errorf("node %q: %w", id, cluster.ErrUnknownNode))
+			daemon.WriteError(w, http.StatusNotFound, fmt.Errorf("node %q: %w", id, cluster.ErrUnknownNode))
 			return
 		}
 		var status *cluster.NodeStatus
 		for _, st := range c.Nodes() {
 			if st.ID == id {
-				st := st
 				status = &st
 				break
 			}
@@ -178,13 +185,61 @@ func newServer(c *cluster.Coordinator, newMember func(id, addr string) (*cluster
 		} else {
 			resp["addr"] = n.Addr() // remote member: fleet metrics live in its process
 		}
-		writeJSON(w, http.StatusOK, resp)
+		daemon.WriteJSON(w, http.StatusOK, resp)
+	}))
+
+	mux.HandleFunc("GET /v1/cluster/placement", withLeader(func(w http.ResponseWriter, r *http.Request, c *cluster.Coordinator) {
+		daemon.WriteJSON(w, http.StatusOK, map[string]any{
+			"placement": c.Placement(),
+			"log":       c.PlacementLog(),
+		})
+	}))
+
+	mux.HandleFunc("GET /v1/cluster/transitions", withLeader(func(w http.ResponseWriter, r *http.Request, c *cluster.Coordinator) {
+		daemon.WriteJSON(w, http.StatusOK, map[string]any{"transitions": c.Transitions()})
+	}))
+
+	mux.HandleFunc("GET /v1/cluster/breakers", withLeader(func(w http.ResponseWriter, r *http.Request, c *cluster.Coordinator) {
+		daemon.WriteJSON(w, http.StatusOK, map[string]any{
+			"breakers": c.Breakers(),
+			"log":      c.BreakerLog(),
+		})
+	}))
+
+	// The merged cross-node view: every hosted member's sampled
+	// traces, stamped with the node that served each request.
+	mux.HandleFunc("GET /v1/traces", withLeader(func(w http.ResponseWriter, r *http.Request, c *cluster.Coordinator) {
+		daemon.WriteTraces(w, r, c.Traces())
+	}))
+
+	mux.HandleFunc("GET /v1/cluster/metrics", withLeader(func(w http.ResponseWriter, r *http.Request, c *cluster.Coordinator) {
+		daemon.WriteJSON(w, http.StatusOK, c.Metrics())
+	}))
+
+	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		if c := md.leader(); c != nil {
+			// Metrics() refreshes the cluster-level gauges;
+			// WritePrometheus refreshes each node's fleet gauges before
+			// merging.
+			_ = c.Metrics()
+			_ = c.WritePrometheus(w)
+		}
+		if md.registry != nil {
+			_ = md.registry.WritePrometheus(w)
+		}
 	})
 
-	nodeAction := func(name string, fn func(id string) error) func(http.ResponseWriter, *http.Request) {
-		return func(w http.ResponseWriter, r *http.Request) {
+	if md.newMember == nil {
+		return mux
+	}
+	// Node-mutating routes act on the coordinator directly, outside any
+	// replication group's lock, so only the single-coordinator modes
+	// serve them.
+	nodeAction := func(name string, fn func(c *cluster.Coordinator, id string) error) http.HandlerFunc {
+		return withLeader(func(w http.ResponseWriter, r *http.Request, c *cluster.Coordinator) {
 			id := r.PathValue("id")
-			if err := fn(id); err != nil {
+			if err := fn(c, id); err != nil {
 				code := http.StatusInternalServerError
 				switch {
 				case errors.Is(err, cluster.ErrUnknownNode):
@@ -192,19 +247,18 @@ func newServer(c *cluster.Coordinator, newMember func(id, addr string) (*cluster
 				case errors.Is(err, cluster.ErrCoordinatorClosed):
 					code = http.StatusServiceUnavailable
 				}
-				writeError(w, code, fmt.Errorf("%s %q: %w", name, id, err))
+				daemon.WriteError(w, code, fmt.Errorf("%s %q: %w", name, id, err))
 				return
 			}
-			writeJSON(w, http.StatusOK, map[string]any{"nodes": c.Nodes()})
-		}
+			daemon.WriteJSON(w, http.StatusOK, map[string]any{"nodes": c.Nodes()})
+		})
 	}
-
-	mux.HandleFunc("POST /v1/cluster/nodes/{id}/kill", nodeAction("kill", c.Kill))
-	mux.HandleFunc("POST /v1/cluster/nodes/{id}/restore", nodeAction("restore", c.Restore))
-	mux.HandleFunc("POST /v1/cluster/nodes/{id}/drain", nodeAction("drain", c.Leave))
+	mux.HandleFunc("POST /v1/cluster/nodes/{id}/kill", nodeAction("kill", (*cluster.Coordinator).Kill))
+	mux.HandleFunc("POST /v1/cluster/nodes/{id}/restore", nodeAction("restore", (*cluster.Coordinator).Restore))
+	mux.HandleFunc("POST /v1/cluster/nodes/{id}/drain", nodeAction("drain", (*cluster.Coordinator).Leave))
 	mux.HandleFunc("POST /v1/cluster/nodes/{id}/join", func(w http.ResponseWriter, r *http.Request) {
-		nodeAction("join", func(id string) error {
-			n, err := newMember(id, r.URL.Query().Get("addr"))
+		nodeAction("join", func(c *cluster.Coordinator, id string) error {
+			n, err := md.newMember(id, r.URL.Query().Get("addr"))
 			if err != nil {
 				return err
 			}
@@ -217,84 +271,5 @@ func newServer(c *cluster.Coordinator, newMember func(id, addr string) (*cluster
 			return nil
 		})(w, r)
 	})
-
-	mux.HandleFunc("GET /v1/cluster/placement", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{
-			"placement": c.Placement(),
-			"log":       c.PlacementLog(),
-		})
-	})
-
-	mux.HandleFunc("GET /v1/cluster/transitions", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"transitions": c.Transitions()})
-	})
-
-	mux.HandleFunc("GET /v1/cluster/breakers", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{
-			"breakers": c.Breakers(),
-			"log":      c.BreakerLog(),
-		})
-	})
-
-	mux.HandleFunc("GET /v1/traces", func(w http.ResponseWriter, r *http.Request) {
-		// The merged cross-node view: every hosted member's sampled
-		// traces, stamped with the node that served each request.
-		traces := c.Traces()
-		if dev := r.URL.Query().Get("device"); dev != "" {
-			kept := traces[:0]
-			for _, rt := range traces {
-				if rt.Device == dev {
-					kept = append(kept, rt)
-				}
-			}
-			traces = kept
-		}
-		if node := r.URL.Query().Get("node"); node != "" {
-			kept := traces[:0]
-			for _, rt := range traces {
-				if rt.Node == node {
-					kept = append(kept, rt)
-				}
-			}
-			traces = kept
-		}
-		if traces == nil {
-			traces = []obs.RequestTrace{}
-		}
-		if r.URL.Query().Get("format") == "chrome" {
-			w.Header().Set("Content-Type", "application/json")
-			_ = obs.WriteChromeTrace(w, traces)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"traces": traces})
-	})
-
-	mux.HandleFunc("GET /v1/cluster/metrics", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, c.Metrics())
-	})
-
-	mux.HandleFunc("POST /v1/cluster/tick", func(w http.ResponseWriter, r *http.Request) {
-		if err := c.Tick(); err != nil {
-			code := http.StatusInternalServerError
-			if errors.Is(err, cluster.ErrCoordinatorClosed) {
-				code = http.StatusServiceUnavailable
-			}
-			writeError(w, code, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{
-			"round": c.Round(),
-			"nodes": c.Nodes(),
-		})
-	})
-
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		// Metrics() refreshes the cluster-level gauges; WritePrometheus
-		// refreshes each node's fleet gauges before merging.
-		_ = c.Metrics()
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = c.WritePrometheus(w)
-	})
-
 	return mux
 }

@@ -1,150 +1,52 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"time"
 
-	"ssdcheck/internal/buildinfo"
+	"ssdcheck/cmd/internal/daemon"
 	"ssdcheck/internal/cluster"
-	"ssdcheck/internal/fleet"
 )
 
-// newGroupServer wires a replicated coordinator group into the HTTP
-// surface. Coordinator-backed endpoints resolve the current leader on
-// every request — after a failover the same URLs keep answering from
-// whichever replica now holds the lease; during an election they
-// answer 503 with a retryable error body.
-//
-// Replication-specific endpoints:
-//
-//	GET  /v1/coordinator/status   term, leader, quorum, per-replica log state
-//	GET  /healthz                 liveness plus term, leader ID and quorum size
+// newGroupServer serves a replicated coordinator group. The
+// coordinator routes resolve the current leader on every request —
+// after a failover the same URLs keep answering from whichever replica
+// now holds the lease; during an election they answer 503 with a
+// retryable error body. Submits and ticks go through the group, under
+// its lock. On top of those routes it serves the replica status and the
+// replica chaos controls.
 func newGroupServer(g *cluster.Group) http.Handler {
-	start := time.Now()
-	mux := http.NewServeMux()
-
-	// leader resolves the coordinator endpoint for this request; a
-	// leaderless window (election in progress) answers 503.
-	leader := func(w http.ResponseWriter) *cluster.Coordinator {
-		c := g.Leader()
-		if c == nil {
-			writeError(w, http.StatusServiceUnavailable, cluster.ErrNoLeader)
-			return nil
-		}
-		return c
-	}
-
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		st := g.Status()
-		status, code := "ok", http.StatusOK
-		if st.Leader == "" {
-			status, code = "electing", http.StatusServiceUnavailable
-		}
-		writeJSON(w, code, map[string]any{
-			"status":      status,
-			"term":        st.Term,
-			"leader":      st.Leader,
-			"quorum_size": st.Quorum,
-			"replicas":    len(st.Replicas),
-			"round":       st.Round,
-		})
+	mux := newMux(mode{
+		leader: g.Leader,
+		submit: g.Submit,
+		tick: func() (any, error) {
+			if err := g.Tick(); err != nil {
+				return nil, err
+			}
+			return g.Status(), nil
+		},
+		probe: func() map[string]any {
+			st := g.Status()
+			return map[string]any{
+				"term":        st.Term,
+				"leader":      st.Leader,
+				"quorum_size": st.Quorum,
+				"replicas":    len(st.Replicas),
+				"round":       st.Round,
+			}
+		},
+		identity: func() (string, string) { return g.LeaderID(), "replicated-coordinator" },
+		registry: g.Registry(),
 	})
 
 	mux.HandleFunc("GET /v1/coordinator/status", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, g.Status())
-	})
-
-	mux.HandleFunc("GET /v1/version", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, versionResponse{
-			Info:          buildinfo.Get(),
-			Node:          g.LeaderID(),
-			Role:          "replicated-coordinator",
-			Nodes:         len(g.Nodes()),
-			UptimeSeconds: time.Since(start).Seconds(),
-		})
-	})
-
-	mux.HandleFunc("POST /v1/submit", func(w http.ResponseWriter, r *http.Request) {
-		var body submitBody
-		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-			return
-		}
-		if len(body.Requests) == 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("empty batch"))
-			return
-		}
-		batch := make([]fleet.Request, 0, len(body.Requests))
-		for i, sr := range body.Requests {
-			op, err := parseOp(sr.Op)
-			if err != nil {
-				writeError(w, http.StatusBadRequest, fmt.Errorf("request %d: %w", i, err))
-				return
-			}
-			batch = append(batch, fleet.Request{DeviceID: sr.Device, Op: op, LBA: sr.LBA, Sectors: sr.Sectors})
-		}
-		results, err := g.Submit(batch)
-		if err != nil {
-			code := http.StatusBadRequest
-			if errors.Is(err, cluster.ErrNoLeader) || errors.Is(err, cluster.ErrNoQuorum) ||
-				errors.Is(err, cluster.ErrCoordinatorClosed) {
-				code = http.StatusServiceUnavailable
-			}
-			writeError(w, code, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, submitResponse{Results: results})
-	})
-
-	mux.HandleFunc("GET /v1/cluster/nodes", func(w http.ResponseWriter, r *http.Request) {
-		c := leader(w)
-		if c == nil {
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"nodes": c.Nodes()})
-	})
-
-	mux.HandleFunc("GET /v1/cluster/placement", func(w http.ResponseWriter, r *http.Request) {
-		c := leader(w)
-		if c == nil {
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{
-			"placement": c.Placement(),
-			"log":       c.PlacementLog(),
-		})
-	})
-
-	mux.HandleFunc("GET /v1/cluster/transitions", func(w http.ResponseWriter, r *http.Request) {
-		c := leader(w)
-		if c == nil {
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"transitions": c.Transitions()})
-	})
-
-	mux.HandleFunc("GET /v1/cluster/metrics", func(w http.ResponseWriter, r *http.Request) {
-		c := leader(w)
-		if c == nil {
-			return
-		}
-		writeJSON(w, http.StatusOK, c.Metrics())
-	})
-
-	mux.HandleFunc("POST /v1/cluster/tick", func(w http.ResponseWriter, r *http.Request) {
-		if err := g.Tick(); err != nil {
-			writeError(w, http.StatusInternalServerError, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, g.Status())
+		daemon.WriteJSON(w, http.StatusOK, g.Status())
 	})
 
 	// Replica chaos controls: the HTTP face of the split-brain harness,
 	// for poking a live cluster the way examples/cluster-net does.
-	replicaAction := func(name string, fn func(id string) error) func(http.ResponseWriter, *http.Request) {
+	replicaAction := func(name string, fn func(id string) error) http.HandlerFunc {
 		return func(w http.ResponseWriter, r *http.Request) {
 			id := r.PathValue("id")
 			if err := fn(id); err != nil {
@@ -152,24 +54,15 @@ func newGroupServer(g *cluster.Group) http.Handler {
 				if errors.Is(err, cluster.ErrUnknownNode) {
 					code = http.StatusNotFound
 				}
-				writeError(w, code, fmt.Errorf("%s %q: %w", name, id, err))
+				daemon.WriteError(w, code, fmt.Errorf("%s %q: %w", name, id, err))
 				return
 			}
-			writeJSON(w, http.StatusOK, g.Status())
+			daemon.WriteJSON(w, http.StatusOK, g.Status())
 		}
 	}
 	mux.HandleFunc("POST /v1/coordinator/replicas/{id}/crash", replicaAction("crash", g.Crash))
 	mux.HandleFunc("POST /v1/coordinator/replicas/{id}/restart", replicaAction("restart", g.Restart))
 	mux.HandleFunc("POST /v1/coordinator/replicas/{id}/partition", replicaAction("partition", g.Partition))
 	mux.HandleFunc("POST /v1/coordinator/replicas/{id}/heal", replicaAction("heal", g.Heal))
-
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		if c := g.Leader(); c != nil {
-			_ = c.Metrics() // refresh cluster-level gauges before the merge
-		}
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = g.Registry().WritePrometheus(w)
-	})
-
 	return mux
 }

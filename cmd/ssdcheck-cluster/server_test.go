@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"ssdcheck/cmd/internal/daemon"
 	"ssdcheck/internal/cluster"
 	"ssdcheck/internal/fleet"
 )
@@ -118,9 +119,9 @@ func TestClusterServerEndToEnd(t *testing.T) {
 	}
 
 	// Fan-out submit with node attribution.
-	var body submitBody
+	var body daemon.SubmitBody
 	for dev := range placement.Placement {
-		body.Requests = append(body.Requests, submitRequest{Device: dev, Op: "write", LBA: 4096, Sectors: 8})
+		body.Requests = append(body.Requests, daemon.SubmitRequest{Device: dev, Op: "write", LBA: 4096, Sectors: 8})
 	}
 	var subResp submitResponse
 	if resp := postJSON(t, srv, "/v1/submit", body, &subResp); resp.StatusCode != http.StatusOK {

@@ -60,14 +60,12 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"strings"
-	"syscall"
 	"time"
 
+	"ssdcheck/cmd/internal/daemon"
 	"ssdcheck/internal/extract"
 	"ssdcheck/internal/fleet"
 	"ssdcheck/internal/obs"
@@ -117,12 +115,6 @@ func run(addr string, devices int, presets string, shards int, seed uint64, queu
 	if rediagBudget < 0 {
 		return fmt.Errorf("-rediag-budget %d is negative", rediagBudget)
 	}
-	var cycle []string
-	for _, p := range strings.Split(presets, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			cycle = append(cycle, p)
-		}
-	}
 
 	reg := obs.NewRegistry()
 	var tracer *obs.Tracer
@@ -131,7 +123,7 @@ func run(addr string, devices int, presets string, shards int, seed uint64, queu
 	}
 
 	cfg := fleet.Config{
-		Devices:    fleet.PresetDevices(devices, cycle, seed),
+		Devices:    fleet.PresetDevices(devices, daemon.Presets(presets), seed),
 		Shards:     shards,
 		QueueDepth: queue,
 		Registry:   reg,
@@ -160,28 +152,9 @@ func run(addr string, devices int, presets string, shards int, seed uint64, queu
 	log.Printf("fleet up in %v: devices=%s", time.Since(start).Round(time.Millisecond),
 		strings.Join(m.DeviceIDs(), ","))
 
-	srv := &http.Server{Addr: addr, Handler: newServer(m, tracer, nodeID)}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errCh := make(chan error, 1)
-	go func() {
-		log.Printf("listening on %s", addr)
-		errCh <- srv.ListenAndServe()
-	}()
-
-	select {
-	case err := <-errCh:
-		return err
-	case <-ctx.Done():
-	}
-
 	// Graceful shutdown: stop accepting HTTP, finish in-flight
 	// handlers, then drain the shard queues.
-	log.Printf("shutting down...")
-	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(shutCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
+	if err := daemon.Serve(context.Background(), addr, newServer(m, tracer, nodeID), nil, 0); err != nil {
 		return err
 	}
 	m.Close()

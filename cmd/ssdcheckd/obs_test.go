@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"ssdcheck/cmd/internal/daemon"
 	"ssdcheck/internal/fleet"
 	"ssdcheck/internal/obs"
 )
@@ -38,14 +39,14 @@ func newObsFleet(t *testing.T) (*fleet.Manager, *obs.Registry, *obs.Tracer) {
 
 func submitSome(t *testing.T, srv *httptest.Server, ids []string, n int) {
 	t.Helper()
-	var body submitBody
+	var body daemon.SubmitBody
 	for i := 0; i < n; i++ {
 		for _, id := range ids {
 			op := "write"
 			if i%3 == 0 {
 				op = "read"
 			}
-			body.Requests = append(body.Requests, submitRequest{
+			body.Requests = append(body.Requests, daemon.SubmitRequest{
 				Device: id, Op: op, LBA: int64(i) * 4096, Sectors: 8,
 			})
 		}
@@ -250,7 +251,7 @@ func TestTracesWithoutTracer(t *testing.T) {
 // TestContentTypeAudit walks the whole API surface and checks every
 // JSON endpoint — success and error paths alike — declares
 // application/json, while the Prometheus endpoint stays text/plain.
-// This is the regression net for the shared writeJSON helper.
+// This is the regression net for the shared daemon.WriteJSON helper.
 func TestContentTypeAudit(t *testing.T) {
 	m, _, tr := newObsFleet(t)
 	srv := httptest.NewServer(newServer(m, tr, ""))

@@ -1,16 +1,13 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"net/http/pprof"
-	"strings"
 	"sync"
 	"time"
 
-	"ssdcheck/internal/blockdev"
+	"ssdcheck/cmd/internal/daemon"
 	"ssdcheck/internal/buildinfo"
 	"ssdcheck/internal/cluster"
 	"ssdcheck/internal/fleet"
@@ -23,19 +20,6 @@ type versionResponse struct {
 	buildinfo.Info
 	Node          string  `json:"node"`
 	UptimeSeconds float64 `json:"uptime_seconds"`
-}
-
-// submitRequest is the wire form of one fleet request: the op travels
-// as its conventional name ("read", "write", "trim").
-type submitRequest struct {
-	Device  string `json:"device"`
-	Op      string `json:"op"`
-	LBA     int64  `json:"lba"`
-	Sectors int    `json:"sectors"`
-}
-
-type submitBody struct {
-	Requests []submitRequest `json:"requests"`
 }
 
 type submitResponse struct {
@@ -54,14 +38,12 @@ type submitSlab struct {
 
 var submitSlabs = sync.Pool{New: func() any { return &submitSlab{} }}
 
-// grow sizes both slices for an n-request batch, reusing capacity.
-func (s *submitSlab) grow(n int) {
-	if cap(s.reqs) < n {
-		s.reqs = make([]fleet.Request, n)
-		s.out = make([]fleet.Result, n)
+// fit sizes the result slice to the decoded batch, reusing capacity.
+func (s *submitSlab) fit() {
+	if cap(s.out) < len(s.reqs) {
+		s.out = make([]fleet.Result, len(s.reqs))
 	}
-	s.reqs = s.reqs[:n]
-	s.out = s.out[:n]
+	s.out = s.out[:len(s.reqs)]
 }
 
 // release clears and returns the slab to the pool.
@@ -69,38 +51,6 @@ func (s *submitSlab) release() {
 	clear(s.reqs)
 	clear(s.out)
 	submitSlabs.Put(s)
-}
-
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
-func parseOp(s string) (blockdev.Op, error) {
-	switch strings.ToLower(s) {
-	case "read", "r":
-		return blockdev.Read, nil
-	case "write", "w":
-		return blockdev.Write, nil
-	case "trim", "t":
-		return blockdev.Trim, nil
-	default:
-		return 0, fmt.Errorf("unknown op %q (want read, write or trim)", s)
-	}
-}
-
-// writeJSON is the single JSON response path: every handler goes
-// through it (or writeError) so the Content-Type header is set
-// consistently across the API surface.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, errorResponse{Error: err.Error()})
 }
 
 // newServer wires the fleet manager and the observability subsystem
@@ -129,7 +79,7 @@ func newServer(m *fleet.Manager, tr *obs.Tracer, nodeID string) http.Handler {
 	registerVolumeAPI(mux, newVolumeRegistry(m))
 
 	mux.HandleFunc("GET /v1/version", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, versionResponse{
+		daemon.WriteJSON(w, http.StatusOK, versionResponse{
 			Info:          buildinfo.Get(),
 			Node:          nodeID,
 			UptimeSeconds: time.Since(start).Seconds(),
@@ -161,7 +111,7 @@ func newServer(m *fleet.Manager, tr *obs.Tracer, nodeID string) http.Handler {
 		case quarantined > 0:
 			status = "degraded"
 		}
-		writeJSON(w, code, map[string]any{
+		daemon.WriteJSON(w, code, map[string]any{
 			"status":            status,
 			"devices":           len(devs),
 			"unhealthy_devices": quarantined,
@@ -171,26 +121,14 @@ func newServer(m *fleet.Manager, tr *obs.Tracer, nodeID string) http.Handler {
 	})
 
 	mux.HandleFunc("POST /v1/submit", func(w http.ResponseWriter, r *http.Request) {
-		var body submitBody
-		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-			return
-		}
-		if len(body.Requests) == 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("empty batch"))
-			return
-		}
 		slab := submitSlabs.Get().(*submitSlab)
 		defer slab.release()
-		slab.grow(len(body.Requests))
-		for i, sr := range body.Requests {
-			op, err := parseOp(sr.Op)
-			if err != nil {
-				writeError(w, http.StatusBadRequest, fmt.Errorf("request %d: %w", i, err))
-				return
-			}
-			slab.reqs[i] = fleet.Request{DeviceID: sr.Device, Op: op, LBA: sr.LBA, Sectors: sr.Sectors}
+		var err error
+		if slab.reqs, err = daemon.DecodeSubmit(r.Body, slab.reqs[:0]); err != nil {
+			daemon.WriteError(w, http.StatusBadRequest, err)
+			return
 		}
+		slab.fit()
 		if err := m.SubmitBatchInto(slab.reqs, slab.out); err != nil {
 			// Batch-level errors mean the manager itself can't take
 			// work (shutting down); per-request failures ride inside
@@ -200,47 +138,21 @@ func newServer(m *fleet.Manager, tr *obs.Tracer, nodeID string) http.Handler {
 			if errors.Is(err, fleet.ErrManagerClosed) {
 				code = http.StatusServiceUnavailable
 			}
-			writeError(w, code, err)
+			daemon.WriteError(w, code, err)
 			return
 		}
-		// writeJSON serializes before returning, so the pooled slab is
+		// WriteJSON serializes before returning, so the pooled slab is
 		// safe to release once the response is on the wire.
-		writeJSON(w, http.StatusOK, submitResponse{Results: slab.out})
+		daemon.WriteJSON(w, http.StatusOK, submitResponse{Results: slab.out})
 	})
 
 	mux.HandleFunc("GET /v1/devices", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"devices": m.Devices()})
+		daemon.WriteJSON(w, http.StatusOK, map[string]any{"devices": m.Devices()})
 	})
 
-	mux.HandleFunc("GET /v1/devices/{id}", func(w http.ResponseWriter, r *http.Request) {
-		id := r.PathValue("id")
-		snap, ok := m.Device(id)
-		if !ok {
-			writeError(w, http.StatusNotFound, fmt.Errorf("unknown device %q", id))
-			return
-		}
-		writeJSON(w, http.StatusOK, snap)
-	})
-
-	mux.HandleFunc("GET /v1/devices/{id}/health", func(w http.ResponseWriter, r *http.Request) {
-		id := r.PathValue("id")
-		hr, ok := m.DeviceHealth(id)
-		if !ok {
-			writeError(w, http.StatusNotFound, fmt.Errorf("unknown device %q", id))
-			return
-		}
-		writeJSON(w, http.StatusOK, hr)
-	})
-
-	mux.HandleFunc("GET /v1/devices/{id}/model", func(w http.ResponseWriter, r *http.Request) {
-		id := r.PathValue("id")
-		rep, ok := m.DeviceModel(id)
-		if !ok {
-			writeError(w, http.StatusNotFound, fmt.Errorf("unknown device %q", id))
-			return
-		}
-		writeJSON(w, http.StatusOK, rep)
-	})
+	mux.HandleFunc("GET /v1/devices/{id}", deviceRoute(m.Device))
+	mux.HandleFunc("GET /v1/devices/{id}/health", deviceRoute(m.DeviceHealth))
+	mux.HandleFunc("GET /v1/devices/{id}/model", deviceRoute(m.DeviceModel))
 
 	mux.HandleFunc("POST /v1/devices/{id}/rediagnose", func(w http.ResponseWriter, r *http.Request) {
 		id := r.PathValue("id")
@@ -250,19 +162,19 @@ func newServer(m *fleet.Manager, tr *obs.Tracer, nodeID string) http.Handler {
 		err := m.Rediagnose(id)
 		switch {
 		case errors.Is(err, fleet.ErrUnknownDevice):
-			writeError(w, http.StatusNotFound, err)
+			daemon.WriteError(w, http.StatusNotFound, err)
 			return
 		case errors.Is(err, fleet.ErrDeviceQuarantined):
 			// The device is out of service; probing it cannot work.
-			writeError(w, http.StatusConflict, err)
+			daemon.WriteError(w, http.StatusConflict, err)
 			return
 		case errors.Is(err, fleet.ErrManagerClosed):
-			writeError(w, http.StatusServiceUnavailable, err)
+			daemon.WriteError(w, http.StatusServiceUnavailable, err)
 			return
 		}
 		rep, ok := m.DeviceModel(id)
 		if !ok {
-			writeError(w, http.StatusNotFound, fmt.Errorf("unknown device %q", id))
+			daemon.WriteError(w, http.StatusNotFound, fmt.Errorf("unknown device %q", id))
 			return
 		}
 		if err != nil {
@@ -270,17 +182,17 @@ func newServer(m *fleet.Manager, tr *obs.Tracer, nodeID string) http.Handler {
 			// the device stays in conservative fallback. 502 tells the
 			// operator the re-diagnosis itself failed, with the report
 			// alongside for the transition history.
-			writeJSON(w, http.StatusBadGateway, map[string]any{
+			daemon.WriteJSON(w, http.StatusBadGateway, map[string]any{
 				"error": err.Error(),
 				"model": rep,
 			})
 			return
 		}
-		writeJSON(w, http.StatusOK, rep)
+		daemon.WriteJSON(w, http.StatusOK, rep)
 	})
 
 	mux.HandleFunc("GET /v1/metrics", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, m.Metrics())
+		daemon.WriteJSON(w, http.StatusOK, m.Metrics())
 	})
 
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
@@ -294,30 +206,26 @@ func newServer(m *fleet.Manager, tr *obs.Tracer, nodeID string) http.Handler {
 	mux.HandleFunc("GET /v1/traces", func(w http.ResponseWriter, r *http.Request) {
 		var traces []obs.RequestTrace
 		if tr != nil {
-			if dev := r.URL.Query().Get("device"); dev != "" {
-				traces = tr.DeviceTraces(dev)
-			} else {
-				traces = tr.Traces()
-			}
+			traces = tr.Traces()
 		}
-		if traces == nil {
-			traces = []obs.RequestTrace{}
-		}
-		if r.URL.Query().Get("format") == "chrome" {
-			w.Header().Set("Content-Type", "application/json")
-			_ = obs.WriteChromeTrace(w, traces)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"traces": traces})
+		daemon.WriteTraces(w, r, traces)
 	})
 
-	// pprof: CPU/heap/goroutine profiling of the live daemon, wired
-	// explicitly (the daemon's mux is not http.DefaultServeMux).
-	mux.HandleFunc("GET /debug/pprof/", pprof.Index)
-	mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
+	daemon.MountPprof(mux)
 
 	return mux
+}
+
+// deviceRoute serves one device's view by path ID, 404 for an unknown
+// device.
+func deviceRoute[T any](get func(id string) (T, bool)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		id := r.PathValue("id")
+		v, ok := get(id)
+		if !ok {
+			daemon.WriteError(w, http.StatusNotFound, fmt.Errorf("unknown device %q", id))
+			return
+		}
+		daemon.WriteJSON(w, http.StatusOK, v)
+	}
 }

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"ssdcheck/cmd/internal/daemon"
 	"ssdcheck/internal/blockdev"
 	"ssdcheck/internal/extract"
 	"ssdcheck/internal/faults"
@@ -66,7 +67,7 @@ func TestServerEndToEnd(t *testing.T) {
 
 	// Submit a mixed batch across every device.
 	ids := m.DeviceIDs()
-	var body submitBody
+	var body daemon.SubmitBody
 	const perDev = 40
 	for step := 0; step < perDev; step++ {
 		for i, id := range ids {
@@ -76,7 +77,7 @@ func TestServerEndToEnd(t *testing.T) {
 			if r.Op == blockdev.Read {
 				op = "read"
 			}
-			body.Requests = append(body.Requests, submitRequest{
+			body.Requests = append(body.Requests, daemon.SubmitRequest{
 				Device: id, Op: op, LBA: r.LBA, Sectors: r.Sectors,
 			})
 		}
@@ -229,10 +230,10 @@ func TestServerDegraded(t *testing.T) {
 	srv := httptest.NewServer(newServer(m, nil, ""))
 	defer srv.Close()
 
-	var body submitBody
+	var body daemon.SubmitBody
 	for i := 0; i < 4; i++ {
 		for _, id := range []string{"dead", "alive"} {
-			body.Requests = append(body.Requests, submitRequest{
+			body.Requests = append(body.Requests, daemon.SubmitRequest{
 				Device: id, Op: "read", LBA: int64(i) * 4096, Sectors: 8,
 			})
 		}

@@ -8,59 +8,14 @@ import (
 	"sync"
 	"time"
 
+	"ssdcheck/cmd/internal/daemon"
 	"ssdcheck/internal/ecvol"
 	"ssdcheck/internal/fleet"
 )
 
-// volumeConfig is the wire form of an erasure-coded volume
-// configuration (POST /v1/volumes). Durations travel as nanoseconds,
-// matching the rest of the API.
-type volumeConfig struct {
-	ID                string   `json:"id"`
-	Devices           []string `json:"devices"`
-	Data              int      `json:"data"`
-	Parity            int      `json:"parity"`
-	ChunkSectors      int      `json:"chunk_sectors,omitempty"`
-	Stripes           int      `json:"stripes"`
-	Seed              uint64   `json:"seed"`
-	Predictive        bool     `json:"predictive"`
-	MaxPendingStripes int      `json:"max_pending_stripes,omitempty"`
-	MaxDeferralNS     int64    `json:"max_deferral_ns,omitempty"`
-}
-
-func (c volumeConfig) toConfig() ecvol.Config {
-	return ecvol.Config{
-		ID:                c.ID,
-		Devices:           c.Devices,
-		Data:              c.Data,
-		Parity:            c.Parity,
-		ChunkSectors:      c.ChunkSectors,
-		Stripes:           c.Stripes,
-		Seed:              c.Seed,
-		Predictive:        c.Predictive,
-		MaxPendingStripes: c.MaxPendingStripes,
-		MaxDeferral:       time.Duration(c.MaxDeferralNS),
-	}
-}
-
-func fromConfig(c ecvol.Config) volumeConfig {
-	return volumeConfig{
-		ID:                c.ID,
-		Devices:           c.Devices,
-		Data:              c.Data,
-		Parity:            c.Parity,
-		ChunkSectors:      c.ChunkSectors,
-		Stripes:           c.Stripes,
-		Seed:              c.Seed,
-		Predictive:        c.Predictive,
-		MaxPendingStripes: c.MaxPendingStripes,
-		MaxDeferralNS:     int64(c.MaxDeferral),
-	}
-}
-
 // volumeView is one volume's GET representation.
 type volumeView struct {
-	Config volumeConfig `json:"config"`
+	Config ecvol.Config `json:"config"`
 	Chunks int64        `json:"chunks"`
 	Stats  ecvol.Stats  `json:"stats"`
 }
@@ -141,57 +96,57 @@ func (vr *volumeRegistry) list() []volumeView {
 }
 
 func view(v *ecvol.Volume) volumeView {
-	return volumeView{Config: fromConfig(v.Config()), Chunks: v.Chunks(), Stats: v.Status()}
+	return volumeView{Config: v.Config(), Chunks: v.Chunks(), Stats: v.Status()}
 }
 
 // registerVolumeAPI wires the erasure-coded volume endpoints onto the
 // daemon mux.
 func registerVolumeAPI(mux *http.ServeMux, vr *volumeRegistry) {
 	mux.HandleFunc("POST /v1/volumes", func(w http.ResponseWriter, r *http.Request) {
-		var body volumeConfig
-		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		var cfg ecvol.Config
+		if err := json.NewDecoder(r.Body).Decode(&cfg); err != nil {
+			daemon.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 			return
 		}
-		v, err := vr.create(body.toConfig())
+		v, err := vr.create(cfg)
 		switch {
 		case err == nil:
-			writeJSON(w, http.StatusCreated, view(v))
+			daemon.WriteJSON(w, http.StatusCreated, view(v))
 		case errors.Is(err, errVolumeExists):
-			writeError(w, http.StatusConflict, err)
+			daemon.WriteError(w, http.StatusConflict, err)
 		default:
 			// Unknown member devices and invalid geometry are both
 			// configuration errors on the caller's side.
-			writeError(w, http.StatusBadRequest, err)
+			daemon.WriteError(w, http.StatusBadRequest, err)
 		}
 	})
 
 	mux.HandleFunc("GET /v1/volumes", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"volumes": vr.list()})
+		daemon.WriteJSON(w, http.StatusOK, map[string]any{"volumes": vr.list()})
 	})
 
 	mux.HandleFunc("GET /v1/volumes/{id}", func(w http.ResponseWriter, r *http.Request) {
 		v, ok := vr.get(r.PathValue("id"))
 		if !ok {
-			writeError(w, http.StatusNotFound, fmt.Errorf("unknown volume %q", r.PathValue("id")))
+			daemon.WriteError(w, http.StatusNotFound, fmt.Errorf("unknown volume %q", r.PathValue("id")))
 			return
 		}
-		writeJSON(w, http.StatusOK, view(v))
+		daemon.WriteJSON(w, http.StatusOK, view(v))
 	})
 
 	mux.HandleFunc("POST /v1/volumes/{id}/submit", func(w http.ResponseWriter, r *http.Request) {
 		v, ok := vr.get(r.PathValue("id"))
 		if !ok {
-			writeError(w, http.StatusNotFound, fmt.Errorf("unknown volume %q", r.PathValue("id")))
+			daemon.WriteError(w, http.StatusNotFound, fmt.Errorf("unknown volume %q", r.PathValue("id")))
 			return
 		}
 		var body volumeSubmitBody
 		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+			daemon.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 			return
 		}
 		if len(body.Ops) == 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("empty op batch"))
+			daemon.WriteError(w, http.StatusBadRequest, fmt.Errorf("empty op batch"))
 			return
 		}
 		results := make([]volumeOpResult, 0, len(body.Ops))
@@ -219,11 +174,11 @@ func registerVolumeAPI(mux *http.ServeMux, vr *volumeRegistry) {
 					out.Error = err.Error()
 				}
 			default:
-				writeError(w, http.StatusBadRequest, fmt.Errorf("op %d: unknown op %q (want read, write or flush)", i, op.Op))
+				daemon.WriteError(w, http.StatusBadRequest, fmt.Errorf("op %d: unknown op %q (want read, write or flush)", i, op.Op))
 				return
 			}
 			results = append(results, out)
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"results": results})
+		daemon.WriteJSON(w, http.StatusOK, map[string]any{"results": results})
 	})
 }

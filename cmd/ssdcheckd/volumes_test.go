@@ -36,7 +36,7 @@ func TestServerVolumes(t *testing.T) {
 	srv := httptest.NewServer(newServer(m, nil, ""))
 	defer srv.Close()
 
-	cfg := volumeConfig{
+	cfg := ecvol.Config{
 		ID:      "vol0",
 		Devices: m.DeviceIDs()[:6],
 		Data:    3, Parity: 2,

@@ -273,25 +273,23 @@ func (c *Coordinator) nodeLocked(id string) *Node {
 // appended: bootstrap entries adopt their device from src, the rest
 // move it between members. Moving after the apply means a failed move
 // leaves physical drift for Reconcile to repair, never a coordinator
-// that disagrees with its log.
+// that disagrees with its log. One failed move does not stop the rest:
+// every entry is tried and the error joins each failure.
 func (c *Coordinator) commitLocked(rec walRecord, src *fleet.Manager) error {
 	from := len(c.placelog)
 	if err := c.rep.propose(rec); err != nil {
 		return err
 	}
+	var errs []error
 	for _, e := range c.placelog[from:] {
-		var err error
 		switch {
 		case e.From != "":
-			err = c.moveDeviceLocked(e.Device, e.From, e.To)
+			errs = append(errs, c.moveDeviceLocked(e.Device, e.From, e.To))
 		case src != nil:
-			err = c.adoptOneLocked(src, e.Device, e.To)
-		}
-		if err != nil {
-			return err
+			errs = append(errs, c.adoptOneLocked(src, e.Device, e.To))
 		}
 	}
-	return nil
+	return errors.Join(errs...)
 }
 
 // rebalanceLocked re-derives every device's owner from the ring and

@@ -306,3 +306,67 @@ func TestHTTPRefusedAttachKeepsDevice(t *testing.T) {
 		t.Fatalf("reconcile after the refused attach: %v, want an error naming %s", err, sent[0])
 	}
 }
+
+// TestHTTPRefusedAttachKeepsEveryDevice: ten devices, so a join sends
+// several of them to a member whose process is gone. One refused
+// attach does not stop the decision's other moves: every device sent
+// to the closed member is tried, returned to its source, recorded as a
+// stray, and named in Reconcile's error, which runs every repair too.
+func TestHTTPRefusedAttachKeepsEveryDevice(t *testing.T) {
+	devs := make([]fleet.DeviceSpec, 10)
+	for i := range devs {
+		devs[i] = fleet.DeviceSpec{ID: fmt.Sprintf("dev-%d", i), Preset: "A", Seed: uint64(11 * (i + 1))}
+	}
+	locals := make(map[string]*Node)
+	remotes := make(map[string]*Node)
+	for _, id := range []string{"net-a", "net-b"} {
+		locals[id], remotes[id], _ = serveNodeAPI(t, id, nil, nil)
+	}
+	_, dead, srv := serveNodeAPI(t, "net-dead", nil, nil)
+	srv.Close()
+	c, err := NewCoordinator(Policy{}, NewHTTPTransport(RPCPolicy{}, 1, nil), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	for _, id := range []string{"net-a", "net-b"} {
+		if err := c.Join(remotes[id]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ids := make([]string, len(devs))
+	for i, d := range devs {
+		ids[i] = d.ID
+	}
+	if err := c.AdoptDevices(apiNode(t, "boot", devs).Manager(), ids); err != nil {
+		t.Fatal(err)
+	}
+	before := c.Placement()
+
+	joinErr := c.Join(dead)
+	var sent []string
+	for _, e := range c.PlacementLog() {
+		if e.To == dead.ID() {
+			sent = append(sent, e.Device)
+		}
+	}
+	if len(sent) < 2 {
+		t.Fatalf("join sent %v to %s, want several devices", sent, dead.ID())
+	}
+	_, recErr := c.Reconcile()
+	for _, dev := range sent {
+		src := before[dev]
+		if !slices.Contains(locals[src].Manager().DeviceIDs(), dev) {
+			t.Errorf("%s: not held by its source %s after the refused attach", dev, src)
+		}
+		if c.strays[dev] != src {
+			t.Errorf("%s: stray holder %q, want %s", dev, c.strays[dev], src)
+		}
+		if joinErr == nil || !strings.Contains(joinErr.Error(), dev) {
+			t.Errorf("join error %v does not name %s", joinErr, dev)
+		}
+		if recErr == nil || !strings.Contains(recErr.Error(), dev) {
+			t.Errorf("reconcile error %v does not name %s", recErr, dev)
+		}
+	}
+}

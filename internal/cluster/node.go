@@ -139,13 +139,6 @@ func (n *Node) Resume() {
 	n.mu.Unlock()
 }
 
-// Stopped reports whether the node is out of service.
-func (n *Node) Stopped() bool {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.stopped
-}
-
 // Submit serves a batch against the node's fleet.
 func (n *Node) Submit(reqs []fleet.Request) ([]fleet.Result, error) {
 	n.mu.RLock()

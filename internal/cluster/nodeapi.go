@@ -99,14 +99,6 @@ func (a *NodeAPI) checkFence(tok FencingToken) error {
 	return nil
 }
 
-// FencedTerm returns the highest term the node has witnessed and the
-// leader holding it (0, "" before any fenced traffic).
-func (a *NodeAPI) FencedTerm() (int64, string) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.term, a.leader
-}
-
 // FencingRejections returns how many RPCs the node has rejected for
 // carrying a stale term.
 func (a *NodeAPI) FencingRejections() int64 {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"maps"
 	"time"
@@ -370,7 +371,8 @@ func (c *Coordinator) fenceMembers() {
 // ran. Idempotent: a
 // device already home is left alone, and in the common case (the old
 // leader died between operations, not mid-move) nothing moves at all.
-// Returns the number of devices moved.
+// Every drifted device is tried; the error joins each failed repair,
+// and the count is the devices actually moved.
 func (c *Coordinator) Reconcile() (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -388,6 +390,7 @@ func (c *Coordinator) Reconcile() (int, error) {
 		}
 	}
 	moved := 0
+	var errs []error
 	for _, dev := range c.devOrder {
 		want := c.placement[dev]
 		have, ok := holders[dev]
@@ -395,9 +398,10 @@ func (c *Coordinator) Reconcile() (int, error) {
 			continue
 		}
 		if err := c.moveDeviceLocked(dev, have, want); err != nil {
-			return moved, err
+			errs = append(errs, err)
+			continue
 		}
 		moved++
 	}
-	return moved, nil
+	return moved, errors.Join(errs...)
 }

@@ -61,44 +61,46 @@ var (
 // Config parameterizes a volume.
 type Config struct {
 	// ID names the volume in metrics and the daemon API.
-	ID string
+	ID string `json:"id"`
 
 	// Devices lists the member fleet device IDs. len(Devices) must be
 	// at least Data+Parity; wider groups rotate stripes across the
 	// members.
-	Devices []string
+	Devices []string `json:"devices"`
 
 	// Data (m) and Parity (k) are the stripe geometry. Any m of the
 	// m+k shards reconstruct a stripe.
-	Data, Parity int
+	Data   int `json:"data"`
+	Parity int `json:"parity"`
 
 	// ChunkSectors is the sectors per chunk (the striping unit). 0
 	// defaults to one page (blockdev.SectorsPerPage).
-	ChunkSectors int
+	ChunkSectors int `json:"chunk_sectors,omitempty"`
 
 	// Stripes is the stripe count; logical capacity is
 	// Stripes·Data·ChunkSectors sectors. Each member device must have
 	// Stripes·ChunkSectors sectors of capacity.
-	Stripes int
+	Stripes int `json:"stripes"`
 
 	// Seed drives the placement permutation and the chunk
 	// fingerprints.
-	Seed uint64
+	Seed uint64 `json:"seed"`
 
 	// Predictive enables HL-steered reads and deferred parity. False
 	// is the oblivious baseline: reads always go to the owning shard
 	// (reconstructing only on hard failure), parity writes happen
 	// inline in the foreground.
-	Predictive bool
+	Predictive bool `json:"predictive"`
 
 	// MaxPendingStripes is the parity-deferral durability budget: the
 	// scheduler force-flushes oldest-first before the staged-stripe
 	// count exceeds it. 0 defaults to 8.
-	MaxPendingStripes int
+	MaxPendingStripes int `json:"max_pending_stripes,omitempty"`
 
 	// MaxDeferral bounds how long (virtual) a stripe's parity may stay
-	// staged before a forced flush. 0 defaults to 2ms.
-	MaxDeferral time.Duration
+	// staged before a forced flush. 0 defaults to 2ms. On the wire it
+	// travels as nanoseconds, like every duration in the daemon API.
+	MaxDeferral time.Duration `json:"max_deferral_ns,omitempty"`
 }
 
 func (c Config) withDefaults() Config {

@@ -112,19 +112,3 @@ func (v *Volume) maybeWearLevel() time.Duration {
 	v.stats.WearMoves++
 	return v.reclaim(cold)
 }
-
-// EraseSpread returns the min and max lifetime erase counts across
-// blocks, for wear-leveling tests.
-func (v *Volume) EraseSpread() (min, max int) {
-	mn, mx := int(v.blocks[0].erases), int(v.blocks[0].erases)
-	for b := range v.blocks {
-		e := int(v.blocks[b].erases)
-		if e < mn {
-			mn = e
-		}
-		if e > mx {
-			mx = e
-		}
-	}
-	return mn, mx
-}

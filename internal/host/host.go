@@ -44,9 +44,6 @@ type Record struct {
 // quantity I/O schedulers actually move.
 func (r Record) Latency() simclock.Time { return r.Done - r.Arrive }
 
-// ServiceTime returns device time only.
-func (r Record) ServiceTime() simclock.Time { return r.Done - r.Dispatch }
-
 // OpenLoopArrivals turns a request stream into an open-loop arrival
 // stream with exponential interarrival gaps of the given mean — enough
 // burstiness for queues to form so scheduling decisions matter.

@@ -8,11 +8,7 @@
 // (Fig. 9).
 package lvm
 
-import (
-	"fmt"
-
-	"ssdcheck/internal/blockdev"
-)
+import "fmt"
 
 // Mapper translates a tenant-relative LBA to a device LBA.
 type Mapper interface {
@@ -129,10 +125,4 @@ func (v *VolumeAware) Map(vol int, lba int64) int64 {
 		srcPos++
 	}
 	return out
-}
-
-// MapRequest translates a whole tenant request.
-func MapRequest(m Mapper, vol int, req blockdev.Request) blockdev.Request {
-	req.LBA = m.Map(vol, req.LBA)
-	return req
 }

@@ -80,9 +80,6 @@ func (t *Tier) Admit(bytes int) bool {
 	return true
 }
 
-// Blocked reports whether the hysteresis latch is engaged.
-func (t *Tier) Blocked() bool { return t.blocked }
-
 // Write absorbs a write request and returns its completion time. The
 // caller must have checked CanAbsorb.
 func (t *Tier) Write(req blockdev.Request, at simclock.Time) simclock.Time {

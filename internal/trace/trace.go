@@ -103,7 +103,6 @@ type Generator struct {
 	span       int64 // working-set span in sectors
 	readCursor int64
 	writeCur   int64
-	emitted    int
 }
 
 // NewGenerator returns a generator for spec over a device with
@@ -134,7 +133,6 @@ func (g *Generator) randomPage() int64 {
 
 // Next returns the next request of the trace.
 func (g *Generator) Next() blockdev.Request {
-	g.emitted++
 	isWrite := g.rng.Float64() < g.spec.WriteFrac
 	isRandom := g.rng.Float64() < g.spec.RandomFrac
 	size := g.spec.SizesPages[g.rng.Intn(len(g.spec.SizesPages))] * blockdev.SectorsPerPage
@@ -158,9 +156,6 @@ func (g *Generator) Next() blockdev.Request {
 	*cursor += int64(size)
 	return req
 }
-
-// Emitted returns how many requests Next has produced.
-func (g *Generator) Emitted() int { return g.emitted }
 
 // Generate materializes n requests (n <= 0 means the spec's full length).
 func Generate(spec Spec, capacitySectors int64, seed uint64, n int) []blockdev.Request {
