@@ -10,14 +10,16 @@ import (
 	"time"
 
 	"ssdcheck"
+	"ssdcheck/internal/obs"
 )
 
-// skipUnderRace skips an AllocsPerRun guard in a -race build: the race
-// detector allocates on its own account, so the count is not the code's.
+// skipUnderRace skips a test that a -race build cannot serve: an
+// AllocsPerRun guard, because the race detector allocates on its own
+// account, or a check with no concurrency for the detector to watch.
 func skipUnderRace(t *testing.T) {
 	t.Helper()
 	if raceEnabled {
-		t.Skip("testing.AllocsPerRun counts the race detector's own allocations")
+		t.Skip("skipped under -race: AllocsPerRun counts the detector's own allocations, and a check with no concurrency gains nothing")
 	}
 }
 
@@ -227,7 +229,7 @@ func TestPredictZeroAlloc(t *testing.T) {
 
 // gcEvents counts the predictor's GC confirmations.
 type gcEvents struct {
-	ssdcheck.Recorder
+	obs.Recorder
 	n int
 }
 
@@ -246,7 +248,7 @@ func (g *gcEvents) Event(name, _ string) {
 func TestPredictObserveAgedZeroAlloc(t *testing.T) {
 	skipUnderRace(t)
 	dev, pr, now := agedPredictor(t, 300_000)
-	gc := &gcEvents{Recorder: ssdcheck.NopRecorder()}
+	gc := &gcEvents{Recorder: obs.Nop()}
 	pr.SetRecorder(gc, "F")
 	reqs := ssdcheck.GenerateWorkload(ssdcheck.RWMixed, dev.CapacitySectors(), 43, 4096)
 	if n := testing.AllocsPerRun(5, func() {

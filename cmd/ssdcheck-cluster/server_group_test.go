@@ -138,7 +138,7 @@ func TestGroupServerSnapshotIndex(t *testing.T) {
 	t.Cleanup(g.Close)
 	srv := httptest.NewServer(newGroupServer(g))
 	defer srv.Close()
-	for g.Round() < 260 {
+	for g.Status().Round < 260 {
 		postJSON(t, srv, "/v1/cluster/tick", nil, nil)
 	}
 	var status struct {

@@ -140,18 +140,8 @@ func NewCoordinator(pol Policy, tr *rpcClient, reg *obs.Registry) (*Coordinator,
 	return c, nil
 }
 
-// Policy returns the effective (defaulted) policy.
-func (c *Coordinator) Policy() Policy { return c.pol }
-
 // Registry returns the cluster-level registry.
 func (c *Coordinator) Registry() *obs.Registry { return c.reg }
-
-// Now returns the cluster's virtual clock.
-func (c *Coordinator) Now() simclock.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
 
 // Round returns the number of completed heartbeat rounds.
 func (c *Coordinator) Round() int64 {

@@ -709,13 +709,6 @@ func (g *Group) LeaderID() string {
 	return ""
 }
 
-// Round returns the number of completed group rounds.
-func (g *Group) Round() int64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.round
-}
-
 // Registry returns the group-level metrics registry.
 func (g *Group) Registry() *obs.Registry { return g.reg }
 
@@ -819,13 +812,6 @@ func (g *Group) ReplicaErr(id string) error {
 	return g.onReplica(id, func(r *Replica) error { return r.applyErr })
 }
 
-// FencingRejections is the node-plane stale-term rejection total.
-func (g *Group) FencingRejections() int64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.fencingRejectionsLocked()
-}
-
 func (g *Group) fencingRejectionsLocked() int64 {
 	var total int64
 	for _, n := range g.nodes {
@@ -859,12 +845,6 @@ func (g *Group) Partition(id string) error {
 // Heal reconnects a partitioned replica.
 func (g *Group) Heal(id string) error {
 	return g.onReplica(id, func(*Replica) error { delete(g.partitioned, id); return nil })
-}
-
-// PinLease stops a leader from abdicating when its lease lapses — the
-// dueling-leader ingredient; only fencing can then demote it.
-func (g *Group) PinLease(id string, pinned bool) error {
-	return g.onReplica(id, func(r *Replica) error { r.leasePinned = pinned; return nil })
 }
 
 // Close shuts every replica's coordinator, the replica logs, and the

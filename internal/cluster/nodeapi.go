@@ -73,9 +73,6 @@ func NewNodeAPI(n *Node, tokenCap int) *NodeAPI {
 	return a
 }
 
-// Node returns the wrapped member.
-func (a *NodeAPI) Node() *Node { return a.n }
-
 // checkFence admits or rejects one RPC's fencing token. A token ahead
 // of the witnessed term adopts it (the node has just heard from a
 // newer leader); a token behind it is rejected authoritatively.
@@ -157,21 +154,6 @@ func (a *NodeAPI) Heartbeat(tok FencingToken) (int, error) {
 		return 0, err
 	}
 	return a.n.Heartbeat()
-}
-
-// Submit serves a batch, exactly once per token: a duplicate token
-// replays the original results without touching the devices. The
-// fence check runs first — a rejected submit never executed, so the
-// superseding coordinator may safely re-issue the work. A replay is
-// decoded from the remembered frame, so a failed result's Err is
-// rebuilt from its message, as an HTTP caller has always received it.
-func (a *NodeAPI) Submit(tok FencingToken, token string, reqs []fleet.Request) ([]fleet.Result, error) {
-	res, frame, err := a.submit(tok, token, reqs)
-	if err != nil || res != nil {
-		return res, err
-	}
-	_, res, err = decodeResultFrame(frame)
-	return res, err
 }
 
 // submit is Submit in frame form: frame is the encoded response, which

@@ -433,3 +433,18 @@ func TestNodeAPIEmptyToken(t *testing.T) {
 		t.Error("tokenless attach succeeded")
 	}
 }
+
+// Submit serves a batch, exactly once per token: a duplicate token
+// replays the original results without touching the devices. The
+// fence check runs first — a rejected submit never executed, so the
+// superseding coordinator may safely re-issue the work. A replay is
+// decoded from the remembered frame, so a failed result's Err is
+// rebuilt from its message, as an HTTP caller has always received it.
+func (a *NodeAPI) Submit(tok FencingToken, token string, reqs []fleet.Request) ([]fleet.Result, error) {
+	res, frame, err := a.submit(tok, token, reqs)
+	if err != nil || res != nil {
+		return res, err
+	}
+	_, res, err = decodeResultFrame(frame)
+	return res, err
+}

@@ -370,3 +370,6 @@ func TestClusterFailedMoveFollowsLog(t *testing.T) {
 		t.Fatalf("recovered placement %v, live %v", got, live)
 	}
 }
+
+// Policy returns the effective (defaulted) policy.
+func (c *Coordinator) Policy() Policy { return c.pol }

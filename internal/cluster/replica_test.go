@@ -732,3 +732,23 @@ func BenchmarkReplicationAppend(b *testing.B) {
 	}
 	_ = fmt.Sprintf("%d", g.Round())
 }
+
+// FencingRejections is the node-plane stale-term rejection total.
+func (g *Group) FencingRejections() int64 {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.fencingRejectionsLocked()
+}
+
+// PinLease stops a leader from abdicating when its lease lapses — the
+// dueling-leader ingredient; only fencing can then demote it.
+func (g *Group) PinLease(id string, pinned bool) error {
+	return g.onReplica(id, func(r *Replica) error { r.leasePinned = pinned; return nil })
+}
+
+// Round returns the number of completed group rounds.
+func (g *Group) Round() int64 {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.round
+}

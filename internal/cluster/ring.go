@@ -119,15 +119,5 @@ func (r *Ring) Owner(device string) (string, bool) {
 // Has reports whether the member is on the ring.
 func (r *Ring) Has(node string) bool { return r.nodes[node] }
 
-// Nodes returns the members in sorted order.
-func (r *Ring) Nodes() []string {
-	out := make([]string, 0, len(r.nodes))
-	for n := range r.nodes {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Len returns the member count.
 func (r *Ring) Len() int { return len(r.nodes) }

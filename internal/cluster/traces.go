@@ -1,10 +1,6 @@
 package cluster
 
-import (
-	"io"
-
-	"ssdcheck/internal/obs"
-)
+import "ssdcheck/internal/obs"
 
 // Traces returns the merged cross-node trace view: every member's
 // sampled request traces, each stamped with the node that served it,
@@ -31,10 +27,4 @@ func (c *Coordinator) Traces() []obs.RequestTrace {
 		}
 	}
 	return out
-}
-
-// WriteChromeTrace renders the merged cross-node traces in Chrome
-// trace-event format.
-func (c *Coordinator) WriteChromeTrace(w io.Writer) error {
-	return obs.WriteChromeTrace(w, c.Traces())
 }

@@ -369,3 +369,8 @@ func TestModelStateSnapshot(t *testing.T) {
 		t.Fatal("snapshot aliased internal state")
 	}
 }
+
+// Thresholds returns the NL/HL latency thresholds in use.
+func (p *Predictor) Thresholds() (read, write time.Duration) {
+	return p.readThr, p.writeThr
+}

@@ -45,13 +45,6 @@ func (r *DriftReport) NLAccuracy() float64 {
 	return float64(r.NLHit) / float64(r.NLSeen)
 }
 
-// Drift returns the monitor's current accuracy window. Allocation-free.
-func (p *Predictor) Drift() DriftReport {
-	var r DriftReport
-	p.DriftInto(&r)
-	return r
-}
-
 // DriftInto stores the monitor's current accuracy window in *r — the
 // form for a per-request caller. A report returned by value is built in
 // a temporary and copied out, and the copy reloads its fresh 8-byte

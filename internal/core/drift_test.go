@@ -150,3 +150,10 @@ func TestResetPreservesRecorder(t *testing.T) {
 		t.Fatalf("Reset dropped recorder subject: %q", pr.subject)
 	}
 }
+
+// Drift returns the monitor's current accuracy window. Allocation-free.
+func (p *Predictor) Drift() DriftReport {
+	var r DriftReport
+	p.DriftInto(&r)
+	return r
+}

@@ -238,14 +238,6 @@ func (p *Predictor) HLAccuracy() float64 {
 	return float64(p.hlHit) / float64(p.hlSeen)
 }
 
-// NLAccuracy returns the monitor's sliding NL prediction accuracy.
-func (p *Predictor) NLAccuracy() float64 {
-	if p.nlSeen == 0 {
-		return 1
-	}
-	return float64(p.nlHit) / float64(p.nlSeen)
-}
-
 // calibrateAccuracy applies the paper's degradation ladder: when HL
 // accuracy sinks, first discard the (possibly stale) GC interval
 // history; if accuracy stays low, harmlessly disable prediction so an

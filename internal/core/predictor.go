@@ -178,16 +178,6 @@ func NewPredictor(f *extract.Features, p Params) *Predictor {
 // harmless fallback for devices outside model coverage).
 func (p *Predictor) Enabled() bool { return p.enabled }
 
-// Thresholds returns the NL/HL latency thresholds in use.
-func (p *Predictor) Thresholds() (read, write time.Duration) {
-	return p.readThr, p.writeThr
-}
-
-// VolumeBits returns the volume-index bits the volume selector uses.
-func (p *Predictor) VolumeBits() []int {
-	return append([]int(nil), p.volumeBits...)
-}
-
 // volumeOf is the volume selector (Fig. 8 step 1).
 func (p *Predictor) volumeOf(lba int64) *volumeModel {
 	idx := 0

@@ -310,16 +310,8 @@ func (v *Volume) bindMetrics(reg *obs.Registry) {
 
 // Geometry accessors.
 
-// CapacitySectors is the logical capacity.
-func (v *Volume) CapacitySectors() int64 {
-	return int64(v.cfg.Stripes) * int64(v.cfg.Data) * int64(v.cfg.ChunkSectors)
-}
-
 // Chunks is the logical chunk count.
 func (v *Volume) Chunks() int64 { return int64(v.cfg.Stripes) * int64(v.cfg.Data) }
-
-// ID names the volume.
-func (v *Volume) ID() string { return v.cfg.ID }
 
 // Config returns the (defaulted) configuration.
 func (v *Volume) Config() Config { return v.cfg }

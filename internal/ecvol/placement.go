@@ -25,14 +25,3 @@ func newPlacement(n, width int, seed uint64) *placement {
 func (p *placement) device(stripe, slot int) int {
 	return p.perm[(stripe+slot)%p.n]
 }
-
-// slotOf returns which slot of stripe s lands on member device d, or
-// -1 when the stripe does not touch d.
-func (p *placement) slotOf(stripe, d int) int {
-	for slot := 0; slot < p.width; slot++ {
-		if p.device(stripe, slot) == d {
-			return slot
-		}
-	}
-	return -1
-}

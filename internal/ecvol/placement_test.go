@@ -66,3 +66,14 @@ func TestPlacementSlotOf(t *testing.T) {
 		}
 	}
 }
+
+// slotOf returns which slot of stripe s lands on member device d, or
+// -1 when the stripe does not touch d.
+func (p *placement) slotOf(stripe, d int) int {
+	for slot := 0; slot < p.width; slot++ {
+		if p.device(stripe, slot) == d {
+			return slot
+		}
+	}
+	return -1
+}

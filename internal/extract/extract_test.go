@@ -277,7 +277,7 @@ func TestDiagnosisRecoversRandomConfigs(t *testing.T) {
 		cfg.Name = fmt.Sprintf("random-%d", c)
 		cfg.BufferBytes = bufferChoices[rng.Intn(len(bufferChoices))] * 1024
 		cfg.VolumeBits = volumeChoices[rng.Intn(len(volumeChoices))]
-		if rng.Bool() {
+		if rng.Uint64()&1 == 1 {
 			cfg.BufferType = ftl.BufferFore
 			cfg.ReadTriggerFlush = true
 		}

@@ -263,24 +263,9 @@ func New(dev blockdev.Device, cfg Config) (*Injector, error) {
 	return inj, nil
 }
 
-// MustNew is New for static configurations known to be valid.
-func MustNew(dev blockdev.Device, cfg Config) *Injector {
-	inj, err := New(dev, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return inj
-}
-
 // SetArmed enables or disables injection. While disarmed the injector
 // is a passthrough and its request counter does not advance.
 func (i *Injector) SetArmed(armed bool) { i.armed = armed }
-
-// Armed reports whether the injector is currently injecting.
-func (i *Injector) Armed() bool { return i.armed }
-
-// Stats returns the injection counters so far.
-func (i *Injector) Stats() Stats { return i.stats }
 
 // CapacitySectors reports the wrapped device's capacity.
 func (i *Injector) CapacitySectors() int64 { return i.dev.CapacitySectors() }

@@ -283,3 +283,18 @@ func TestFeatureShiftOneShotUnderProb(t *testing.T) {
 		t.Fatalf("prob-triggered shift applied %d times, want one-shot", len(dev.shifts))
 	}
 }
+
+// MustNew is New for static configurations known to be valid.
+func MustNew(dev blockdev.Device, cfg Config) *Injector {
+	inj, err := New(dev, cfg)
+	if err != nil {
+		panic(err)
+	}
+	return inj
+}
+
+// Armed reports whether the injector is currently injecting.
+func (i *Injector) Armed() bool { return i.armed }
+
+// Stats returns the injection counters so far.
+func (i *Injector) Stats() Stats { return i.stats }

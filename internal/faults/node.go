@@ -245,10 +245,6 @@ func (f *NodeFaults) BeginRound() {
 	}
 }
 
-// Round returns the current round number (0 before the first
-// BeginRound).
-func (f *NodeFaults) Round() int64 { return f.round }
-
 // active reports whether a schedule of the given kind covers the node
 // this round.
 func (f *NodeFaults) active(kind NodeKind, node string) *nodeSchedState {

@@ -136,3 +136,7 @@ func TestNodeKindString(t *testing.T) {
 		}
 	}
 }
+
+// Round returns the current round number (0 before the first
+// BeginRound).
+func (f *NodeFaults) Round() int64 { return f.round }

@@ -17,24 +17,6 @@ type PortableDevice struct {
 	md *managedDevice
 }
 
-// ID returns the device's fleet-unique identifier, or "" for a spent
-// handle.
-func (p *PortableDevice) ID() string {
-	if p == nil || p.md == nil {
-		return ""
-	}
-	return p.md.id
-}
-
-// Snapshot returns the detached device's stats snapshot (Shard is the
-// shard it last ran on).
-func (p *PortableDevice) Snapshot() DeviceSnapshot {
-	if p == nil || p.md == nil {
-		return DeviceSnapshot{}
-	}
-	return p.md.snapshot()
-}
-
 // Detach removes a device from the fleet and returns it as a portable
 // handle. It blocks until the owning shard has relinquished the device,
 // so the caller holds the only live reference on return. The device's

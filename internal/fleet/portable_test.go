@@ -237,3 +237,12 @@ func TestEmptyManager(t *testing.T) {
 		t.Error("deviceless config without AllowEmpty accepted")
 	}
 }
+
+// ID returns the device's fleet-unique identifier, or "" for a spent
+// handle.
+func (p *PortableDevice) ID() string {
+	if p == nil || p.md == nil {
+		return ""
+	}
+	return p.md.id
+}

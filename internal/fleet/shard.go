@@ -389,9 +389,6 @@ type Result struct {
 	Error string `json:"error,omitempty"`
 }
 
-// Failed reports whether the request was not served.
-func (r Result) Failed() bool { return r.Err != nil }
-
 // batchItem is one request routed to a shard, carrying its slot in the
 // caller's result slice.
 type batchItem struct {

@@ -80,19 +80,6 @@ func (md *managedDevice) steeringLocked() SteeringSnapshot {
 	}
 }
 
-// Steering returns the steering snapshot of one device.
-func (m *Manager) Steering(id string) (SteeringSnapshot, bool) {
-	m.mu.RLock()
-	md, ok := m.devs[id]
-	m.mu.RUnlock()
-	if !ok {
-		return SteeringSnapshot{}, false
-	}
-	md.mu.Lock()
-	defer md.mu.Unlock()
-	return md.steeringLocked(), true
-}
-
 // SteeringAll returns every device's steering snapshot in membership
 // order. It is the bulk form schedulers poll between requests; unlike
 // Devices it copies no counters, logs or histograms.

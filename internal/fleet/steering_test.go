@@ -140,3 +140,16 @@ func TestSteeringInto(t *testing.T) {
 		}
 	}
 }
+
+// Steering returns the steering snapshot of one device.
+func (m *Manager) Steering(id string) (SteeringSnapshot, bool) {
+	m.mu.RLock()
+	md, ok := m.devs[id]
+	m.mu.RUnlock()
+	if !ok {
+		return SteeringSnapshot{}, false
+	}
+	md.mu.Lock()
+	defer md.mu.Unlock()
+	return md.steeringLocked(), true
+}

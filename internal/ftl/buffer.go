@@ -188,11 +188,3 @@ func (v *Volume) allBuffered(lpn int32, pages int) bool {
 func (v *Volume) buffered(p int32) bool {
 	return v.bufBits[p>>6]&(1<<(p&63)) != 0
 }
-
-// FlushNow forces a buffer drain at instant t (used by the device-level
-// purge and by tests) and returns when the media goes idle.
-func (v *Volume) FlushNow(t simclock.Time) simclock.Time {
-	v.checkMonotonic(t)
-	v.startFlush(t)
-	return v.mediaBusyUntil().Max(t)
-}

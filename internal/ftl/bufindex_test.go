@@ -172,13 +172,13 @@ func TestBufferIndexMatchesReference(t *testing.T) {
 						// for buffered reads, small enough that a drain
 						// still fits the SLC region.
 						scale := 2.0
-						if v.cfg.BufferPages > 16 || (v.cfg.BufferPages > 4 && rng.Bool()) {
+						if v.cfg.BufferPages > 16 || (v.cfg.BufferPages > 4 && rng.Uint64()&1 == 1) {
 							scale = 0.5
 						}
 						v.ShiftFeatures(blockdev.FeatureShift{
 							BufferScale:       scale,
-							ToggleBufferKind:  rng.Bool(),
-							ToggleReadTrigger: rng.Bool(),
+							ToggleBufferKind:  rng.Uint64()&1 == 1,
+							ToggleReadTrigger: rng.Uint64()&1 == 1,
 						})
 					}
 					check(op, lpn)

@@ -384,7 +384,7 @@ func TestInvariantsUnderRandomOps(t *testing.T) {
 		cfg.JitterFrac = 0.05
 		cfg.Seed = seed
 		cfg.BufferType = BufferType(rng.Intn(2))
-		cfg.ReadTriggerFlush = rng.Bool()
+		cfg.ReadTriggerFlush = rng.Uint64()&1 == 1
 		cfg.WearLevelDelta = rng.Intn(2) * 10
 		v, err := NewVolume(cfg)
 		if err != nil {
@@ -522,4 +522,26 @@ func TestSLCInvariantsUnderRandomOps(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 8}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FreeBlocks returns the current size of the free-block pool.
+func (v *Volume) FreeBlocks() int { return len(v.free) }
+
+// BufferedPages returns how many pages sit in the active write buffer.
+func (v *Volume) BufferedPages() int { return len(v.buf) }
+
+// SLCCachePages returns the cache capacity in pages (0 if disabled).
+func (v *Volume) SLCCachePages() int {
+	if !v.slc.enabled {
+		return 0
+	}
+	return len(v.slc.blocks) * int(v.slc.usable)
+}
+
+// FlushNow forces a buffer drain at instant t and returns when the media
+// goes idle.
+func (v *Volume) FlushNow(t simclock.Time) simclock.Time {
+	v.checkMonotonic(t)
+	v.startFlush(t)
+	return v.mediaBusyUntil().Max(t)
 }

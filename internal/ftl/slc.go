@@ -40,14 +40,6 @@ func (v *Volume) initSLC() {
 	v.slc.active = -1
 }
 
-// SLCCachePages returns the cache capacity in pages (0 if disabled).
-func (v *Volume) SLCCachePages() int {
-	if !v.slc.enabled {
-		return 0
-	}
-	return len(v.slc.blocks) * int(v.slc.usable)
-}
-
 // slcHasSpace reports whether the cache can absorb n more pages.
 func (v *Volume) slcHasSpace(n int) bool {
 	space := int32(len(v.slc.free)) * v.slc.usable

@@ -217,15 +217,6 @@ func (v *Volume) Stats() Stats { return v.stats }
 // Config returns the volume's configuration.
 func (v *Volume) Config() Config { return v.cfg }
 
-// LogicalPages returns the host-visible capacity in pages.
-func (v *Volume) LogicalPages() int { return v.cfg.LogicalPages }
-
-// FreeBlocks returns the current size of the free-block pool.
-func (v *Volume) FreeBlocks() int { return len(v.free) }
-
-// BufferedPages returns how many pages sit in the active write buffer.
-func (v *Volume) BufferedPages() int { return len(v.buf) }
-
 // mediaBusyUntil is the instant the NAND array becomes idle again.
 func (v *Volume) mediaBusyUntil() simclock.Time {
 	return v.flushBusyUntil.Max(v.gcBusyUntil)
@@ -237,16 +228,9 @@ func (v *Volume) MediaIdleAt(t simclock.Time) simclock.Time {
 	return v.mediaBusyUntil().Max(t)
 }
 
-// WouldStallRead reports whether a read submitted at t would be delayed
-// by in-flight media work or a read-trigger flush. Ground-truth oracle
-// for the ideal-PAS evaluation only; the prediction pipeline never calls
-// it.
-func (v *Volume) WouldStallRead(t simclock.Time) bool {
-	return v.WouldStallReadAfterWrites(t, 0)
-}
-
-// WouldStallReadAfterWrites is WouldStallRead for a read served after
-// pendingPages of further writes — the in-order oracle behind ideal PAS.
+// WouldStallReadAfterWrites reports whether a read submitted at t and
+// served after pendingPages of further writes would be delayed by
+// internal activity — the in-order oracle behind ideal PAS.
 func (v *Volume) WouldStallReadAfterWrites(t simclock.Time, pendingPages int) bool {
 	future := len(v.buf) + pendingPages
 	if v.cfg.ReadTriggerFlush && future > 0 {

@@ -45,11 +45,6 @@ func (g Geometry) Blocks() int { return g.Planes() * g.BlocksPerPlane }
 // Pages returns the total number of physical pages.
 func (g Geometry) Pages() int { return g.Blocks() * g.PagesPerBlock }
 
-// CapacityBytes returns the raw capacity in bytes.
-func (g Geometry) CapacityBytes() int64 {
-	return int64(g.Pages()) * int64(g.PageSize)
-}
-
 // Split returns the geometry of one of n equal shares of g, used when an
 // SSD partitions its array into n internal volumes. It panics if the
 // array cannot be divided evenly at some level; presets are constructed

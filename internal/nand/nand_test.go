@@ -133,3 +133,8 @@ func TestCostPropertiesQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// CapacityBytes returns the raw capacity in bytes.
+func (g Geometry) CapacityBytes() int64 {
+	return int64(g.Pages()) * int64(g.PageSize)
+}

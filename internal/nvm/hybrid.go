@@ -80,15 +80,6 @@ type Result struct {
 	End simclock.Time
 }
 
-// TailLatency returns the q-quantile foreground latency.
-func (r Result) TailLatency(q float64) time.Duration {
-	var s stats.Sample
-	for _, c := range r.Completions {
-		s.Add(float64(c.Latency()))
-	}
-	return time.Duration(s.Percentile(q * 100))
-}
-
 // Run drives reqs closed-loop through the two-tier stack. The predictor
 // is consulted only under the HybridPAS policy and is fed completions of
 // SSD-bound requests so its model stays calibrated; it may be nil for

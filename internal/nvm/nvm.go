@@ -51,9 +51,6 @@ func NewTier(capacityBytes int64, writeLat, readLat time.Duration) *Tier {
 // Free returns the remaining capacity in bytes.
 func (t *Tier) Free() int64 { return t.capacity - t.used }
 
-// Used returns the occupied bytes.
-func (t *Tier) Used() int64 { return t.used }
-
 // BytesWritten returns the lifetime write traffic into the NVM.
 func (t *Tier) BytesWritten() int64 { return t.bytesWritten }
 

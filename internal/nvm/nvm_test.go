@@ -259,3 +259,6 @@ func TestHybridReadsFromNVM(t *testing.T) {
 		t.Fatalf("NVM-resident read took %v", lat)
 	}
 }
+
+// Used returns the occupied bytes.
+func (t *Tier) Used() int64 { return t.used }

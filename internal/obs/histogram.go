@@ -105,15 +105,6 @@ func (h *Histogram) AddSnapshot(s HistogramSnapshot) {
 	}
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	var n int64
-	for i := range h.counts {
-		n += atomic.LoadInt64(&h.counts[i])
-	}
-	return n
-}
-
 // Snapshot captures the histogram for quantile queries and merging.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	var s HistogramSnapshot

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -167,4 +168,13 @@ func TestHistogramConcurrent(t *testing.T) {
 	if got := h.Count(); got != 4000 {
 		t.Fatalf("Count = %d, want 4000", got)
 	}
+}
+
+// Count returns the number of observations.
+func (h *Histogram) Count() int64 {
+	var n int64
+	for i := range h.counts {
+		n += atomic.LoadInt64(&h.counts[i])
+	}
+	return n
 }

@@ -178,17 +178,6 @@ func (t *Tracer) Traces() []RequestTrace {
 	return out
 }
 
-// DeviceTraces returns the retained traces of one device, oldest first.
-func (t *Tracer) DeviceTraces(device string) []RequestTrace {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	r := t.rings[device]
-	if r == nil {
-		return nil
-	}
-	return r.oldestFirst()
-}
-
 // tracesJSON is the JSON export envelope.
 type tracesJSON struct {
 	Traces []RequestTrace `json:"traces"`
@@ -204,17 +193,6 @@ func (t *Tracer) WriteJSON(w io.Writer) error {
 		ts = []RequestTrace{}
 	}
 	return enc.Encode(tracesJSON{Traces: ts})
-}
-
-// WriteChromeTrace writes the retained traces (or just the given ones,
-// if traces is non-nil) in the Chrome trace_event JSON format, loadable
-// in chrome://tracing and Perfetto. Each device renders as one named
-// thread; span timestamps are virtual-clock microseconds.
-func (t *Tracer) WriteChromeTrace(w io.Writer, traces []RequestTrace) error {
-	if traces == nil {
-		traces = t.Traces()
-	}
-	return WriteChromeTrace(w, traces)
 }
 
 // chromeEvent is one entry of the Chrome trace_event format.

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"testing"
 	"time"
 
@@ -183,4 +184,26 @@ func TestNopRecorder(t *testing.T) {
 	}
 	rec.RecordTrace(RequestTrace{})
 	rec.Event("x", "y")
+}
+
+// DeviceTraces returns the retained traces of one device, oldest first.
+func (t *Tracer) DeviceTraces(device string) []RequestTrace {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	r := t.rings[device]
+	if r == nil {
+		return nil
+	}
+	return r.oldestFirst()
+}
+
+// WriteChromeTrace writes the retained traces (or just the given ones,
+// if traces is non-nil) in the Chrome trace_event JSON format, loadable
+// in chrome://tracing and Perfetto. Each device renders as one named
+// thread; span timestamps are virtual-clock microseconds.
+func (t *Tracer) WriteChromeTrace(w io.Writer, traces []RequestTrace) error {
+	if traces == nil {
+		traces = t.Traces()
+	}
+	return WriteChromeTrace(w, traces)
 }

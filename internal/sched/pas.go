@@ -64,11 +64,6 @@ type PAS struct {
 	rec obs.Recorder
 }
 
-// SetRecorder attaches an observability recorder so promotion
-// decisions are counted (event "pas_promote", subject = scheduler
-// name).
-func (p *PAS) SetRecorder(rec obs.Recorder) { p.rec = rec }
-
 // NewPAS builds a PAS fed by SSDcheck's prediction engine.
 func NewPAS(p *core.Predictor) *PAS {
 	return &PAS{name: "pas", pred: SSDcheckPredictor{P: p}}

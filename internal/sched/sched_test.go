@@ -386,3 +386,8 @@ func TestPASFallbackPredictorIsFIFO(t *testing.T) {
 		t.Fatalf("fallback PAS recorded %d promotions, want 0", got)
 	}
 }
+
+// SetRecorder attaches an observability recorder so promotion
+// decisions are counted (event "pas_promote", subject = scheduler
+// name).
+func (p *PAS) SetRecorder(rec obs.Recorder) { p.rec = rec }

@@ -24,10 +24,6 @@ func NewRNG(seed uint64) *RNG {
 	return r
 }
 
-// Fork returns an independent generator deterministically derived from r.
-// Useful to give each subsystem its own stream.
-func (r *RNG) Fork() *RNG { return NewRNG(r.Uint64()) }
-
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
 // Uint64 returns the next 64 random bits.
@@ -63,9 +59,6 @@ func (r *RNG) Int63n(n int64) int64 {
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
-
-// Bool returns a uniform random bit.
-func (r *RNG) Bool() bool { return r.Uint64()&1 == 1 }
 
 // Perm returns a random permutation of [0, n).
 func (r *RNG) Perm(n int) []int {

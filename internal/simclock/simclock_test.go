@@ -119,14 +119,6 @@ func TestRNGPerm(t *testing.T) {
 	}
 }
 
-func TestRNGForkIndependence(t *testing.T) {
-	r := NewRNG(11)
-	f := r.Fork()
-	if f.Uint64() == r.Uint64() {
-		t.Fatal("fork should not mirror parent")
-	}
-}
-
 func TestFloat64PropertyRange(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := NewRNG(seed)
@@ -141,74 +133,4 @@ func TestFloat64PropertyRange(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestEngineOrdering(t *testing.T) {
-	e := NewEngine()
-	var order []int
-	e.Schedule(30, func(Time) { order = append(order, 3) })
-	e.Schedule(10, func(Time) { order = append(order, 1) })
-	e.Schedule(20, func(Time) { order = append(order, 2) })
-	e.Schedule(10, func(Time) { order = append(order, 11) }) // same-time ties fire in schedule order
-	e.Run()
-	want := []int{1, 11, 2, 3}
-	if len(order) != len(want) {
-		t.Fatalf("got %v", order)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("got %v want %v", order, want)
-		}
-	}
-	if e.Now() != 30 {
-		t.Fatalf("clock should end at 30, got %v", e.Now())
-	}
-}
-
-func TestEngineScheduleDuringRun(t *testing.T) {
-	e := NewEngine()
-	hits := 0
-	e.Schedule(5, func(now Time) {
-		hits++
-		if hits < 4 {
-			e.Schedule(now.Add(5*time.Nanosecond), func(Time) { hits++ })
-		}
-	})
-	e.Run()
-	if hits != 2 {
-		t.Fatalf("expected chained event to run, hits=%d", hits)
-	}
-}
-
-func TestEngineRunUntil(t *testing.T) {
-	e := NewEngine()
-	ran := 0
-	e.Schedule(10, func(Time) { ran++ })
-	e.Schedule(50, func(Time) { ran++ })
-	e.RunUntil(20)
-	if ran != 1 {
-		t.Fatalf("only first event should run, ran=%d", ran)
-	}
-	if e.Now() != 20 {
-		t.Fatalf("clock should advance to deadline, now=%v", e.Now())
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("one event should remain, pending=%d", e.Pending())
-	}
-	e.Run()
-	if ran != 2 || e.Now() != 50 {
-		t.Fatalf("remaining event should run at 50, ran=%d now=%v", ran, e.Now())
-	}
-}
-
-func TestEnginePastSchedulingPanics(t *testing.T) {
-	e := NewEngine()
-	e.Schedule(100, func(Time) {})
-	e.Run()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("scheduling in the past should panic")
-		}
-	}()
-	e.Schedule(10, func(Time) {})
 }

@@ -1,6 +1,6 @@
-// Package simclock provides the virtual time base, deterministic random
-// number generation, and a small event heap used by the discrete-event
-// simulation that underlies the whole reproduction.
+// Package simclock provides the virtual time base and deterministic
+// random number generation for the simulation that underlies the whole
+// reproduction.
 //
 // Every latency in this repository is computed on this virtual clock.
 // Nothing reads the wall clock, which makes every experiment exactly
@@ -16,13 +16,9 @@ import (
 // of the simulation.
 type Time int64
 
-// Common durations used throughout the simulator. They are ordinary
-// time.Duration values so arithmetic with Time reads naturally.
-const (
-	Microsecond = time.Microsecond
-	Millisecond = time.Millisecond
-	Second      = time.Second
-)
+// Microsecond is the unit simulator latencies are written in. It is an
+// ordinary time.Duration so arithmetic with Time reads naturally.
+const Microsecond = time.Microsecond
 
 // Add returns the instant d after t.
 func (t Time) Add(d time.Duration) Time { return t + Time(d) }

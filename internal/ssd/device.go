@@ -265,9 +265,6 @@ func MustNew(cfg Config) *Device {
 // Name returns the device label.
 func (d *Device) Name() string { return d.cfg.Name }
 
-// Config returns the device configuration (ground truth for tests).
-func (d *Device) Config() Config { return d.cfg }
-
 // CapacitySectors implements blockdev.Device.
 func (d *Device) CapacitySectors() int64 { return d.cfg.LogicalSectors }
 
@@ -394,19 +391,10 @@ func worseCause(a, b blockdev.Cause) blockdev.Cause {
 	return blockdev.WorseCause(a, b)
 }
 
-// WouldStallRead reports whether a read of lba submitted at t would be
-// delayed by internal activity — the ground-truth oracle behind the
-// "ideal PAS" bound of Fig. 14. Evaluation only.
-func (d *Device) WouldStallRead(lba int64, at simclock.Time) bool {
-	if d.cfg.Optimal {
-		return false
-	}
-	return d.vols[d.volumeOf(lba)].WouldStallRead(at)
-}
-
-// WouldStallReadAfterWrites is WouldStallRead for a read served after
-// pendingPages more writes to its volume — the in-order oracle behind
-// the ideal-PAS bound. Evaluation only.
+// WouldStallReadAfterWrites reports whether a read of lba submitted at t,
+// served after pendingPages more writes to its volume, would be delayed
+// by internal activity — the in-order oracle behind the ideal-PAS bound
+// of Fig. 14. Evaluation only.
 func (d *Device) WouldStallReadAfterWrites(lba int64, at simclock.Time, pendingPages int) bool {
 	if d.cfg.Optimal {
 		return false

@@ -191,19 +191,6 @@ func Preset(name string, seed uint64) (Config, error) {
 	}
 }
 
-// AllPresets returns fresh devices A–G.
-func AllPresets(seed uint64) []*Device {
-	out := make([]*Device, 0, len(PresetNames))
-	for i, n := range PresetNames {
-		cfg, err := Preset(n, seed+uint64(i)*101)
-		if err != nil {
-			panic(err)
-		}
-		out = append(out, MustNew(cfg))
-	}
-	return out
-}
-
 // Prototype variants reproduce the paper's custom FPGA SSD ablation
 // (Fig. 3): 32 planes, one volume, back buffer; flush and GC costs are
 // toggled to isolate their contribution. Secondary features and jitter

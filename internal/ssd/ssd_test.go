@@ -402,3 +402,25 @@ func TestShiftFeaturesBufferFloor(t *testing.T) {
 		t.Fatalf("buffer floored at %d bytes, want one page", got)
 	}
 }
+
+// Config returns the device configuration (ground truth for tests).
+func (d *Device) Config() Config { return d.cfg }
+
+// WouldStallRead reports whether a read of lba submitted at t would be
+// delayed by internal activity.
+func (d *Device) WouldStallRead(lba int64, at simclock.Time) bool {
+	return d.WouldStallReadAfterWrites(lba, at, 0)
+}
+
+// AllPresets returns fresh devices A–G.
+func AllPresets(seed uint64) []*Device {
+	out := make([]*Device, 0, len(PresetNames))
+	for i, n := range PresetNames {
+		cfg, err := Preset(n, seed+uint64(i)*101)
+		if err != nil {
+			panic(err)
+		}
+		out = append(out, MustNew(cfg))
+	}
+	return out
+}

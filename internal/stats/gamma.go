@@ -11,20 +11,6 @@ const (
 	gammaMaxIter = 500
 )
 
-// regularizedGammaP computes P(a, x) = γ(a,x)/Γ(a) for a > 0, x >= 0.
-func regularizedGammaP(a, x float64) float64 {
-	if x < 0 || a <= 0 {
-		return math.NaN()
-	}
-	if x == 0 {
-		return 0
-	}
-	if x < a+1 {
-		return gammaSeries(a, x)
-	}
-	return 1 - gammaContinuedFraction(a, x)
-}
-
 // regularizedGammaQ computes Q(a, x) = 1 - P(a, x).
 func regularizedGammaQ(a, x float64) float64 {
 	if x < 0 || a <= 0 {

@@ -1,6 +1,6 @@
 // Package stats provides the statistical utilities the reproduction
-// relies on: percentile/CDF summaries of latency samples, fixed-bin
-// histograms, a two-sample chi-squared test (used by the GC-volume
+// relies on: percentile/CDF summaries of latency samples, a two-sample
+// chi-squared test (used by the GC-volume
 // diagnosis, Fig. 5 of the paper), and windowed throughput series.
 //
 // Only the standard library is used; the chi-squared p-value is computed
@@ -8,7 +8,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -32,9 +31,6 @@ func (s *Sample) Add(x float64) {
 
 // Len returns the number of observations.
 func (s *Sample) Len() int { return len(s.xs) }
-
-// Sum returns the sum of all observations.
-func (s *Sample) Sum() float64 { return s.sum }
 
 // Mean returns the arithmetic mean, or 0 for an empty sample.
 func (s *Sample) Mean() float64 {
@@ -150,52 +146,6 @@ func (s *Sample) Values() []float64 {
 	out := make([]float64, len(s.xs))
 	copy(out, s.xs)
 	return out
-}
-
-// Histogram is a fixed-width-bin integer histogram over float64 values.
-type Histogram struct {
-	Lo, Hi float64 // closed-open covered range [Lo, Hi)
-	Counts []int64
-	Under  int64 // observations below Lo
-	Over   int64 // observations at or above Hi
-	total  int64
-}
-
-// NewHistogram returns a histogram with bins equal-width bins over
-// [lo, hi). It panics on a degenerate range or non-positive bin count.
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 || hi <= lo {
-		panic(fmt.Sprintf("stats: bad histogram spec lo=%v hi=%v bins=%d", lo, hi, bins))
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int64, bins)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	h.total++
-	switch {
-	case x < h.Lo:
-		h.Under++
-	case x >= h.Hi:
-		h.Over++
-	default:
-		i := int(float64(len(h.Counts)) * (x - h.Lo) / (h.Hi - h.Lo))
-		if i >= len(h.Counts) { // guard against float round-up at the edge
-			i = len(h.Counts) - 1
-		}
-		h.Counts[i]++
-	}
-}
-
-// Total returns the number of observations recorded, including under/over.
-func (h *Histogram) Total() int64 { return h.total }
-
-// Fraction returns the share of observations landing in bin i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(h.total)
 }
 
 // ThroughputSeries converts completion events into a windowed throughput

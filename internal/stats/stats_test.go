@@ -135,40 +135,6 @@ func TestValuesSortedCopy(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1.9, 2, 9.999, 10, 11} {
-		h.Add(x)
-	}
-	if h.Under != 1 || h.Over != 2 {
-		t.Fatalf("under=%d over=%d", h.Under, h.Over)
-	}
-	if h.Counts[0] != 2 { // 0 and 1.9
-		t.Fatalf("bin0=%d", h.Counts[0])
-	}
-	if h.Counts[1] != 1 { // 2
-		t.Fatalf("bin1=%d", h.Counts[1])
-	}
-	if h.Counts[4] != 1 { // 9.999
-		t.Fatalf("bin4=%d", h.Counts[4])
-	}
-	if h.Total() != 7 {
-		t.Fatalf("total=%d", h.Total())
-	}
-	if got := h.Fraction(0); math.Abs(got-2.0/7) > 1e-12 {
-		t.Fatalf("Fraction(0)=%v", got)
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("bad spec should panic")
-		}
-	}()
-	NewHistogram(5, 5, 3)
-}
-
 func TestThroughputSeries(t *testing.T) {
 	ts := NewThroughputSeries(1.0)
 	ts.Record(0.1, 1e6)
@@ -294,4 +260,21 @@ func TestChiSquaredPValueRangeProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// Sum returns the sum of all observations.
+func (s *Sample) Sum() float64 { return s.sum }
+
+// regularizedGammaP computes P(a, x) = γ(a,x)/Γ(a) for a > 0, x >= 0.
+func regularizedGammaP(a, x float64) float64 {
+	if x < 0 || a <= 0 {
+		return math.NaN()
+	}
+	if x == 0 {
+		return 0
+	}
+	if x < a+1 {
+		return gammaSeries(a, x)
+	}
+	return 1 - gammaContinuedFraction(a, x)
 }

@@ -85,16 +85,6 @@ var (
 	ReadIntensive  = []Spec{Exch, Live, Build}
 )
 
-// ByName returns the named evaluation workload.
-func ByName(name string) (Spec, error) {
-	for _, s := range Workloads {
-		if s.Name == name {
-			return s, nil
-		}
-	}
-	return Spec{}, fmt.Errorf("trace: unknown workload %q", name)
-}
-
 // Generator streams requests of a workload over a device of the given
 // capacity. It is deterministic for a given (spec, capacity, seed).
 type Generator struct {

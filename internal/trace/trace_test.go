@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -244,4 +245,14 @@ func TestClampToCapacity(t *testing.T) {
 			t.Fatalf("request %d still out of range: %+v", i, r)
 		}
 	}
+}
+
+// ByName returns the named evaluation workload.
+func ByName(name string) (Spec, error) {
+	for _, s := range Workloads {
+		if s.Name == name {
+			return s, nil
+		}
+	}
+	return Spec{}, fmt.Errorf("trace: unknown workload %q", name)
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"ssdcheck"
+	"ssdcheck/internal/trace"
 )
 
 // TestSoakLongHaul runs the full pipeline over a long replay — hundreds
@@ -38,7 +39,7 @@ func TestSoakLongHaul(t *testing.T) {
 			// Three different workload phases back to back: the model
 			// must stay calibrated through regime changes.
 			var totalHL, hitHL, totalNL, hitNL int
-			for _, spec := range []ssdcheck.Workload{ssdcheck.Web, ssdcheck.Exch, ssdcheck.RWMixed} {
+			for _, spec := range []ssdcheck.Workload{trace.Web, ssdcheck.Exch, ssdcheck.RWMixed} {
 				reqs := ssdcheck.GenerateWorkload(spec, dev.CapacitySectors(), 1300, 100000)
 				rep := ssdcheck.EvaluateAccuracy(dev, pr, reqs, now)
 				now = rep.End

@@ -42,8 +42,6 @@ import (
 type (
 	// Time is an instant on the virtual clock (nanoseconds).
 	Time = simclock.Time
-	// Op is a block request direction.
-	Op = blockdev.Op
 	// Request is one block I/O request.
 	Request = blockdev.Request
 	// Device is the black-box device surface SSDcheck operates on.
@@ -51,17 +49,12 @@ type (
 	// TaggedDevice additionally exposes ground-truth causes —
 	// evaluation only.
 	TaggedDevice = blockdev.TaggedDevice
-	// Completion is a finished request with its timing.
-	Completion = blockdev.Completion
-	// Cause labels why a request was slow (ground truth).
-	Cause = blockdev.Cause
 )
 
 // Request directions.
 const (
 	Read  = blockdev.Read
 	Write = blockdev.Write
-	Trim  = blockdev.Trim
 )
 
 // Simulated devices.
@@ -129,25 +122,14 @@ func EvaluateAccuracy(dev Device, pr *Predictor, reqs []Request, start Time) Acc
 	return core.Evaluate(dev, pr, reqs, start)
 }
 
-// LoadFeatures reads a diagnosis saved with Features.Save, so a device
-// model can be diagnosed once and reused.
-var LoadFeatures = extract.LoadFeatures
-
-// Workloads (paper Table II).
-type (
-	// Workload describes a synthetic block workload.
-	Workload = trace.Spec
-	// WorkloadGenerator streams a workload's requests.
-	WorkloadGenerator = trace.Generator
-)
+// Workload describes a synthetic block workload (paper Table II).
+type Workload = trace.Spec
 
 // The evaluation workloads.
 var (
 	TPCE       = trace.TPCE
 	Homes      = trace.Homes
-	Web        = trace.Web
 	Exch       = trace.Exch
-	Live       = trace.Live
 	Build      = trace.Build
 	RWMixed    = trace.RWMixed
 	WriteBurst = trace.WriteBurst
@@ -159,13 +141,6 @@ var (
 func GenerateWorkload(spec Workload, capacitySectors int64, seed uint64, n int) []Request {
 	return trace.Generate(spec, capacitySectors, seed, n)
 }
-
-// Trace file I/O: plain-text block traces ("R|W|T lba sectors" lines).
-var (
-	ReadTraceFile   = trace.ReadRequests
-	WriteTraceFile  = trace.WriteRequests
-	ClampToCapacity = trace.ClampToCapacity
-)
 
 // Use case 1: volume managers (paper §IV-A).
 type (
@@ -192,34 +167,18 @@ func NewVALVM(capacitySectors int64, volumeBits []int) VolumeMapper {
 // for a virtual-time window.
 var RunMultiTenant = lvm.RunMultiTenant
 
-// Use case 2: schedulers (paper §IV-B).
-type (
-	// Scheduler is the host I/O scheduler contract.
-	Scheduler = host.Scheduler
-	// QueueItem is a queued request as schedulers see it.
-	QueueItem = host.Item
-	// HostRecord is one request's life through the host queue.
-	HostRecord = host.Record
-)
+// Scheduler is the host I/O scheduler contract (use case 2, paper
+// §IV-B).
+type Scheduler = host.Scheduler
 
 // Baseline and prediction-aware schedulers.
-func NewNoop() Scheduler                       { return sched.NewNoop() }
-func NewDeadline() Scheduler                   { return sched.NewDeadline() }
-func NewCFQ() Scheduler                        { return sched.NewCFQ() }
-func NewPAS(p *Predictor) Scheduler            { return sched.NewPAS(p) }
-func NewIdealPAS(o sched.OracleFunc) Scheduler { return sched.NewIdealPAS(o) }
-
-// NewFIOS builds the classic FIOS-style fair scheduler (read-after-write
-// assumed slow); NewFIOSWithPredictor lifts that assumption with
-// SSDcheck predictions (paper §VII).
-func NewFIOS() Scheduler                          { return sched.NewFIOS() }
-func NewFIOSWithPredictor(p *Predictor) Scheduler { return sched.NewFIOSWithPredictor(p) }
+func NewNoop() Scheduler            { return sched.NewNoop() }
+func NewDeadline() Scheduler        { return sched.NewDeadline() }
+func NewCFQ() Scheduler             { return sched.NewCFQ() }
+func NewPAS(p *Predictor) Scheduler { return sched.NewPAS(p) }
 
 // Drive runs an arrival stream through a scheduler and a device.
 var Drive = host.Drive
-
-// DriveClosedLoop keeps a fixed queue depth outstanding.
-var DriveClosedLoop = host.DriveClosedLoop
 
 // Fleet serving (beyond the paper): many devices, many predictors, one
 // concurrent manager. See internal/fleet for the concurrency model and
@@ -275,57 +234,9 @@ type (
 	ClusterNode = cluster.Node
 	// ClusterResult is one request's outcome with node attribution.
 	ClusterResult = cluster.Result
-	// ClusterMetrics is the merged cluster-wide aggregate view.
-	ClusterMetrics = cluster.Metrics
-	// ClusterRing is the consistent-hash placement ring.
-	ClusterRing = cluster.Ring
 
-	// ClusterHTTPTransport is the node-plane RPC client over HTTP, for
-	// real ssdcheckd processes' /v1/node/* API: per-attempt deadlines,
-	// bounded retries, idempotency tokens with an incarnation. A
-	// coordinator reaches its members only through this one client
-	// type, over HTTP or the memory carrier.
-	ClusterHTTPTransport = cluster.HTTPTransport
-	// ClusterLoopbackTransport is the same client type over the memory
-	// carrier: the same request bytes, handed to each in-process node's
-	// own NodeAPI on virtual time, with injectable RPC faults. Every
-	// harness runs it.
-	ClusterLoopbackTransport = cluster.LoopbackTransport
 	// ClusterRPCPolicy bounds one RPC: deadline + retry schedule.
 	ClusterRPCPolicy = cluster.RPCPolicy
-	// ClusterRPCStats is one node's transport accounting.
-	ClusterRPCStats = cluster.RPCStats
-	// ClusterNodeAPI is the node-side RPC surface with exactly-once
-	// token dedupe; ssdcheckd mounts it under /v1/node/*.
-	ClusterNodeAPI = cluster.NodeAPI
-	// ClusterBreakerState is a node's circuit-breaker position.
-	ClusterBreakerState = cluster.BreakerState
-	// ClusterBreakerTransition is one seq-stamped breaker edge.
-	ClusterBreakerTransition = cluster.BreakerTransition
-	// ClusterNodeResolver rebuilds node handles while a coordinator
-	// replays its log.
-	ClusterNodeResolver = cluster.NodeResolver
-	// ClusterGroup is a replicated coordinator group: a quorum-
-	// acknowledged placement log, tick-clock leases, deterministic
-	// elections and term-fenced node RPCs (see internal/cluster
-	// replica.go / group.go).
-	ClusterGroup = cluster.Group
-	// ClusterGroupConfig parameterizes a replica group.
-	ClusterGroupConfig = cluster.GroupConfig
-	// ClusterGroupPolicy tunes leases and election timeouts, in
-	// heartbeat rounds.
-	ClusterGroupPolicy = cluster.GroupPolicy
-	// ClusterGroupStatus is the group's observable state: term, leader,
-	// quorum size, per-replica log positions.
-	ClusterGroupStatus = cluster.GroupStatus
-	// ClusterReplicaStatus is one replica's view.
-	ClusterReplicaStatus = cluster.ReplicaStatus
-	// ClusterFencingToken stamps node-plane RPCs with (term, leader) so
-	// a superseded coordinator cannot drive the fleet.
-	ClusterFencingToken = cluster.FencingToken
-	// FleetDeviceState is a device's exported wire state — what
-	// migrates between nodes on detach/attach.
-	FleetDeviceState = fleet.DeviceState
 
 	// NodeFaultPlan is a seeded set of node-level fault schedules
 	// (heartbeat loss, partition, slow node, RPC drop/duplicate/
@@ -335,23 +246,9 @@ type (
 	NodeFaultSchedule = faults.NodeSchedule
 )
 
-// The injectable node-level fault classes.
-const (
-	NodeFaultHeartbeatLoss = faults.HeartbeatLoss
-	NodeFaultPartition     = faults.Partition
-	NodeFaultSlowNode      = faults.SlowNode
-	NodeFaultRPCDrop       = faults.RPCDrop
-	NodeFaultRPCDuplicate  = faults.RPCDuplicate
-	NodeFaultRPCDelay      = faults.RPCDelay
-	NodeFaultRPCTimeout    = faults.RPCTimeout
-)
-
-// Circuit-breaker states of a cluster member.
-const (
-	ClusterBreakerClosed   = cluster.BreakerClosed
-	ClusterBreakerOpen     = cluster.BreakerOpen
-	ClusterBreakerHalfOpen = cluster.BreakerHalfOpen
-)
+// NodeFaultHeartbeatLoss drops a node's heartbeat responses for a
+// window; submits still go through.
+const NodeFaultHeartbeatLoss = faults.HeartbeatLoss
 
 // NewClusterHarness stands up an in-process cluster: nodes join the
 // ring, every device is diagnosed once in a bootstrap fleet, and each
@@ -368,17 +265,9 @@ var NewClusterNode = cluster.NewNode
 // reachable at a base URL.
 var NewClusterRemoteNode = cluster.NewRemoteNode
 
-// NewClusterRing builds the consistent-hash placement ring; placement
-// is a pure function of (seed, membership, devices).
-var NewClusterRing = cluster.NewRing
-
 // NewClusterHTTPTransport builds the networked transport for real
 // ssdcheckd members.
 var NewClusterHTTPTransport = cluster.NewHTTPTransport
-
-// NewClusterLoopbackTransport builds the RPC client over the memory
-// carrier, the one every harness runs.
-var NewClusterLoopbackTransport = cluster.NewLoopbackTransport
 
 // NewClusterNodeAPI wraps a node in the token-deduped RPC surface.
 var NewClusterNodeAPI = cluster.NewNodeAPI
@@ -392,56 +281,18 @@ var ClusterNodeAPIHandler = cluster.NodeAPIHandler
 // with the default policy.
 var NewClusterCoordinator = cluster.NewCoordinator
 
-// RecoverClusterCoordinator opens (or creates) a durable coordinator
-// on a one-replica log directory (log.jsonl, meta.json, snapshot.json,
-// compacted every 256 decisions): an existing log restores its
-// snapshot and replays the entries after it, so the coordinator
-// resumes exactly where the dead one stopped.
-var RecoverClusterCoordinator = cluster.RecoverCoordinator
-
-// NewClusterGroup stands up a replicated coordinator group: replicas
-// share a quorum-acknowledged log, the leader holds a tick-clock
-// lease, failover is a deterministic election, and superseded leaders
-// are fenced off the node plane by term.
-func NewClusterGroup(cfg ClusterGroupConfig) (*ClusterGroup, error) {
-	return cluster.NewGroup(cfg)
-}
-
-// The leader-chaos fault classes for the replica group harness.
-const (
-	NodeFaultLeaderCrash     = faults.LeaderCrash
-	NodeFaultLeaderPartition = faults.LeaderPartition
-	NodeFaultDuelingLeader   = faults.DuelingLeader
-)
-
 // Fault injection and fleet resilience (beyond the paper): a seedable
 // fault injector that wraps any Device, and the fleet's health state
 // machine, retry policy and recovery probes built to survive it. See
 // internal/faults, the "Failure model" section of DESIGN.md, and
 // examples/faults for a runnable walkthrough.
 type (
-	// FaultInjector wraps a device and injects faults per a
-	// deterministic, seedable schedule.
-	FaultInjector = faults.Injector
 	// FaultConfig is a seed plus a set of fault schedules.
 	FaultConfig = faults.Config
 	// FaultSchedule arms one fault: what kind, when (request number or
 	// probability), and how hard.
 	FaultSchedule = faults.Schedule
-	// FaultKind enumerates the injectable fault classes.
-	FaultKind = faults.Kind
-	// FaultStats counts what an injector actually did.
-	FaultStats = faults.Stats
 
-	// DeviceHealth is a fleet device's resilience state.
-	DeviceHealth = fleet.Health
-	// HealthTransition is one logged edge of the health state machine.
-	HealthTransition = fleet.HealthTransition
-	// HealthReport is the detailed per-device resilience view.
-	HealthReport = fleet.HealthReport
-	// RetryPolicy bounds transient-error retries (deterministic
-	// backoff + jitter on the virtual clock).
-	RetryPolicy = fleet.RetryPolicy
 	// HealthPolicy tunes the health state machine and recovery probes.
 	HealthPolicy = fleet.HealthPolicy
 
@@ -449,12 +300,6 @@ type (
 	// behavior — the black-box analog of a firmware update that
 	// silently invalidates a diagnosed model.
 	FeatureShift = blockdev.FeatureShift
-	// ModelHealth is a fleet device's model-lifecycle state.
-	ModelHealth = fleet.ModelHealth
-	// ModelTransition is one logged edge of the model-health machine.
-	ModelTransition = fleet.ModelTransition
-	// ModelReport is the detailed per-device model-health view.
-	ModelReport = fleet.ModelReport
 	// ModelPolicy tunes the drift watchdog, fallback and re-diagnosis.
 	ModelPolicy = fleet.ModelPolicy
 )
@@ -463,50 +308,13 @@ type (
 const (
 	FaultTransient    = faults.Transient
 	FaultLatencyStorm = faults.LatencyStorm
-	FaultStuckBusy    = faults.StuckBusy
 	FaultFailStop     = faults.FailStop
-	FaultDrift        = faults.Drift
 	FaultFeatureShift = faults.FeatureShift
 )
 
-// Health states of a fleet device.
-const (
-	DeviceHealthy     = fleet.Healthy
-	DeviceDegraded    = fleet.Degraded
-	DeviceQuarantined = fleet.Quarantined
-	DeviceRecovering  = fleet.Recovering
-)
-
-// Model-health states of a fleet device's predictor (calibrated →
-// drifting → fallback → rediagnosing; re-diagnosis hot-swaps back to
-// calibrated).
-const (
-	ModelCalibrated   = fleet.ModelCalibrated
-	ModelDrifting     = fleet.ModelDrifting
-	ModelFallback     = fleet.ModelFallback
-	ModelRediagnosing = fleet.ModelRediagnosing
-)
-
-// Typed failure sentinels, errors.Is-compatible.
-var (
-	// ErrTransient marks a retryable I/O failure.
-	ErrTransient = blockdev.ErrTransient
-	// ErrDeviceFailed marks a permanent (fail-stop) device failure.
-	ErrDeviceFailed = blockdev.ErrDeviceFailed
-	// ErrDeviceQuarantined rejects requests to an out-of-service device.
-	ErrDeviceQuarantined = fleet.ErrDeviceQuarantined
-	// ErrUnknownDevice rejects requests to an ID the fleet doesn't own.
-	ErrUnknownDevice = fleet.ErrUnknownDevice
-	// ErrFleetClosed rejects batches submitted after Close.
-	ErrFleetClosed = fleet.ErrManagerClosed
-)
-
-// NewFaultInjector wraps a device in a fault injector. The injector is
-// armed from the start; fleets built with FleetDeviceSpec.Faults
-// instead arm it only after preconditioning and diagnosis.
-func NewFaultInjector(dev Device, cfg FaultConfig) (*FaultInjector, error) {
-	return faults.New(dev, cfg)
-}
+// ErrDeviceQuarantined rejects requests to an out-of-service device;
+// match it with errors.Is.
+var ErrDeviceQuarantined = fleet.ErrDeviceQuarantined
 
 // Observability (beyond the paper): a lock-cheap metrics registry with
 // Prometheus text exposition and a deterministic per-request span
@@ -519,22 +327,15 @@ type (
 	MetricsRegistry = obs.Registry
 	// MetricsLabel is one name="value" pair on a metric series.
 	MetricsLabel = obs.Label
-	// LatencyHistogram is a fixed-memory log-bucketed histogram.
-	LatencyHistogram = obs.Histogram
 	// LatencySnapshot is a point-in-time histogram copy for quantile
 	// queries and merging.
 	LatencySnapshot = obs.HistogramSnapshot
-	// Recorder is the narrow instrumentation surface fleet, scheduler
-	// and predictor code records into.
-	Recorder = obs.Recorder
 	// Observer bundles a registry and a tracer into a Recorder.
 	Observer = obs.Observer
 	// Tracer samples per-request span traces deterministically.
 	Tracer = obs.Tracer
 	// RequestTrace is the recorded life of one sampled request.
 	RequestTrace = obs.RequestTrace
-	// TraceSpan is one named stage of a traced request.
-	TraceSpan = obs.Span
 )
 
 // NewMetricsRegistry returns an empty metrics registry.
@@ -546,17 +347,12 @@ func NewTracer(seed uint64, rate float64, perDevice int) *Tracer {
 	return obs.NewTracer(seed, rate, perDevice)
 }
 
-// NopRecorder returns the recorder that records nothing at zero cost.
-func NopRecorder() Recorder { return obs.Nop() }
-
 // WriteChromeTrace renders traces in the Chrome trace_event JSON format
 // (chrome://tracing, Perfetto).
 var WriteChromeTrace = obs.WriteChromeTrace
 
 // Hybrid PAS with an NVM tier (paper §IV-B).
 type (
-	// NVMTier models the fast non-volatile memory tier.
-	NVMTier = nvm.Tier
 	// HybridConfig parameterizes a two-tier run.
 	HybridConfig = nvm.Config
 	// HybridResult is a two-tier run's outcome.
@@ -587,33 +383,16 @@ type (
 	// ECVolumeConfig parameterizes geometry, placement seed and the
 	// parity-deferral budget.
 	ECVolumeConfig = ecvol.Config
-	// ECVolumeStats is a volume's cumulative counter snapshot.
-	ECVolumeStats = ecvol.Stats
 	// ECReadResult is one served chunk read (value, mode, latency).
 	ECReadResult = ecvol.ReadResult
 	// ECWriteResult is one acknowledged chunk write.
 	ECWriteResult = ecvol.WriteResult
-	// ECReadMode says how a read was served: direct, steered or
-	// reconstructed.
-	ECReadMode = ecvol.ReadMode
-	// FleetSteeringSnapshot is the read-only per-device prediction and
-	// health view the volume (and any other steering layer) consumes.
-	FleetSteeringSnapshot = fleet.SteeringSnapshot
 )
 
 // The read-service modes.
 const (
 	ECReadDirect        = ecvol.Direct
-	ECReadSteered       = ecvol.Steered
 	ECReadReconstructed = ecvol.Reconstructed
-)
-
-// Erasure-volume failure sentinels.
-var (
-	// ErrECStripeLost reports fewer readable shards than data shards.
-	ErrECStripeLost = ecvol.ErrStripeLost
-	// ErrECOutOfRange rejects chunk indexes beyond the volume.
-	ErrECOutOfRange = ecvol.ErrOutOfRange
 )
 
 // NewECVolume builds an erasure-coded volume over fl's devices.

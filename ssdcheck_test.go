@@ -6,6 +6,9 @@ import (
 	"time"
 
 	"ssdcheck"
+	"ssdcheck/internal/host"
+	"ssdcheck/internal/sched"
+	"ssdcheck/internal/trace"
 )
 
 // TestFacadeQuickstart walks the whole public API the way the README's
@@ -48,7 +51,7 @@ func TestFacadeSchedulers(t *testing.T) {
 		ssdcheck.NewNoop, ssdcheck.NewDeadline, ssdcheck.NewCFQ,
 	} {
 		s := mk()
-		s.Add(ssdcheck.QueueItem{Req: ssdcheck.Request{Op: ssdcheck.Write, LBA: 0, Sectors: 8}})
+		s.Add(host.Item{Req: ssdcheck.Request{Op: ssdcheck.Write, LBA: 0, Sectors: 8}})
 		if s.Len() != 1 {
 			t.Fatalf("%s did not enqueue", s.Name())
 		}
@@ -72,21 +75,21 @@ func TestFacadeLVM(t *testing.T) {
 func TestFacadeTraceIO(t *testing.T) {
 	reqs := []ssdcheck.Request{{Op: ssdcheck.Write, LBA: 0, Sectors: 8}}
 	var buf bytes.Buffer
-	if err := ssdcheck.WriteTraceFile(&buf, reqs); err != nil {
+	if err := trace.WriteRequests(&buf, reqs); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ssdcheck.ReadTraceFile(&buf)
+	got, err := trace.ReadRequests(&buf)
 	if err != nil || len(got) != 1 || got[0] != reqs[0] {
 		t.Fatalf("trace round trip failed: %v %v", got, err)
 	}
-	if n := ssdcheck.ClampToCapacity(got, 4); n != 1 {
+	if n := trace.ClampToCapacity(got, 4); n != 1 {
 		t.Fatalf("clamp adjusted %d", n)
 	}
 }
 
 func TestFacadeFIOS(t *testing.T) {
-	s := ssdcheck.NewFIOS()
-	s.Add(ssdcheck.QueueItem{Req: ssdcheck.Request{Op: ssdcheck.Read, LBA: 0, Sectors: 8}})
+	s := sched.NewFIOS()
+	s.Add(host.Item{Req: ssdcheck.Request{Op: ssdcheck.Read, LBA: 0, Sectors: 8}})
 	if _, ok := s.Next(0); !ok {
 		t.Fatal("FIOS did not dispatch")
 	}
