@@ -614,16 +614,37 @@ func BenchmarkDeviceSubmitMany(b *testing.B) {
 	}
 }
 
-// BenchmarkDiagnosis measures the wall-clock cost of a full diagnosis.
+// probeCounter counts the requests a diagnosis submits.
+type probeCounter struct {
+	ssdcheck.Device
+	n int64
+}
+
+func (d *probeCounter) Submit(req ssdcheck.Request, at ssdcheck.Time) ssdcheck.Time {
+	d.n++
+	return d.Device.Submit(req, at)
+}
+
+// BenchmarkDiagnosis measures the cost of a full diagnosis: wall clock
+// per op, and per device the probe requests it submits (probe_reqs/op)
+// and the virtual device time they take (virt_s/op).
 func BenchmarkDiagnosis(b *testing.B) {
+	var reqs int64
+	var virt time.Duration
 	for i := 0; i < b.N; i++ {
 		cfg, _ := ssdcheck.Preset("D", uint64(i))
 		dev, _ := ssdcheck.NewSSD(cfg)
 		now := ssdcheck.Precondition(dev, uint64(i), 1.2, 0)
-		if _, _, err := ssdcheck.Diagnose(dev, now, ssdcheck.DiagnosisOpts{Seed: uint64(i)}); err != nil {
+		pc := &probeCounter{Device: dev}
+		_, end, err := ssdcheck.Diagnose(pc, now, ssdcheck.DiagnosisOpts{Seed: uint64(i)})
+		if err != nil {
 			b.Fatal(err)
 		}
+		reqs += pc.n
+		virt += end.Sub(now)
 	}
+	b.ReportMetric(float64(reqs)/float64(b.N), "probe_reqs/op")
+	b.ReportMetric(virt.Seconds()/float64(b.N), "virt_s/op")
 }
 
 // BenchmarkAblation quantifies what each model component buys — the

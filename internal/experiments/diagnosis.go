@@ -89,7 +89,7 @@ func (r Fig05Result) Render(w io.Writer) {
 		fprintf(w, "%s: %d Fixed intervals, GC stall ~%.1fms, detected bits %v\n",
 			d.Name, d.FixedIntervals, d.GCOverheadMs, d.DetectedBits)
 		for _, p := range d.PValues {
-			fprintf(w, "  bit %2d: p=%.4f\n", p.Bit, p.PValue)
+			fprintf(w, "  bit %2d: p=%.4f after %d intervals per pattern\n", p.Bit, p.PValue, p.Intervals)
 		}
 	}
 }
@@ -104,8 +104,8 @@ func Fig05(o Opts) Fig05Result {
 		s := extract.NewSession(dev, now, o.Seed+2)
 		do := diagOpts(o.Seed).WithDefaults(dev.CapacitySectors())
 		extract.CalibrateThresholds(s)
-		alloc := extract.ScanAllocationVolumes(s, do)
-		scan := extract.ScanGCVolumes(s, do, alloc.VolumeBits)
+		extract.ScanAllocationVolumes(s, do)
+		scan := extract.ScanGCVolumes(s, do)
 
 		var ivs stats.Sample
 		for _, iv := range scan.FixedIntervals {

@@ -63,6 +63,9 @@ type BitThroughput struct {
 type BitPValue struct {
 	Bit    int
 	PValue float64
+	// Intervals is the per-pattern GC-interval count behind PValue: the
+	// look at which the sequential scan decided the bit.
+	Intervals int
 }
 
 // Features is everything the diagnosis extracts from one device — the
@@ -246,6 +249,12 @@ func (s *Session) randomPage(zeroBits ...int) int64 {
 // The device should be preconditioned (trace.Precondition) first, as the
 // paper does following the SNIA practice.
 func Run(dev blockdev.Device, start simclock.Time, opts Opts) (*Features, simclock.Time, error) {
+	return run(dev, start, opts, ScanGCVolumes)
+}
+
+// run is Run with the GC-volume scan as a parameter, so tests can drive
+// the same pipeline with a reference scan.
+func run(dev blockdev.Device, start simclock.Time, opts Opts, scanGC func(*Session, Opts) GCScanResult) (*Features, simclock.Time, error) {
 	o := opts.WithDefaults(dev.CapacitySectors())
 	s := NewSession(dev, start, o.Seed)
 	f := &Features{}
@@ -256,7 +265,7 @@ func Run(dev blockdev.Device, start simclock.Time, opts Opts) (*Features, simclo
 	f.AllocScan = alloc.Points
 	f.VolumeBits = alloc.VolumeBits
 
-	gc := ScanGCVolumes(s, o, f.VolumeBits)
+	gc := scanGC(s, o)
 	f.GCScan = gc.Points
 	f.GCIntervalWrites = gc.FixedIntervals
 	f.GCOverhead = gc.Overhead

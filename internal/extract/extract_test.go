@@ -257,6 +257,30 @@ func TestNoSLCFalsePositive(t *testing.T) {
 	}
 }
 
+// randomConfigs is how many randomConfig cases the property tests run.
+const randomConfigs = 6
+
+// randomConfig draws case c of the randomized configurations inside the
+// model's coverage, with the seed it was drawn from.
+func randomConfig(c int) (ssd.Config, uint64) {
+	bufferChoices := []int{96, 128, 160, 192, 248, 256}
+	volumeChoices := [][]int{nil, {17}, {16}, {17, 18}, {16, 18}}
+
+	seed := uint64(1000 + c*77)
+	rng := simclock.NewRNG(seed)
+	cfg := ssd.PresetA(seed)
+	cfg.Name = fmt.Sprintf("random-%d", c)
+	cfg.BufferBytes = bufferChoices[rng.Intn(len(bufferChoices))] * 1024
+	cfg.VolumeBits = volumeChoices[rng.Intn(len(volumeChoices))]
+	if rng.Uint64()&1 == 1 {
+		cfg.BufferType = ftl.BufferFore
+		cfg.ReadTriggerFlush = true
+	}
+	cfg.Timing.ProgramPage = time.Duration(900+rng.Intn(5)*50) * time.Microsecond
+	cfg.SecondaryRate = 0.0005
+	return cfg, seed
+}
+
 // TestDiagnosisRecoversRandomConfigs is the pipeline's property test:
 // for randomized device configurations inside the model's coverage —
 // arbitrary buffer sizes, buffer types, volume-bit layouts, NAND
@@ -267,23 +291,8 @@ func TestDiagnosisRecoversRandomConfigs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("randomized diagnosis sweep is long")
 	}
-	bufferChoices := []int{96, 128, 160, 192, 248, 256}
-	volumeChoices := [][]int{nil, {17}, {16}, {17, 18}, {16, 18}}
-
-	for c := 0; c < 6; c++ {
-		seed := uint64(1000 + c*77)
-		rng := simclock.NewRNG(seed)
-		cfg := ssd.PresetA(seed)
-		cfg.Name = fmt.Sprintf("random-%d", c)
-		cfg.BufferBytes = bufferChoices[rng.Intn(len(bufferChoices))] * 1024
-		cfg.VolumeBits = volumeChoices[rng.Intn(len(volumeChoices))]
-		if rng.Uint64()&1 == 1 {
-			cfg.BufferType = ftl.BufferFore
-			cfg.ReadTriggerFlush = true
-		}
-		cfg.Timing.ProgramPage = time.Duration(900+rng.Intn(5)*50) * time.Microsecond
-		cfg.SecondaryRate = 0.0005
-
+	for c := 0; c < randomConfigs; c++ {
+		cfg, seed := randomConfig(c)
 		f := diagnose(t, cfg, quickOpts(seed+1))
 
 		if f.BufferBytes != cfg.BufferBytes {

@@ -61,12 +61,22 @@ func DetectSLCCache(s *Session, o Opts, volumeBits []int, bufferBytes int, write
 	return period, time.Duration(stall.Percentile(50))
 }
 
+// slcMinRepeats is how many agreeing spacings a cadence needs before
+// periodCV judges it. Random-write GC on an ordinary device can repeat
+// one spacing three or four times within the probe (1,024–1,433 pages
+// on presets A, B, F and G), which read as phantom SLC caches; a real
+// fold cadence inside the probe window repeats nine times or more. The
+// price is range: a 6,000-write probe cannot confirm a cache of more
+// than ~1,000 pages.
+const slcMinRepeats = 6
+
 // periodCV returns a robust dispersion measure of the spacings between
 // stall clusters: the coefficient of variation over the spacings within
 // 15% of the median. Isolated odd gaps (a stray GC or wear-leveling
 // event splitting one period) must not mask an otherwise page-exact
 // fold cadence, but if fewer than two thirds of the spacings agree with
-// the median there is no cadence to speak of.
+// the median, or fewer than slcMinRepeats, there is no cadence to speak
+// of.
 func periodCV(idx []int) float64 {
 	var starts []int
 	for i, x := range idx {
@@ -91,8 +101,8 @@ func periodCV(idx []int) float64 {
 			inliers.Add(d)
 		}
 	}
-	if inliers.Len()*3 < diffs.Len()*2 {
-		return 1 // no dominant cadence
+	if inliers.Len()*3 < diffs.Len()*2 || inliers.Len() < slcMinRepeats {
+		return 1 // no dominant cadence, or too few repeats to tell
 	}
 	return inliers.StdDev() / inliers.Mean()
 }

@@ -279,18 +279,16 @@ func (md *managedDevice) rediagStep(cfg *Config) {
 		r.feats.SLCFoldOverhead = md.feats.SLCFoldOverhead
 		md.rediag = r
 	}
+	// Live requests served since the last stage advanced the device
+	// clock; the probes resume after them, never before.
+	r.sess.Now = md.now
 	switch r.stage {
 	case 0:
 		r.feats.ReadThreshold, r.feats.WriteThreshold = extract.CalibrateThresholds(r.sess)
 	case 1:
-		// Fixed-pattern GC cadence only: MaxBit < MinBit skips the
-		// per-bit Flip scans (topology is carried over), keeping the
-		// probe inside the configured budget.
-		opts := r.opts
-		opts.MinBit, opts.MaxBit = 1, 0
-		gc := extract.ScanGCVolumes(r.sess, opts, r.feats.VolumeBits)
-		r.feats.GCIntervalWrites = gc.FixedIntervals
-		r.feats.GCOverhead = gc.Overhead
+		// Fixed-pattern GC cadence only: the topology is carried over,
+		// so no per-bit Flip scan runs.
+		_, r.feats.GCIntervalWrites, r.feats.GCOverhead = extract.FixedGCCadence(r.sess, r.opts)
 	case 2:
 		buf := extract.AnalyzeWriteBuffer(r.sess, r.opts, r.feats.VolumeBits,
 			r.feats.ReadThreshold, r.feats.WriteThreshold)

@@ -6,7 +6,6 @@ import (
 	"ssdcheck/internal/blockdev"
 	"ssdcheck/internal/core"
 	"ssdcheck/internal/host"
-	"ssdcheck/internal/obs"
 	"ssdcheck/internal/simclock"
 )
 
@@ -57,11 +56,6 @@ type PAS struct {
 	name string
 	pred ReadPredictor
 	q    list.List // of host.Item, arrival order
-
-	// rec, when set, receives dispatch events: "pas_promote" every
-	// time a predicted-HL read jumps the write queue. nil stays
-	// silent.
-	rec obs.Recorder
 }
 
 // NewPAS builds a PAS fed by SSDcheck's prediction engine.
@@ -124,9 +118,6 @@ func (p *PAS) Next(now simclock.Time) (host.Item, bool) {
 		p.pred.PredictHL(oldestRead.Value.(host.Item).Req, now, pendingWritePages) {
 		it := oldestRead.Value.(host.Item)
 		p.q.Remove(oldestRead)
-		if p.rec != nil {
-			p.rec.Event("pas_promote", p.name)
-		}
 		return it, true
 	}
 	p.q.Remove(front)

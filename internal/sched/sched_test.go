@@ -8,7 +8,6 @@ import (
 	"ssdcheck/internal/core"
 	"ssdcheck/internal/extract"
 	"ssdcheck/internal/host"
-	"ssdcheck/internal/obs"
 	"ssdcheck/internal/simclock"
 	"ssdcheck/internal/ssd"
 	"ssdcheck/internal/trace"
@@ -310,39 +309,10 @@ func TestPASRespectsBarriers(t *testing.T) {
 	}
 }
 
-// TestPASRecordsPromotions: with a recorder attached, every promotion
-// decision is counted as a "pas_promote" event attributed to the
-// scheduler's name; plain FIFO dispatches stay silent.
-func TestPASRecordsPromotions(t *testing.T) {
-	reg := obs.NewRegistry()
-	p := NewIdealPAS(func(blockdev.Request, simclock.Time, int) bool { return true })
-	p.SetRecorder(obs.Observer{Reg: reg})
-
-	p.Add(item(1, blockdev.Write, 0))
-	p.Add(item(2, blockdev.Read, 1))
-	if it, _ := p.Next(5); it.Req.Op != blockdev.Read {
-		t.Fatal("HL read not promoted")
-	}
-	promotions := reg.Counter("ssdcheck_events_total", "",
-		obs.Label{Name: "event", Value: "pas_promote"},
-		obs.Label{Name: "subject", Value: "ideal"})
-	if got := promotions.Value(); got != 1 {
-		t.Fatalf("pas_promote count = %d, want 1", got)
-	}
-
-	// The remaining write dispatches FIFO — no new event.
-	if it, ok := p.Next(6); !ok || it.Req.Op != blockdev.Write {
-		t.Fatal("write not dispatched")
-	}
-	if got := promotions.Value(); got != 1 {
-		t.Fatalf("pas_promote count after FIFO dispatch = %d, want 1", got)
-	}
-}
-
 // TestPASFallbackPredictorIsFIFO is the fleet fallback regression: a
 // predictor the calibrator has condemned — exactly what a fleet device
 // in fallback mode serves from — must never poison scheduling. PAS
-// degrades to pure FIFO and records zero promotions.
+// degrades to pure FIFO: the read behind two writes is not promoted.
 func TestPASFallbackPredictorIsFIFO(t *testing.T) {
 	feats := &extract.Features{
 		BufferBytes:     128 * 1024,
@@ -367,9 +337,7 @@ func TestPASFallbackPredictorIsFIFO(t *testing.T) {
 		t.Fatal("predictor failed to disable under hopeless accuracy")
 	}
 
-	reg := obs.NewRegistry()
 	p := NewPAS(pr)
-	p.SetRecorder(obs.Observer{Reg: reg})
 	p.Add(item(1, blockdev.Write, 0))
 	p.Add(item(2, blockdev.Write, 1))
 	p.Add(item(3, blockdev.Read, 2))
@@ -379,15 +347,4 @@ func TestPASFallbackPredictorIsFIFO(t *testing.T) {
 			t.Fatalf("fallback PAS broke FIFO: got seq %v ok=%v want %d", it.Seq, ok, want)
 		}
 	}
-	promotions := reg.Counter("ssdcheck_events_total", "",
-		obs.Label{Name: "event", Value: "pas_promote"},
-		obs.Label{Name: "subject", Value: "pas"})
-	if got := promotions.Value(); got != 0 {
-		t.Fatalf("fallback PAS recorded %d promotions, want 0", got)
-	}
 }
-
-// SetRecorder attaches an observability recorder so promotion
-// decisions are counted (event "pas_promote", subject = scheduler
-// name).
-func (p *PAS) SetRecorder(rec obs.Recorder) { p.rec = rec }

@@ -1,14 +1,11 @@
 package ssdcheck_test
 
 import (
-	"bytes"
 	"testing"
 	"time"
 
 	"ssdcheck"
 	"ssdcheck/internal/host"
-	"ssdcheck/internal/sched"
-	"ssdcheck/internal/trace"
 )
 
 // TestFacadeQuickstart walks the whole public API the way the README's
@@ -69,28 +66,5 @@ func TestFacadeLVM(t *testing.T) {
 	}
 	if va.Map(1, 0) != 1<<17 {
 		t.Fatal("VA-LVM splice wrong")
-	}
-}
-
-func TestFacadeTraceIO(t *testing.T) {
-	reqs := []ssdcheck.Request{{Op: ssdcheck.Write, LBA: 0, Sectors: 8}}
-	var buf bytes.Buffer
-	if err := trace.WriteRequests(&buf, reqs); err != nil {
-		t.Fatal(err)
-	}
-	got, err := trace.ReadRequests(&buf)
-	if err != nil || len(got) != 1 || got[0] != reqs[0] {
-		t.Fatalf("trace round trip failed: %v %v", got, err)
-	}
-	if n := trace.ClampToCapacity(got, 4); n != 1 {
-		t.Fatalf("clamp adjusted %d", n)
-	}
-}
-
-func TestFacadeFIOS(t *testing.T) {
-	s := sched.NewFIOS()
-	s.Add(host.Item{Req: ssdcheck.Request{Op: ssdcheck.Read, LBA: 0, Sectors: 8}})
-	if _, ok := s.Next(0); !ok {
-		t.Fatal("FIOS did not dispatch")
 	}
 }
