@@ -1,8 +1,7 @@
 package cluster
 
 import (
-	"fmt"
-
+	"ssdcheck/internal/fsm"
 	"ssdcheck/internal/obs"
 )
 
@@ -32,50 +31,20 @@ const (
 	BreakerHalfOpen
 )
 
+var breakerNames = fsm.NewNames[BreakerState]("breaker", "cluster: unknown breaker state",
+	"closed", "open", "half-open")
+
 // String names the breaker state for logs and JSON.
-func (s BreakerState) String() string {
-	switch s {
-	case BreakerClosed:
-		return "closed"
-	case BreakerOpen:
-		return "open"
-	case BreakerHalfOpen:
-		return "half-open"
-	default:
-		return fmt.Sprintf("breaker(%d)", uint8(s))
-	}
-}
+func (s BreakerState) String() string { return breakerNames.String(s) }
 
 // MarshalText renders the state name in JSON.
-func (s BreakerState) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
+func (s BreakerState) MarshalText() ([]byte, error) { return breakerNames.Text(s) }
 
 // UnmarshalText parses a state name.
-func (s *BreakerState) UnmarshalText(b []byte) error {
-	switch string(b) {
-	case "closed":
-		*s = BreakerClosed
-	case "open":
-		*s = BreakerOpen
-	case "half-open":
-		*s = BreakerHalfOpen
-	default:
-		return fmt.Errorf("cluster: unknown breaker state %q", b)
-	}
-	return nil
-}
+func (s *BreakerState) UnmarshalText(b []byte) error { return breakerNames.Parse(s, string(b)) }
 
 // BreakerTransition is one edge taken in a node's circuit breaker.
-// Seq is the coordinator's global event sequence, shared with the
-// placement and health logs, so breaker flips are totally ordered
-// against device moves and health edges.
-type BreakerTransition struct {
-	Seq   int64        `json:"seq"`
-	Round int64        `json:"round"`
-	Node  string       `json:"node"`
-	From  BreakerState `json:"from"`
-	To    BreakerState `json:"to"`
-	Cause string       `json:"cause"`
-}
+type BreakerTransition = MemberTransition[BreakerState]
 
 // breakerGaugeLocked refreshes (registering on first use) the node's
 // breaker-state gauge in the cluster registry.
@@ -93,16 +62,9 @@ func (c *Coordinator) breakerGaugeLocked(id string) {
 // breakerTransitionLocked moves a node's breaker and logs the edge
 // under the shared event sequence.
 func (c *Coordinator) breakerTransitionLocked(mb *member, to BreakerState, cause string) {
-	if mb.brk == to {
-		return
+	if moveMemberLocked(c, mb, &mb.brk, to, &c.breakerlog, cause) {
+		c.breakerGaugeLocked(mb.node.ID())
 	}
-	c.seq++
-	c.breakerlog = append(c.breakerlog, BreakerTransition{
-		Seq: c.seq, Round: c.round, Node: mb.node.ID(),
-		From: mb.brk, To: to, Cause: cause,
-	})
-	mb.brk = to
-	c.breakerGaugeLocked(mb.node.ID())
 }
 
 // breakerPeekLocked answers, without moving the breaker, whether the
@@ -165,8 +127,8 @@ func (c *Coordinator) BreakerLog() []BreakerTransition {
 	return append([]BreakerTransition(nil), c.breakerlog...)
 }
 
-// Breakers returns every member's current breaker state in join
-// order.
+// Breakers returns every member's current breaker state, keyed by
+// member ID.
 func (c *Coordinator) Breakers() map[string]BreakerState {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -162,18 +162,21 @@ func (p Policy) Validate() error {
 	return nil
 }
 
-// NodeTransition is one edge taken in a node's health state machine.
-// Seq is the coordinator's global event sequence — shared with the
-// placement log, so the interleaving of health edges and device moves
-// is explicit and totally ordered.
-type NodeTransition struct {
-	Seq   int64        `json:"seq"`
-	Round int64        `json:"round"`
-	Node  string       `json:"node"`
-	From  fleet.Health `json:"from"`
-	To    fleet.Health `json:"to"`
-	Cause string       `json:"cause"`
+// MemberTransition is one edge taken in one of a member's state
+// machines: its node health or its circuit breaker. Seq is the
+// coordinator's global event sequence, shared with the placement log,
+// so health edges, breaker flips and device moves are totally ordered.
+type MemberTransition[S any] struct {
+	Seq   int64  `json:"seq"`
+	Round int64  `json:"round"`
+	Node  string `json:"node"`
+	From  S      `json:"from"`
+	To    S      `json:"to"`
+	Cause string `json:"cause"`
 }
+
+// NodeTransition is one edge taken in a node's health state machine.
+type NodeTransition = MemberTransition[fleet.Health]
 
 // PlacementEntry is one device move in the placement log. From is
 // empty for the initial (bootstrap) placement.

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"ssdcheck/internal/fleet"
+	"ssdcheck/internal/fsm"
 	"ssdcheck/internal/obs"
 	"ssdcheck/internal/simclock"
 )
@@ -166,16 +167,20 @@ func (c *Coordinator) healthGaugeLocked(id string) *obs.Gauge {
 // transitionLocked moves a node to a new health state and logs the
 // edge under the shared event sequence.
 func (c *Coordinator) transitionLocked(mb *member, to fleet.Health, cause string) {
-	if mb.health == to {
-		return
+	if moveMemberLocked(c, mb, &mb.health, to, &c.translog, cause) {
+		c.healthGaugeLocked(mb.node.ID()).Set(int64(to))
+	}
+}
+
+// moveMemberLocked moves one of mb's state machines, whose state is
+// *cur, to state to; the edge takes the next event sequence number.
+func moveMemberLocked[S comparable](c *Coordinator, mb *member, cur *S, to S, log *[]MemberTransition[S], cause string) bool {
+	edge := MemberTransition[S]{Seq: c.seq + 1, Round: c.round, Node: mb.node.ID(), From: *cur, To: to, Cause: cause}
+	if !fsm.Move(cur, to, log, edge) {
+		return false
 	}
 	c.seq++
-	c.translog = append(c.translog, NodeTransition{
-		Seq: c.seq, Round: c.round, Node: mb.node.ID(),
-		From: mb.health, To: to, Cause: cause,
-	})
-	mb.health = to
-	c.healthGaugeLocked(mb.node.ID()).Set(int64(to))
+	return true
 }
 
 // placeLocked records one device move in the placement log and the

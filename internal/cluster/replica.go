@@ -6,6 +6,7 @@ import (
 	"maps"
 	"time"
 
+	"ssdcheck/internal/fsm"
 	"ssdcheck/internal/obs"
 )
 
@@ -49,33 +50,16 @@ const (
 	RoleLeader
 )
 
+var roleNames = fsm.NewNames[Role]("role", "cluster: unknown role", "follower", "leader")
+
 // String names the role for logs and JSON.
-func (r Role) String() string {
-	switch r {
-	case RoleFollower:
-		return "follower"
-	case RoleLeader:
-		return "leader"
-	default:
-		return fmt.Sprintf("role(%d)", uint8(r))
-	}
-}
+func (r Role) String() string { return roleNames.String(r) }
 
 // MarshalText renders the role name in JSON.
-func (r Role) MarshalText() ([]byte, error) { return []byte(r.String()), nil }
+func (r Role) MarshalText() ([]byte, error) { return roleNames.Text(r) }
 
 // UnmarshalText parses a role name, so status payloads round-trip.
-func (r *Role) UnmarshalText(b []byte) error {
-	switch string(b) {
-	case "follower":
-		*r = RoleFollower
-	case "leader":
-		*r = RoleLeader
-	default:
-		return fmt.Errorf("cluster: unknown role %q", b)
-	}
-	return nil
-}
+func (r *Role) UnmarshalText(b []byte) error { return roleNames.Parse(r, string(b)) }
 
 // AppendRequest is the leader→follower replication message: every
 // entry past what the leader believes the follower holds, plus the

@@ -6,6 +6,7 @@ import (
 
 	"ssdcheck/internal/blockdev"
 	"ssdcheck/internal/fleet"
+	"ssdcheck/internal/fsm"
 )
 
 // ReadMode says how a chunk read was served.
@@ -24,34 +25,18 @@ const (
 	Reconstructed
 )
 
-func (m ReadMode) String() string {
-	switch m {
-	case Direct:
-		return "direct"
-	case Steered:
-		return "steered"
-	case Reconstructed:
-		return "reconstruct"
-	default:
-		return fmt.Sprintf("ReadMode(%d)", uint8(m))
-	}
-}
+var readModeNames = fsm.NewNames[ReadMode]("ReadMode", "ecvol: unknown read mode",
+	"direct", "steered", "reconstruct")
+
+func (m ReadMode) String() string { return readModeNames.String(m) }
 
 // MarshalJSON renders the mode as its name.
-func (m ReadMode) MarshalJSON() ([]byte, error) {
-	return []byte(`"` + m.String() + `"`), nil
-}
+func (m ReadMode) MarshalJSON() ([]byte, error) { return readModeNames.Quote(m) }
 
-// UnmarshalJSON parses the name form MarshalJSON writes.
+// UnmarshalJSON parses the name form MarshalJSON writes, byte for byte:
+// an escaped spelling of a name is not accepted.
 func (m *ReadMode) UnmarshalJSON(b []byte) error {
-	switch string(b) {
-	case `"direct"`:
-		*m = Direct
-	case `"steered"`:
-		*m = Steered
-	case `"reconstruct"`:
-		*m = Reconstructed
-	default:
+	if n := len(b); n < 2 || b[0] != '"' || b[n-1] != '"' || readModeNames.Parse(m, string(b[1:n-1])) != nil {
 		return fmt.Errorf("ecvol: unknown read mode %s", b)
 	}
 	return nil

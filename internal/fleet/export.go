@@ -224,22 +224,11 @@ func (m *Manager) ImportDevice(st *DeviceState) error {
 // array. The transition tallies are derived from the carried logs —
 // they are not in the exported Counters, but the logs are complete.
 func restoreTallies(d *deviceStats, st *DeviceState) {
-	c := st.Counters
-	d.vals[statReads] = c.Reads
-	d.vals[statWrites] = c.Writes
-	d.vals[statTrims] = c.Trims
-	d.vals[statPredictedHL] = c.PredictedHL
-	d.vals[statObservedHL] = c.ObservedHL
-	d.vals[statHLHits] = c.HLHits
-	d.vals[statNLHits] = c.NLHits
-	d.vals[statBytes] = c.Bytes
-	d.vals[statErrors] = c.Errors
-	d.vals[statRejected] = c.Rejected
-	d.vals[statRetries] = c.Retries
-	d.vals[statTimeouts] = c.Timeouts
-	d.vals[statProbes] = c.Probes
-	d.vals[statFallback] = c.Fallback
-	d.vals[statRediags] = int64(c.Rediags)
+	for k, t := range tallies {
+		if t.field != nil {
+			d.vals[k] = *t.field(&st.Counters)
+		}
+	}
 	d.vals[statTransitions] = int64(len(st.HealthLog))
 	d.vals[statModelTransitions] = int64(len(st.ModelLog))
 }

@@ -1,11 +1,10 @@
 package fleet
 
 import (
-	"encoding/json"
 	"errors"
-	"fmt"
 
 	"ssdcheck/internal/blockdev"
+	"ssdcheck/internal/fsm"
 	"ssdcheck/internal/simclock"
 )
 
@@ -53,60 +52,23 @@ const (
 	Recovering
 )
 
+var healthNames = fsm.NewNames[Health]("health", "fleet: unknown health state",
+	"healthy", "degraded", "quarantined", "recovering")
+
 // String names the state for logs and wire formats.
-func (h Health) String() string {
-	switch h {
-	case Healthy:
-		return "healthy"
-	case Degraded:
-		return "degraded"
-	case Quarantined:
-		return "quarantined"
-	case Recovering:
-		return "recovering"
-	default:
-		return fmt.Sprintf("health(%d)", uint8(h))
-	}
-}
+func (h Health) String() string { return healthNames.String(h) }
 
 // MarshalJSON renders the state as its string name.
-func (h Health) MarshalJSON() ([]byte, error) {
-	return []byte(`"` + h.String() + `"`), nil
-}
+func (h Health) MarshalJSON() ([]byte, error) { return healthNames.Quote(h) }
 
 // UnmarshalJSON parses the string names MarshalJSON emits, so API
-// clients can round-trip snapshots and health reports.
-func (h *Health) UnmarshalJSON(b []byte) error {
-	var s string
-	if err := json.Unmarshal(b, &s); err != nil {
-		return err
-	}
-	switch s {
-	case "healthy":
-		*h = Healthy
-	case "degraded":
-		*h = Degraded
-	case "quarantined":
-		*h = Quarantined
-	case "recovering":
-		*h = Recovering
-	default:
-		return fmt.Errorf("fleet: unknown health state %q", s)
-	}
-	return nil
-}
+// clients can round-trip snapshots and health reports. It rejects
+// null: a DeviceState arriving on attach must name its state.
+func (h *Health) UnmarshalJSON(b []byte) error { return healthNames.ParseJSON(h, b) }
 
 // HealthTransition is one edge taken in a device's health state
-// machine. Seq is the device's request sequence number (counting every
-// routed request, including rejected ones) at the transition, so with
-// in-order per-device submission the transition log is a deterministic
-// function of the request stream and the fault schedule.
-type HealthTransition struct {
-	Seq   int64  `json:"seq"`
-	From  Health `json:"from"`
-	To    Health `json:"to"`
-	Cause string `json:"cause"`
-}
+// machine. Seq counts every routed request, including rejected ones.
+type HealthTransition = fsm.Transition[Health]
 
 // HealthReport is the detailed per-device resilience view served by
 // Manager.DeviceHealth and the daemon's /v1/devices/{id}/health.
@@ -142,15 +104,11 @@ type DeviceHealthLog struct {
 // transition moves the device to a new health state and logs the edge.
 // It runs on the owning shard goroutine with md.mu held.
 func (md *managedDevice) transitionLocked(to Health, cause string) {
-	if md.health == to {
-		return
+	edge := HealthTransition{Seq: md.seq, From: md.health, To: to, Cause: cause}
+	if fsm.Move(&md.health, to, &md.translog, edge) {
+		md.stats.vals[statTransitions]++
+		md.rec.Event("health_"+to.String(), md.id)
 	}
-	md.translog = append(md.translog, HealthTransition{
-		Seq: md.seq, From: md.health, To: to, Cause: cause,
-	})
-	md.health = to
-	md.stats.vals[statTransitions]++
-	md.rec.Event("health_"+to.String(), md.id)
 }
 
 // noteOutcomeLocked feeds one served request's outcome (error, timeout

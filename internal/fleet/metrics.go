@@ -40,6 +40,36 @@ const (
 	numStats
 )
 
+// tallies describes every per-device tally once, indexed by statKind:
+// the registry series it flushes into, in registration order (op, when
+// set, labels a split of ssdcheck_requests_total), and its Counters
+// field. The two transition tallies have no field; Counters leaves
+// them to the logs.
+var tallies = [numStats]struct {
+	name, help, op string
+	field          func(*Counters) *int64
+}{
+	statReads:            {reqSeries, reqHelp, "read", func(c *Counters) *int64 { return &c.Reads }},
+	statWrites:           {reqSeries, reqHelp, "write", func(c *Counters) *int64 { return &c.Writes }},
+	statTrims:            {reqSeries, reqHelp, "trim", func(c *Counters) *int64 { return &c.Trims }},
+	statPredictedHL:      {"ssdcheck_predicted_hl_total", "Requests predicted high-latency before submission.", "", func(c *Counters) *int64 { return &c.PredictedHL }},
+	statObservedHL:       {"ssdcheck_observed_hl_total", "Requests measured high-latency.", "", func(c *Counters) *int64 { return &c.ObservedHL }},
+	statHLHits:           {"ssdcheck_hl_hits_total", "Observed-HL requests that were predicted HL.", "", func(c *Counters) *int64 { return &c.HLHits }},
+	statNLHits:           {"ssdcheck_nl_hits_total", "Observed-NL requests that were predicted NL.", "", func(c *Counters) *int64 { return &c.NLHits }},
+	statBytes:            {"ssdcheck_bytes_total", "Payload bytes moved.", "", func(c *Counters) *int64 { return &c.Bytes }},
+	statErrors:           {"ssdcheck_request_errors_total", "Requests failed after exhausting retries, or fail-stop.", "", func(c *Counters) *int64 { return &c.Errors }},
+	statRejected:         {"ssdcheck_requests_rejected_total", "Requests bounced off a quarantined device.", "", func(c *Counters) *int64 { return &c.Rejected }},
+	statRetries:          {"ssdcheck_request_retries_total", "Transient-error retries consumed.", "", func(c *Counters) *int64 { return &c.Retries }},
+	statTimeouts:         {"ssdcheck_request_timeouts_total", "Served completions at or over the request deadline.", "", func(c *Counters) *int64 { return &c.Timeouts }},
+	statProbes:           {"ssdcheck_recovery_probes_total", "Recovery-probe attempts.", "", func(c *Counters) *int64 { return &c.Probes }},
+	statTransitions:      {"ssdcheck_health_transitions_total", "Health state-machine edges taken.", "", nil},
+	statFallback:         {"ssdcheck_fallback_served_total", "Completions served with conservative fallback predictions.", "", func(c *Counters) *int64 { return &c.Fallback }},
+	statRediags:          {"ssdcheck_rediags_total", "Completed re-diagnosis attempts.", "", func(c *Counters) *int64 { return &c.Rediags }},
+	statModelTransitions: {"ssdcheck_model_transitions_total", "Model-health state-machine edges taken.", "", nil},
+}
+
+const reqSeries, reqHelp = "ssdcheck_requests_total", "Served requests by device and operation."
+
 // deviceStats is the streaming per-device tally. Everything is kept
 // two ways: plain shard-local values written under the managedDevice
 // mutex — so a served request pays no atomic operations at all — and
@@ -69,31 +99,16 @@ type deviceStats struct {
 // counts.
 func (d *deviceStats) bind(reg *obs.Registry, id string) {
 	dev := obs.Label{Name: "device", Value: id}
-	op := func(o string) *obs.Counter {
-		return reg.Counter("ssdcheck_requests_total",
-			"Served requests by device and operation.", dev, obs.Label{Name: "op", Value: o})
-	}
-	c := func(name, help string) *obs.Counter { return reg.Counter(name, help, dev) }
 	d.flushed = [numStats]int64{}
 	d.lat = reg.Histogram("ssdcheck_request_latency_seconds",
 		"Served request latency on the device's virtual clock.", dev)
-	d.series[statReads] = op("read")
-	d.series[statWrites] = op("write")
-	d.series[statTrims] = op("trim")
-	d.series[statPredictedHL] = c("ssdcheck_predicted_hl_total", "Requests predicted high-latency before submission.")
-	d.series[statObservedHL] = c("ssdcheck_observed_hl_total", "Requests measured high-latency.")
-	d.series[statHLHits] = c("ssdcheck_hl_hits_total", "Observed-HL requests that were predicted HL.")
-	d.series[statNLHits] = c("ssdcheck_nl_hits_total", "Observed-NL requests that were predicted NL.")
-	d.series[statBytes] = c("ssdcheck_bytes_total", "Payload bytes moved.")
-	d.series[statErrors] = c("ssdcheck_request_errors_total", "Requests failed after exhausting retries, or fail-stop.")
-	d.series[statRejected] = c("ssdcheck_requests_rejected_total", "Requests bounced off a quarantined device.")
-	d.series[statRetries] = c("ssdcheck_request_retries_total", "Transient-error retries consumed.")
-	d.series[statTimeouts] = c("ssdcheck_request_timeouts_total", "Served completions at or over the request deadline.")
-	d.series[statProbes] = c("ssdcheck_recovery_probes_total", "Recovery-probe attempts.")
-	d.series[statTransitions] = c("ssdcheck_health_transitions_total", "Health state-machine edges taken.")
-	d.series[statFallback] = c("ssdcheck_fallback_served_total", "Completions served with conservative fallback predictions.")
-	d.series[statRediags] = c("ssdcheck_rediags_total", "Completed re-diagnosis attempts.")
-	d.series[statModelTransitions] = c("ssdcheck_model_transitions_total", "Model-health state-machine edges taken.")
+	for k, t := range tallies {
+		labels := []obs.Label{dev}
+		if t.op != "" {
+			labels = append(labels, obs.Label{Name: "op", Value: t.op})
+		}
+		d.series[k] = reg.Counter(t.name, t.help, labels...)
+	}
 }
 
 func (d *deviceStats) record(req blockdev.Request, predHL bool, lat time.Duration, obsHL bool) {
@@ -216,21 +231,11 @@ type Counters struct {
 // into fleet totals, and fleet totals into cluster totals.
 func (c Counters) Add(o Counters) Counters {
 	c.Requests += o.Requests
-	c.Reads += o.Reads
-	c.Writes += o.Writes
-	c.Trims += o.Trims
-	c.PredictedHL += o.PredictedHL
-	c.ObservedHL += o.ObservedHL
-	c.HLHits += o.HLHits
-	c.NLHits += o.NLHits
-	c.Bytes += o.Bytes
-	c.Errors += o.Errors
-	c.Rejected += o.Rejected
-	c.Retries += o.Retries
-	c.Timeouts += o.Timeouts
-	c.Probes += o.Probes
-	c.Fallback += o.Fallback
-	c.Rediags += o.Rediags
+	for _, t := range tallies {
+		if t.field != nil {
+			*t.field(&c) += *t.field(&o)
+		}
+	}
 	return c
 }
 
@@ -336,23 +341,11 @@ func (md *managedDevice) snapshot() DeviceSnapshot {
 
 // counters converts the internal tally to the exported form.
 func (md *managedDevice) counters() Counters {
-	d := &md.stats
-	return Counters{
-		Requests:    d.requests(),
-		Reads:       d.vals[statReads],
-		Writes:      d.vals[statWrites],
-		Trims:       d.vals[statTrims],
-		PredictedHL: d.vals[statPredictedHL],
-		ObservedHL:  d.vals[statObservedHL],
-		HLHits:      d.vals[statHLHits],
-		NLHits:      d.vals[statNLHits],
-		Bytes:       d.vals[statBytes],
-		Errors:      d.vals[statErrors],
-		Rejected:    d.vals[statRejected],
-		Retries:     d.vals[statRetries],
-		Timeouts:    d.vals[statTimeouts],
-		Probes:      d.vals[statProbes],
-		Fallback:    d.vals[statFallback],
-		Rediags:     d.vals[statRediags],
+	c := Counters{Requests: md.stats.requests()}
+	for k, t := range tallies {
+		if t.field != nil {
+			*t.field(&c) = md.stats.vals[k]
+		}
 	}
+	return c
 }

@@ -1,11 +1,11 @@
 package fleet
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"ssdcheck/internal/core"
 	"ssdcheck/internal/extract"
+	"ssdcheck/internal/fsm"
 	"ssdcheck/internal/simclock"
 )
 
@@ -42,22 +42,6 @@ const (
 	ModelRediagnosing
 )
 
-// String names the state for logs and wire formats.
-func (h ModelHealth) String() string {
-	switch h {
-	case ModelCalibrated:
-		return "calibrated"
-	case ModelDrifting:
-		return "drifting"
-	case ModelFallback:
-		return "fallback"
-	case ModelRediagnosing:
-		return "rediagnosing"
-	default:
-		return fmt.Sprintf("modelhealth(%d)", uint8(h))
-	}
-}
-
 // Conservative reports whether a device in this state serves
 // conservative static always-NL predictions instead of live model
 // output: fallback, and rediagnosing (the rebuilt model is not sworn in
@@ -68,44 +52,23 @@ func (h ModelHealth) Conservative() bool {
 	return h == ModelFallback || h == ModelRediagnosing
 }
 
-// MarshalJSON renders the state as its string name.
-func (h ModelHealth) MarshalJSON() ([]byte, error) {
-	return []byte(`"` + h.String() + `"`), nil
-}
+var modelHealthNames = fsm.NewNames[ModelHealth]("modelhealth", "fleet: unknown model-health state",
+	"calibrated", "drifting", "fallback", "rediagnosing")
 
-// UnmarshalJSON parses the string names MarshalJSON emits.
-func (h *ModelHealth) UnmarshalJSON(b []byte) error {
-	var s string
-	if err := json.Unmarshal(b, &s); err != nil {
-		return err
-	}
-	switch s {
-	case "calibrated":
-		*h = ModelCalibrated
-	case "drifting":
-		*h = ModelDrifting
-	case "fallback":
-		*h = ModelFallback
-	case "rediagnosing":
-		*h = ModelRediagnosing
-	default:
-		return fmt.Errorf("fleet: unknown model-health state %q", s)
-	}
-	return nil
-}
+// String names the state for logs and wire formats.
+func (h ModelHealth) String() string { return modelHealthNames.String(h) }
+
+// MarshalJSON renders the state as its string name.
+func (h ModelHealth) MarshalJSON() ([]byte, error) { return modelHealthNames.Quote(h) }
+
+// UnmarshalJSON parses the string names MarshalJSON emits; like
+// Health's, it rejects null.
+func (h *ModelHealth) UnmarshalJSON(b []byte) error { return modelHealthNames.ParseJSON(h, b) }
 
 // ModelTransition is one edge taken in a device's model-health state
-// machine. Seq is the device's request sequence number at the
-// transition (the same counter HealthTransition stamps), so with
-// in-order per-device submission the log is a deterministic function
-// of the request stream and the fault schedule — byte-identical across
-// shard counts.
-type ModelTransition struct {
-	Seq   int64       `json:"seq"`
-	From  ModelHealth `json:"from"`
-	To    ModelHealth `json:"to"`
-	Cause string      `json:"cause"`
-}
+// machine, stamped with the same request sequence number as
+// HealthTransition.
+type ModelTransition = fsm.Transition[ModelHealth]
 
 // ModelReport is the detailed per-device model view served by
 // Manager.DeviceModel and the daemon's /v1/devices/{id}/model.
@@ -175,15 +138,11 @@ func modelEvent(from, to ModelHealth) string {
 // and logs the edge. It runs on the owning shard goroutine with md.mu
 // held.
 func (md *managedDevice) modelTransitionLocked(to ModelHealth, cause string) {
-	if md.modelHealth == to {
-		return
+	edge := ModelTransition{Seq: md.seq, From: md.modelHealth, To: to, Cause: cause}
+	if fsm.Move(&md.modelHealth, to, &md.modelLog, edge) {
+		md.rec.Event(modelEvent(edge.From, to), md.id)
+		md.stats.vals[statModelTransitions]++
 	}
-	md.modelLog = append(md.modelLog, ModelTransition{
-		Seq: md.seq, From: md.modelHealth, To: to, Cause: cause,
-	})
-	md.rec.Event(modelEvent(md.modelHealth, to), md.id)
-	md.modelHealth = to
-	md.stats.vals[statModelTransitions]++
 }
 
 // enterFallbackLocked switches the device to conservative predictions

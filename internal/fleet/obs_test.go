@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -155,5 +156,36 @@ func TestSnapshotsMatchRegistry(t *testing.T) {
 	}
 	if snaps[0].Latency.Max < snaps[0].Latency.P99 {
 		t.Fatalf("max below p99: %+v", snaps[0].Latency)
+	}
+}
+
+// TestTalliesCoverCounters: every Counters field but the derived
+// Requests is some tally's field, exactly once, so a counter cannot be
+// dropped from the snapshot, the roll-up or a migration alone.
+func TestTalliesCoverCounters(t *testing.T) {
+	md := &managedDevice{}
+	for k := range md.stats.vals {
+		md.stats.vals[k] = int64(1) << k
+	}
+	c := md.counters()
+	v := reflect.ValueOf(c)
+	seen := map[int64]string{}
+	for i := 0; i < v.NumField(); i++ {
+		name, got := v.Type().Field(i).Name, v.Field(i).Int()
+		if name == "Requests" {
+			continue
+		}
+		if got == 0 || got&(got-1) != 0 || seen[got] != "" {
+			t.Errorf("Counters.%s = %#x: not exactly one tally's field", name, got)
+		}
+		seen[got] = name
+	}
+	st := &DeviceState{Counters: c.Add(c)}
+	var d deviceStats
+	restoreTallies(&d, st)
+	for k, tl := range tallies {
+		if want := md.stats.vals[k] * 2; tl.field != nil && d.vals[k] != want {
+			t.Errorf("tally %s restored as %d after Add, want %d", tl.name, d.vals[k], want)
+		}
 	}
 }

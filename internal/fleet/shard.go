@@ -113,19 +113,6 @@ func (md *managedDevice) init(cfg Config) error {
 	return nil
 }
 
-// opName renders the op for wire formats and traces.
-func opName(op blockdev.Op) string {
-	switch op {
-	case blockdev.Read:
-		return "read"
-	case blockdev.Write:
-		return "write"
-	case blockdev.Trim:
-		return "trim"
-	}
-	return "unknown"
-}
-
 // process runs one request through the resilience pipeline on the
 // device's virtual clock: quarantine check (with deterministic
 // recovery probing), predict, submit with bounded retry, deadline
@@ -281,7 +268,7 @@ func (md *managedDevice) recordTrace(req blockdev.Request, seq int64, sampled bo
 	md.rec.RecordTrace(obs.RequestTrace{
 		Device:      md.id,
 		Seq:         seq,
-		Op:          opName(req.Op),
+		Op:          req.Op.String(),
 		LBA:         req.LBA,
 		Sectors:     req.Sectors,
 		PredictedHL: pred.HL,
