@@ -10,7 +10,7 @@ import (
 )
 
 func TestOpString(t *testing.T) {
-	cases := map[Op]string{Read: "read", Write: "write", Trim: "trim", Op(9): "op(9)"}
+	cases := map[Op]string{Read: "read", Write: "write", Trim: "trim", Op(3): "op(3)", Op(9): "op(9)"}
 	for op, want := range cases {
 		if got := op.String(); got != want {
 			t.Errorf("Op(%d).String()=%q want %q", op, got, want)
@@ -22,7 +22,7 @@ func TestCauseString(t *testing.T) {
 	cases := map[Cause]string{
 		CauseNone: "none", CauseFlush: "flush", CauseBackpressure: "backpressure",
 		CauseReadTrigger: "read-trigger", CauseGC: "gc", CauseSecondary: "secondary",
-		Cause(99): "cause(99)",
+		Cause(6): "cause(6)", Cause(99): "cause(99)",
 	}
 	for c, want := range cases {
 		if got := c.String(); got != want {

@@ -211,7 +211,8 @@ func TestValidate(t *testing.T) {
 func TestKindString(t *testing.T) {
 	cases := map[Kind]string{
 		Transient: "transient", LatencyStorm: "latency-storm", StuckBusy: "stuck-busy",
-		FailStop: "fail-stop", Drift: "drift", FeatureShift: "feature-shift", Kind(9): "kind(9)",
+		FailStop: "fail-stop", Drift: "drift", FeatureShift: "feature-shift",
+		Kind(6): "kind(6)", Kind(9): "kind(9)",
 	}
 	for k, want := range cases {
 		if got := k.String(); got != want {

@@ -126,10 +126,18 @@ func TestNodePlanValidate(t *testing.T) {
 
 func TestNodeKindString(t *testing.T) {
 	for k, want := range map[NodeKind]string{
-		HeartbeatLoss: "heartbeat-loss",
-		Partition:     "partition",
-		SlowNode:      "slow-node",
-		NodeKind(77):  "node-kind(77)",
+		HeartbeatLoss:   "heartbeat-loss",
+		Partition:       "partition",
+		SlowNode:        "slow-node",
+		RPCDrop:         "rpc-drop",
+		RPCDuplicate:    "rpc-duplicate",
+		RPCDelay:        "rpc-delay",
+		RPCTimeout:      "rpc-timeout",
+		LeaderCrash:     "leader-crash",
+		LeaderPartition: "leader-partition",
+		DuelingLeader:   "dueling-leader",
+		NodeKind(10):    "node-kind(10)",
+		NodeKind(77):    "node-kind(77)",
 	} {
 		if got := k.String(); got != want {
 			t.Errorf("NodeKind(%d).String() = %q, want %q", k, got, want)

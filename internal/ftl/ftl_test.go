@@ -44,6 +44,16 @@ func newTestVolume(t *testing.T, mut func(*Config)) *Volume {
 	return v
 }
 
+func TestBufferTypeString(t *testing.T) {
+	for b, want := range map[BufferType]string{
+		BufferBack: "back", BufferFore: "fore", BufferType(2): "buffertype(2)",
+	} {
+		if got := b.String(); got != want {
+			t.Errorf("BufferType(%d).String() = %q, want %q", b, got, want)
+		}
+	}
+}
+
 func TestConfigValidation(t *testing.T) {
 	bad := []func(*Config){
 		func(c *Config) { c.LogicalPages = 0 },
