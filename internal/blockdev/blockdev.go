@@ -11,8 +11,8 @@ package blockdev
 
 import (
 	"errors"
-	"fmt"
 
+	"ssdcheck/internal/fsm"
 	"ssdcheck/internal/simclock"
 )
 
@@ -37,19 +37,10 @@ const (
 	Trim
 )
 
+var opNames = fsm.NewNames[Op]("op", "blockdev: unknown op", "read", "write", "trim")
+
 // String returns the conventional lowercase name of the operation.
-func (o Op) String() string {
-	switch o {
-	case Read:
-		return "read"
-	case Write:
-		return "write"
-	case Trim:
-		return "trim"
-	default:
-		return fmt.Sprintf("op(%d)", uint8(o))
-	}
-}
+func (o Op) String() string { return opNames.String(o) }
 
 // Request is one block I/O request.
 type Request struct {
@@ -175,25 +166,11 @@ func WorseCause(a, b Cause) Cause {
 	return a
 }
 
+var causeNames = fsm.NewNames[Cause]("cause", "blockdev: unknown cause",
+	"none", "flush", "backpressure", "read-trigger", "gc", "secondary")
+
 // String names the cause for reports.
-func (c Cause) String() string {
-	switch c {
-	case CauseNone:
-		return "none"
-	case CauseFlush:
-		return "flush"
-	case CauseBackpressure:
-		return "backpressure"
-	case CauseReadTrigger:
-		return "read-trigger"
-	case CauseGC:
-		return "gc"
-	case CauseSecondary:
-		return "secondary"
-	default:
-		return fmt.Sprintf("cause(%d)", uint8(c))
-	}
-}
+func (c Cause) String() string { return causeNames.String(c) }
 
 // Completion is the full (evaluation-side) record of a finished request.
 type Completion struct {

@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"ssdcheck/internal/blockdev"
+	"ssdcheck/internal/fsm"
 	"ssdcheck/internal/simclock"
 )
 
@@ -61,25 +62,11 @@ const (
 	FeatureShift
 )
 
+var kindNames = fsm.NewNames[Kind]("kind", "faults: unknown kind",
+	"transient", "latency-storm", "stuck-busy", "fail-stop", "drift", "feature-shift")
+
 // String names the fault kind for logs and reports.
-func (k Kind) String() string {
-	switch k {
-	case Transient:
-		return "transient"
-	case LatencyStorm:
-		return "latency-storm"
-	case StuckBusy:
-		return "stuck-busy"
-	case FailStop:
-		return "fail-stop"
-	case Drift:
-		return "drift"
-	case FeatureShift:
-		return "feature-shift"
-	default:
-		return fmt.Sprintf("kind(%d)", uint8(k))
-	}
-}
+func (k Kind) String() string { return kindNames.String(k) }
 
 // Schedule describes when one fault fires and how long it lasts.
 // Exactly one trigger must be set: At fires once when the armed

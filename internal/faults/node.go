@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"ssdcheck/internal/fsm"
 	"ssdcheck/internal/simclock"
 )
 
@@ -68,33 +69,12 @@ const (
 	DuelingLeader
 )
 
+var nodeKindNames = fsm.NewNames[NodeKind]("node-kind", "faults: unknown node kind",
+	"heartbeat-loss", "partition", "slow-node", "rpc-drop", "rpc-duplicate",
+	"rpc-delay", "rpc-timeout", "leader-crash", "leader-partition", "dueling-leader")
+
 // String names the node fault kind for logs and reports.
-func (k NodeKind) String() string {
-	switch k {
-	case HeartbeatLoss:
-		return "heartbeat-loss"
-	case Partition:
-		return "partition"
-	case SlowNode:
-		return "slow-node"
-	case RPCDrop:
-		return "rpc-drop"
-	case RPCDuplicate:
-		return "rpc-duplicate"
-	case RPCDelay:
-		return "rpc-delay"
-	case RPCTimeout:
-		return "rpc-timeout"
-	case LeaderCrash:
-		return "leader-crash"
-	case LeaderPartition:
-		return "leader-partition"
-	case DuelingLeader:
-		return "dueling-leader"
-	default:
-		return fmt.Sprintf("node-kind(%d)", uint8(k))
-	}
-}
+func (k NodeKind) String() string { return nodeKindNames.String(k) }
 
 // NodeSchedule describes when one node fault fires and how long it
 // lasts. Exactly one trigger must be set: At fires once when the round

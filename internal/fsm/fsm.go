@@ -1,7 +1,10 @@
-// Package fsm is the kit every named state machine above the
-// predictor shares: a state-name table that gives a state type its
-// String, marshal and parse methods, the seq-stamped transition record
-// of the fleet's device machines, and the move that logs an edge.
+// Package fsm is the kit every named enum shares: a name table that
+// gives a small integer type its String, marshal and parse methods —
+// the states of the fleet, cluster and volume machines, and plain enums
+// such as request ops, fault kinds and buffer types. For the state
+// machines above the predictor it also holds the seq-stamped
+// transition record of the fleet's device machines and the move that
+// logs an edge.
 package fsm
 
 import (
@@ -10,14 +13,14 @@ import (
 	"strconv"
 )
 
-// Names is a state type's wire names, indexed by state value.
+// Names is an enum type's names, indexed by value.
 type Names[S ~uint8] struct {
 	names   []string
 	kind    string // a value outside the table renders as kind(N)
 	unknown string // a name outside the table fails as: unknown "name"
 }
 
-// NewNames builds the table for a state type whose values run from 0
+// NewNames builds the table for an enum type whose values run from 0
 // through len(names)-1.
 func NewNames[S ~uint8](kind, unknown string, names ...string) Names[S] {
 	return Names[S]{names: names, kind: kind, unknown: unknown}

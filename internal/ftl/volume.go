@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"ssdcheck/internal/blockdev"
+	"ssdcheck/internal/fsm"
 	"ssdcheck/internal/nand"
 	"ssdcheck/internal/simclock"
 )
@@ -35,17 +36,10 @@ const (
 	BufferFore
 )
 
+var bufferTypeNames = fsm.NewNames[BufferType]("buffertype", "ftl: unknown buffer type", "back", "fore")
+
 // String names the buffer type as the paper's Table I does.
-func (b BufferType) String() string {
-	switch b {
-	case BufferBack:
-		return "back"
-	case BufferFore:
-		return "fore"
-	default:
-		return fmt.Sprintf("buffertype(%d)", uint8(b))
-	}
-}
+func (b BufferType) String() string { return bufferTypeNames.String(b) }
 
 // Config parameterizes one volume.
 type Config struct {
