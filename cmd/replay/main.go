@@ -55,7 +55,6 @@ func run(preset, traceFile, workload string, requests int, seed uint64) error {
 	if err != nil {
 		return err
 	}
-	now := ssdcheck.Precondition(dev, seed, 1.3, 0)
 
 	var reqs []ssdcheck.Request
 	if traceFile != "" {
@@ -72,12 +71,13 @@ func run(preset, traceFile, workload string, requests int, seed uint64) error {
 			fmt.Printf("note: %d requests clamped to the %d-sector device\n", adj, dev.CapacitySectors())
 		}
 	} else {
-		spec, err := ssdcheckWorkload(workload)
+		spec, err := trace.ByName(workload)
 		if err != nil {
 			return err
 		}
 		reqs = ssdcheck.GenerateWorkload(spec, dev.CapacitySectors(), seed+1, requests)
 	}
+	now := ssdcheck.Precondition(dev, seed, 1.3, 0)
 	fmt.Printf("replaying %d requests on %s...\n", len(reqs), dev.Name())
 
 	feats, now, err := ssdcheck.Diagnose(dev, now, ssdcheck.DiagnosisOpts{Seed: seed})
@@ -129,16 +129,4 @@ func run(preset, traceFile, workload string, requests int, seed uint64) error {
 	}
 	fmt.Printf("predictor flagged %d requests; enabled=%v\n", predHL, pr.Enabled())
 	return nil
-}
-
-func ssdcheckWorkload(name string) (ssdcheck.Workload, error) {
-	for _, w := range ssdcheck.Workloads {
-		if w.Name == name {
-			return w, nil
-		}
-	}
-	if name == ssdcheck.WriteBurst.Name {
-		return ssdcheck.WriteBurst, nil
-	}
-	return ssdcheck.Workload{}, fmt.Errorf("unknown workload %q", name)
 }

@@ -6,18 +6,20 @@
 //
 // Usage:
 //
-//	ssdcheck -preset D [-seed 7] [-validate RWMixed] [-requests 40000]
+//	ssdcheck -preset D [-seed 7] [-validate "RW Mixed"] [-requests 40000]
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
 
 	"ssdcheck"
 	"ssdcheck/internal/extract"
+	"ssdcheck/internal/trace"
 )
 
 func main() {
@@ -34,13 +36,22 @@ func main() {
 		os.Exit(2)
 	}
 
-	if err := run(*preset, *seed, *validate, *requests, *save, *load); err != nil {
+	if err := run(os.Stdout, *preset, *seed, *validate, *requests, *save, *load); err != nil {
 		fmt.Fprintln(os.Stderr, "ssdcheck:", err)
 		os.Exit(1)
 	}
 }
 
-func run(preset string, seed uint64, validate string, requests int, save, load string) error {
+func run(out io.Writer, preset string, seed uint64, validate string, requests int, save, load string) error {
+	// Resolve the workload before the device is preconditioned and
+	// diagnosed, so a misspelt name fails at once.
+	var spec ssdcheck.Workload
+	if validate != "" {
+		var err error
+		if spec, err = trace.ByName(validate); err != nil {
+			return err
+		}
+	}
 	cfg, err := ssdcheck.Preset(preset, seed)
 	if err != nil {
 		return err
@@ -50,7 +61,7 @@ func run(preset string, seed uint64, validate string, requests int, save, load s
 		return err
 	}
 
-	fmt.Printf("preconditioning %s (SNIA-style purge + 1.3x random fill)...\n", dev.Name())
+	fmt.Fprintf(out, "preconditioning %s (SNIA-style purge + 1.3x random fill)...\n", dev.Name())
 	now := ssdcheck.Precondition(dev, seed, 1.3, 0)
 
 	var feats *ssdcheck.Features
@@ -65,15 +76,15 @@ func run(preset string, seed uint64, validate string, requests int, save, load s
 		if err != nil {
 			return err
 		}
-		fmt.Printf("loaded saved diagnosis of %q from %s\n\n", device, load)
+		fmt.Fprintf(out, "loaded saved diagnosis of %q from %s\n\n", device, load)
 	} else {
-		fmt.Println("running diagnosis snippets (thresholds, volume scans, buffer analysis)...")
+		fmt.Fprintln(out, "running diagnosis snippets (thresholds, volume scans, buffer analysis)...")
 		start := time.Now()
 		feats, now, err = ssdcheck.Diagnose(dev, now, ssdcheck.DiagnosisOpts{Seed: seed})
 		if err != nil {
 			return err
 		}
-		fmt.Printf("diagnosis done in %v (host wall clock)\n\n", time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(out, "diagnosis done in %v (host wall clock)\n\n", time.Since(start).Round(time.Millisecond))
 	}
 
 	if save != "" {
@@ -88,39 +99,28 @@ func run(preset string, seed uint64, validate string, requests int, save, load s
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Printf("features saved to %s\n", save)
+		fmt.Fprintf(out, "features saved to %s\n", save)
 	}
 
-	fmt.Println("extracted features (Table I row):")
-	fmt.Println("  " + feats.TableRow(dev.Name()))
-	fmt.Printf("  read/write NL thresholds: %v / %v\n", feats.ReadThreshold, feats.WriteThreshold)
-	fmt.Printf("  flush overhead: %v, GC overhead: %v\n", feats.FlushOverhead, feats.GCOverhead)
-	fmt.Printf("  GC interval samples (writes): %d collected\n", len(feats.GCIntervalWrites))
+	fmt.Fprintln(out, "extracted features (Table I row):")
+	fmt.Fprintln(out, "  "+feats.TableRow(dev.Name()))
+	fmt.Fprintf(out, "  read/write NL thresholds: %v / %v\n", feats.ReadThreshold, feats.WriteThreshold)
+	fmt.Fprintf(out, "  flush overhead: %v, GC overhead: %v\n", feats.FlushOverhead, feats.GCOverhead)
+	fmt.Fprintf(out, "  GC interval samples (writes): %d collected\n", len(feats.GCIntervalWrites))
 	if feats.SLCCachePages > 0 {
-		fmt.Printf("  SLC cache region: %d pages (fold stall ~%v)\n", feats.SLCCachePages, feats.SLCFoldOverhead.Round(time.Millisecond))
+		fmt.Fprintf(out, "  SLC cache region: %d pages (fold stall ~%v)\n", feats.SLCCachePages, feats.SLCFoldOverhead.Round(time.Millisecond))
 	}
 
 	if validate == "" {
 		return nil
 	}
 
-	var spec ssdcheck.Workload
-	found := false
-	for _, w := range append(append([]ssdcheck.Workload{}, ssdcheck.Workloads...), ssdcheck.WriteBurst) {
-		if w.Name == validate {
-			spec, found = w, true
-		}
-	}
-	if !found {
-		return fmt.Errorf("unknown workload %q", validate)
-	}
-
-	fmt.Printf("\nvalidating predictor on %s (%d requests)...\n", spec.Name, requests)
+	fmt.Fprintf(out, "\nvalidating predictor on %s (%d requests)...\n", spec.Name, requests)
 	pr := ssdcheck.NewPredictor(feats, ssdcheck.PredictorParams{})
 	reqs := ssdcheck.GenerateWorkload(spec, dev.CapacitySectors(), seed+99, requests)
 	rep := ssdcheck.EvaluateAccuracy(dev, pr, reqs, now)
-	fmt.Printf("  NL accuracy: %.2f%% (%d/%d)\n", 100*rep.NLAccuracy(), rep.NLCorrect, rep.NLCount)
-	fmt.Printf("  HL accuracy: %.2f%% (%d/%d)\n", 100*rep.HLAccuracy(), rep.HLCorrect, rep.HLCount)
-	fmt.Printf("  predictor enabled: %v\n", pr.Enabled())
+	fmt.Fprintf(out, "  NL accuracy: %.2f%% (%d/%d)\n", 100*rep.NLAccuracy(), rep.NLCorrect, rep.NLCount)
+	fmt.Fprintf(out, "  HL accuracy: %.2f%% (%d/%d)\n", 100*rep.HLAccuracy(), rep.HLCorrect, rep.HLCount)
+	fmt.Fprintf(out, "  predictor enabled: %v\n", pr.Enabled())
 	return nil
 }

@@ -78,6 +78,20 @@ var (
 // Workloads lists the evaluation workloads in the paper's order.
 var Workloads = []Spec{TPCE, Homes, Web, Exch, Live, Build, RWMixed}
 
+// ByName returns the workload called name: one of Workloads, or
+// WriteBurst. Its error lists the names it accepts.
+func ByName(name string) (Spec, error) {
+	specs := append(Workloads[:len(Workloads):len(Workloads)], WriteBurst)
+	names := make([]string, len(specs))
+	for i, s := range specs {
+		if s.Name == name {
+			return s, nil
+		}
+		names[i] = s.Name
+	}
+	return Spec{}, fmt.Errorf("trace: unknown workload %q (want one of %q)", name, names)
+}
+
 // WriteIntensive and ReadIntensive are the paper's two workload groups
 // (§V-A), used by the multi-tenant VA-LVM experiment.
 var (

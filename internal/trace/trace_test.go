@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -39,12 +38,14 @@ func TestSpecValidation(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	s, err := ByName("Web")
-	if err != nil || s.Name != "Web" {
-		t.Fatalf("ByName(Web) = %v, %v", s.Name, err)
+	for _, name := range []string{"Web", "RW Mixed", "WriteBurst"} {
+		if s, err := ByName(name); err != nil || s.Name != name {
+			t.Fatalf("ByName(%q) = %v, %v", name, s.Name, err)
+		}
 	}
-	if _, err := ByName("nope"); err == nil {
-		t.Fatal("unknown workload should error")
+	_, err := ByName("RWMixed")
+	if err == nil || !strings.Contains(err.Error(), `"RW Mixed"`) || !strings.Contains(err.Error(), `"WriteBurst"`) {
+		t.Fatalf("ByName(RWMixed) error = %v, want it to list the accepted names", err)
 	}
 }
 
@@ -245,14 +246,4 @@ func TestClampToCapacity(t *testing.T) {
 			t.Fatalf("request %d still out of range: %+v", i, r)
 		}
 	}
-}
-
-// ByName returns the named evaluation workload.
-func ByName(name string) (Spec, error) {
-	for _, s := range Workloads {
-		if s.Name == name {
-			return s, nil
-		}
-	}
-	return Spec{}, fmt.Errorf("trace: unknown workload %q", name)
 }
