@@ -35,9 +35,9 @@
 //
 // The heartbeat rounds that drive failure detection run on a
 // wall-clock ticker (-tick-interval); set it to 0 for a fully manual
-// cluster driven by POST /v1/cluster/tick — the mode the tests and the
-// examples/cluster walkthrough use, where the round sequence (and so
-// the placement and transition logs) is exactly reproducible.
+// cluster driven by POST /v1/cluster/tick — the mode the tests use,
+// where the round sequence (and so the placement and transition logs)
+// is exactly reproducible.
 //
 // Usage:
 //
@@ -265,6 +265,26 @@ func runReplicated(addr string, peers, nodes, devices int, presets string, shard
 // replays and the remote members resolve back from their logged
 // addresses.
 func runRemote(addr, joinSpec string, devices int, presets string, shards int, seed uint64, vnodes int, fastDiag bool, tickInterval time.Duration, walDir string, rpcDeadline time.Duration) error {
+	c, err := remoteCoordinator(joinSpec, devices, presets, shards, seed, vnodes, fastDiag, walDir, rpcDeadline)
+	if err != nil {
+		return err
+	}
+	defer c.Close()
+	newMember := func(id, addr string) (*cluster.Node, error) {
+		if addr == "" {
+			return nil, fmt.Errorf("networked join needs ?addr=baseURL")
+		}
+		return cluster.NewRemoteNode(id, addr)
+	}
+	return serve(addr, newServer(c, newMember), c.Tick, tickInterval, c.Close)
+}
+
+// remoteCoordinator builds runRemote's coordinator, recovered from
+// walDir when one is given, with the -join members in its membership
+// and the device set placed on them. A restarted coordinator joins
+// only the members its log does not already hold, and diagnoses and
+// adopts devices only when it has placed none.
+func remoteCoordinator(joinSpec string, devices int, presets string, shards int, seed uint64, vnodes int, fastDiag bool, walDir string, rpcDeadline time.Duration) (*cluster.Coordinator, error) {
 	type memberSpec struct{ id, addr string }
 	var members []memberSpec
 	for _, part := range strings.Split(joinSpec, ",") {
@@ -274,12 +294,12 @@ func runRemote(addr, joinSpec string, devices int, presets string, shards int, s
 		}
 		id, url, ok := strings.Cut(part, "=")
 		if !ok {
-			return fmt.Errorf("-join entry %q: want id=baseURL", part)
+			return nil, fmt.Errorf("-join entry %q: want id=baseURL", part)
 		}
 		members = append(members, memberSpec{id: strings.TrimSpace(id), addr: strings.TrimSpace(url)})
 	}
 	if len(members) == 0 {
-		return fmt.Errorf("-join named no members")
+		return nil, fmt.Errorf("-join named no members")
 	}
 
 	reg := obs.NewRegistry()
@@ -294,9 +314,12 @@ func runRemote(addr, joinSpec string, devices int, presets string, shards int, s
 		c, err = cluster.NewCoordinator(pol, tr, reg)
 	}
 	if err != nil {
-		return err
+		return nil, err
 	}
-	defer c.Close()
+	fail := func(err error) (*cluster.Coordinator, error) {
+		c.Close()
+		return nil, err
+	}
 	if got := len(c.Nodes()); got > 0 {
 		log.Printf("recovered %d members and %d placements from %s", got, len(c.Placement()), walDir)
 	}
@@ -307,10 +330,10 @@ func runRemote(addr, joinSpec string, devices int, presets string, shards int, s
 		}
 		n, err := cluster.NewRemoteNode(ms.id, ms.addr)
 		if err != nil {
-			return err
+			return fail(err)
 		}
 		if err := c.Join(n); err != nil {
-			return err
+			return fail(err)
 		}
 		log.Printf("joined %s at %s", ms.id, ms.addr)
 	}
@@ -324,24 +347,16 @@ func runRemote(addr, joinSpec string, devices int, presets string, shards int, s
 		log.Printf("diagnosing %d devices for adoption...", devices)
 		boot, err := fleet.New(bootCfg)
 		if err != nil {
-			return err
+			return fail(err)
 		}
-		ids := boot.DeviceIDs()
-		if err := c.AdoptDevices(boot, ids); err != nil {
-			boot.Close()
-			return err
-		}
+		err = c.AdoptDevices(boot, boot.DeviceIDs())
 		boot.Close()
+		if err != nil {
+			return fail(err)
+		}
 		for dev, node := range c.Placement() {
 			log.Printf("  %s -> %s", dev, node)
 		}
 	}
-
-	newMember := func(id, addr string) (*cluster.Node, error) {
-		if addr == "" {
-			return nil, fmt.Errorf("networked join needs ?addr=baseURL")
-		}
-		return cluster.NewRemoteNode(id, addr)
-	}
-	return serve(addr, newServer(c, newMember), c.Tick, tickInterval, c.Close)
+	return c, nil
 }

@@ -45,7 +45,7 @@ func newGroupServer(g *cluster.Group) http.Handler {
 	})
 
 	// Replica chaos controls: the HTTP face of the split-brain harness,
-	// for poking a live cluster the way examples/cluster-net does.
+	// for poking a live replica group by hand.
 	replicaAction := func(name string, fn func(id string) error) http.HandlerFunc {
 		return func(w http.ResponseWriter, r *http.Request) {
 			id := r.PathValue("id")
