@@ -6,6 +6,7 @@ package cmdtest
 import (
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -25,6 +26,27 @@ var commands = []struct {
 	{"ssdcheck-cluster", []string{"stray"}},
 	{"experiments", []string{"-run", "fig1", "stray"}},
 	{"replay", []string{"stray.json"}},
+}
+
+// TestCommandsListsEveryMain: the commands table names every main
+// package under cmd/, so a new command cannot skip the checks here.
+func TestCommandsListsEveryMain(t *testing.T) {
+	cmd := exec.Command("go", "list", "-f", `{{if eq .Name "main"}}{{.ImportPath}}{{end}}`, "./cmd/...")
+	cmd.Dir = "../.."
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("go list: %v", err)
+	}
+	var listed []string
+	for _, c := range commands {
+		listed = append(listed, "ssdcheck/cmd/"+c.name)
+	}
+	mains := strings.Fields(string(out))
+	slices.Sort(listed)
+	slices.Sort(mains)
+	if !slices.Equal(listed, mains) {
+		t.Fatalf("commands table names %v; the main packages under cmd/ are %v", listed, mains)
+	}
 }
 
 // buildAll compiles every command once into a shared temp dir.
