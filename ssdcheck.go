@@ -16,8 +16,9 @@
 // This package is the public facade: it re-exports the pieces a
 // downstream user needs — devices, diagnosis, prediction, the volume
 // manager and the schedulers — from the internal packages that implement
-// them. See the examples directory for runnable walkthroughs and
-// EXPERIMENTS.md for the paper-vs-measured evaluation.
+// them. The package's Example functions are its walkthroughs, run and
+// checked by go test; EXPERIMENTS.md has the paper-vs-measured
+// evaluation.
 package ssdcheck
 
 import (
@@ -127,13 +128,11 @@ type Workload = trace.Spec
 
 // The evaluation workloads.
 var (
-	TPCE       = trace.TPCE
-	Homes      = trace.Homes
-	Exch       = trace.Exch
-	Build      = trace.Build
-	RWMixed    = trace.RWMixed
-	WriteBurst = trace.WriteBurst
-	Workloads  = trace.Workloads
+	TPCE    = trace.TPCE
+	Homes   = trace.Homes
+	Exch    = trace.Exch
+	Build   = trace.Build
+	RWMixed = trace.RWMixed
 )
 
 // GenerateWorkload materializes n requests of a workload for a device of
@@ -285,7 +284,7 @@ var NewClusterCoordinator = cluster.NewCoordinator
 // fault injector that wraps any Device, and the fleet's health state
 // machine, retry policy and recovery probes built to survive it. See
 // internal/faults, the "Failure model" section of DESIGN.md, and
-// examples/faults for a runnable walkthrough.
+// ExampleFleet_HealthLog for a runnable walkthrough.
 type (
 	// FaultConfig is a seed plus a set of fault schedules.
 	FaultConfig = faults.Config
@@ -320,7 +319,7 @@ var ErrDeviceQuarantined = fleet.ErrDeviceQuarantined
 // Prometheus text exposition and a deterministic per-request span
 // tracer. Attach a Registry and Recorder to a FleetConfig to instrument
 // a fleet; cmd/ssdcheckd serves the results at /metrics and /v1/traces.
-// See internal/obs and examples/observability.
+// See internal/obs and ExampleObserver.
 type (
 	// MetricsRegistry holds named counters, gauges and latency
 	// histograms and renders Prometheus text exposition.
@@ -376,7 +375,7 @@ var CalibrateHybrid = nvm.CalibratedConfig
 // Reed-Solomon stripe over fleet devices that steers reads away from
 // predicted-HL members (reconstruct-over-wait) and defers parity
 // writes into the slow windows the predictor announces. See
-// internal/ecvol, DESIGN.md §8 and examples/ecvol.
+// internal/ecvol, DESIGN.md §8 and ExampleNewECVolume.
 type (
 	// ECVolume is the striped, prediction-aware volume.
 	ECVolume = ecvol.Volume
