@@ -4,8 +4,11 @@
 package cmdtest
 
 import (
+	"go/parser"
+	"go/token"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -90,4 +93,78 @@ func TestStrayPositionalArgsRejected(t *testing.T) {
 			}
 		})
 	}
+}
+
+// docFlag matches a -name token that starts a word, a bracket or a
+// parenthesis in a doc comment.
+var docFlag = regexp.MustCompile(`(?:^|[\s(\[])-([a-z][a-z0-9-]*)`)
+
+// helpFlag matches a flag line of the flag package's -h output.
+var helpFlag = regexp.MustCompile(`(?m)^\s+-([a-z][a-z0-9-]*)`)
+
+// TestPackageDocFlagsExist: every -name token in a command's package
+// doc comment is a flag that the command's -h output lists, so the
+// docs cannot keep a flag the command dropped. An indented usage line
+// that starts with another command's name (and the lines it continues
+// with a trailing backslash) is checked against that command.
+func TestPackageDocFlagsExist(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds all binaries; skipped in -short")
+	}
+	bin := buildAll(t)
+	flags := map[string]map[string]bool{}
+	for _, c := range commands {
+		out, _ := exec.Command(filepath.Join(bin, c.name), "-h").CombinedOutput()
+		flags[c.name] = map[string]bool{}
+		for _, m := range helpFlag.FindAllStringSubmatch(string(out), -1) {
+			flags[c.name][m[1]] = true
+		}
+		if len(flags[c.name]) == 0 {
+			t.Fatalf("%s -h lists no flags:\n%s", c.name, out)
+		}
+	}
+	for _, c := range commands {
+		t.Run(c.name, func(t *testing.T) {
+			doc := packageDoc(t, filepath.Join("..", c.name))
+			owner, continued := c.name, false
+			for _, line := range strings.Split(doc, "\n") {
+				if !continued {
+					owner = c.name
+					if fields := strings.Fields(line); strings.HasPrefix(line, "\t") && len(fields) > 0 && flags[fields[0]] != nil {
+						owner = fields[0]
+					}
+				}
+				continued = strings.HasSuffix(line, `\`)
+				for _, m := range docFlag.FindAllStringSubmatch(line, -1) {
+					if !flags[owner][m[1]] {
+						t.Errorf("package doc names -%s, which %s -h does not list: %q", m[1], owner, strings.TrimSpace(line))
+					}
+				}
+			}
+		})
+	}
+}
+
+// packageDoc returns the package doc comment of the Go package in dir.
+func packageDoc(t *testing.T, dir string) string {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, name := range names {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, parser.PackageClauseOnly|parser.ParseComments)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Doc != nil {
+			return f.Doc.Text()
+		}
+	}
+	t.Fatalf("no package doc comment in %s", dir)
+	return ""
 }

@@ -42,7 +42,7 @@
 // Usage:
 //
 //	ssdcheck-cluster -addr :8090 -nodes 3 -devices 12 -fastdiag
-//	ssdcheck-cluster -nodes 5 -devices 40 -vnodes 256 -tick-interval 500ms
+//	ssdcheck-cluster -nodes 5 -devices 40 -tick-interval 500ms
 //
 // With -join the daemon runs in networked mode: instead of hosting
 // nodes in-process, it drives real ssdcheckd processes over their
@@ -64,8 +64,9 @@
 //
 // With -peers N the daemon hosts a replicated coordinator group: N
 // coordinator replicas share a quorum-acknowledged placement log,
-// leadership is a tick-clock lease (-lease, -election-timeout, in
-// heartbeat rounds), failover is a deterministic election
+// leadership is a tick-clock lease (a leader abdicates after 2 rounds
+// without a quorum; followers elect after 3 silent rounds), failover
+// is a deterministic election
 // (longest-log, lowest-ID tie-break), and a superseded leader is
 // fenced off the node plane by term. -wal-dir makes every replica's
 // log durable under <dir>/<replica-id>/ in the same format; the
@@ -106,13 +107,10 @@ func runMain(args []string, stderr io.Writer) int {
 	presets := fs.String("presets", "A,B,C,D,E,F,G,H", "comma-separated preset cycle")
 	shards := fs.Int("shards", 0, "worker shards per node (0 = one per core)")
 	seed := fs.Uint64("seed", 42, "base seed; device seeds and ring placement derive from it")
-	vnodes := fs.Int("vnodes", 0, "virtual nodes per member on the placement ring (0 = default)")
 	fastDiag := fs.Bool("fastdiag", false, "use reduced-strength startup diagnosis probes")
 	tickInterval := fs.Duration("tick-interval", time.Second, "wall-clock heartbeat round period (0 = manual via POST /v1/cluster/tick)")
 	walDir := fs.String("wal-dir", "", "with -join or -peers: coordinator log directory (log.jsonl, meta.json, snapshot.json), replayed on restart")
 	peers := fs.Int("peers", 0, "replicated mode: coordinator replica count (>=3, odd); placements commit only on quorum ack and leadership fails over on lease expiry")
-	lease := fs.Int("lease", 0, "replicated mode: heartbeat rounds a leader may fail to commit before abdicating (0 = default)")
-	electionTimeout := fs.Int("election-timeout", 0, "replicated mode: silent rounds before followers elect a new leader (0 = default; must exceed -lease)")
 	joinSpec := fs.String("join", "", "networked mode: remote members as id=baseURL[,id=baseURL...], driven over their /v1/node/* API")
 	rpcDeadline := fs.Duration("rpc-deadline", 0, "per-attempt RPC deadline in networked mode (0 = default)")
 	traceSample := fs.Float64("trace-sample", 0, "fraction of requests each hosted node traces, 0..1 (0 = off)")
@@ -144,11 +142,11 @@ func runMain(args []string, stderr io.Writer) int {
 	var err error
 	switch {
 	case *joinSpec != "":
-		err = runRemote(*addr, *joinSpec, *devices, *presets, *shards, *seed, *vnodes, *fastDiag, *tickInterval, *walDir, *rpcDeadline)
+		err = runRemote(*addr, *joinSpec, *devices, *presets, *shards, *seed, *fastDiag, *tickInterval, *walDir, *rpcDeadline)
 	case *peers > 0:
-		err = runReplicated(*addr, *peers, *nodes, *devices, *presets, *shards, *seed, *vnodes, *fastDiag, *tickInterval, *walDir, *lease, *electionTimeout)
+		err = runReplicated(*addr, *peers, *nodes, *devices, *presets, *shards, *seed, *fastDiag, *tickInterval, *walDir)
 	default:
-		err = run(*addr, *nodes, *devices, *presets, *shards, *seed, *vnodes, *fastDiag, *tickInterval, *traceSample, *traceBuffer)
+		err = run(*addr, *nodes, *devices, *presets, *shards, *seed, *fastDiag, *tickInterval, *traceSample, *traceBuffer)
 	}
 	if err != nil {
 		fmt.Fprintln(stderr, "ssdcheck-cluster:", err)
@@ -178,7 +176,7 @@ func nodeConfig(shards int, fastDiag bool) fleet.Config {
 	return cfg
 }
 
-func run(addr string, nodes, devices int, presets string, shards int, seed uint64, vnodes int, fastDiag bool, tickInterval time.Duration, traceSample float64, traceBuffer int) error {
+func run(addr string, nodes, devices int, presets string, shards int, seed uint64, fastDiag bool, tickInterval time.Duration, traceSample float64, traceBuffer int) error {
 	if nodes <= 0 {
 		return fmt.Errorf("need at least one node (-nodes)")
 	}
@@ -197,7 +195,7 @@ func run(addr string, nodes, devices int, presets string, shards int, seed uint6
 		Nodes:       nodes,
 		Devices:     fleet.PresetDevices(devices, daemon.Presets(presets), seed),
 		Node:        nodeCfg,
-		Policy:      cluster.Policy{Seed: seed, VirtualNodes: vnodes},
+		Policy:      cluster.Policy{Seed: seed},
 		TraceSample: traceSample,
 		TraceBuffer: traceBuffer,
 	})
@@ -220,7 +218,7 @@ func run(addr string, nodes, devices int, presets string, shards int, seed uint6
 // log, leadership fails over deterministically when the leader's lease
 // lapses, and a superseded leader is fenced off the node plane by term
 // (see internal/cluster replica.go / group.go).
-func runReplicated(addr string, peers, nodes, devices int, presets string, shards int, seed uint64, vnodes int, fastDiag bool, tickInterval time.Duration, dir string, lease, electionTimeout int) error {
+func runReplicated(addr string, peers, nodes, devices int, presets string, shards int, seed uint64, fastDiag bool, tickInterval time.Duration, dir string) error {
 	if peers < 3 {
 		return fmt.Errorf("-peers %d: a replicated coordinator needs at least 3 replicas", peers)
 	}
@@ -243,8 +241,7 @@ func runReplicated(addr string, peers, nodes, devices int, presets string, shard
 		Nodes:    nodes,
 		Devices:  fleet.PresetDevices(devices, daemon.Presets(presets), seed),
 		Node:     nodeCfg,
-		Policy:   cluster.Policy{Seed: seed, VirtualNodes: vnodes},
-		Group:    cluster.GroupPolicy{LeaseRounds: lease, ElectionTimeoutRounds: electionTimeout},
+		Policy:   cluster.Policy{Seed: seed},
 		Dir:      dir,
 	})
 	if err != nil {
@@ -264,8 +261,8 @@ func runReplicated(addr string, peers, nodes, devices int, presets string, shard
 // crash-recoverable coordinator — on restart its one-replica log
 // replays and the remote members resolve back from their logged
 // addresses.
-func runRemote(addr, joinSpec string, devices int, presets string, shards int, seed uint64, vnodes int, fastDiag bool, tickInterval time.Duration, walDir string, rpcDeadline time.Duration) error {
-	c, err := remoteCoordinator(joinSpec, devices, presets, shards, seed, vnodes, fastDiag, walDir, rpcDeadline)
+func runRemote(addr, joinSpec string, devices int, presets string, shards int, seed uint64, fastDiag bool, tickInterval time.Duration, walDir string, rpcDeadline time.Duration) error {
+	c, err := remoteCoordinator(joinSpec, devices, presets, shards, seed, fastDiag, walDir, rpcDeadline)
 	if err != nil {
 		return err
 	}
@@ -283,8 +280,10 @@ func runRemote(addr, joinSpec string, devices int, presets string, shards int, s
 // walDir when one is given, with the -join members in its membership
 // and the device set placed on them. A restarted coordinator joins
 // only the members its log does not already hold, and diagnoses and
-// adopts devices only when it has placed none.
-func remoteCoordinator(joinSpec string, devices int, presets string, shards int, seed uint64, vnodes int, fastDiag bool, walDir string, rpcDeadline time.Duration) (*cluster.Coordinator, error) {
+// adopts devices only when it has placed none. A -join member the log
+// holds at a different address is refused: the log has no record that
+// moves a member.
+func remoteCoordinator(joinSpec string, devices int, presets string, shards int, seed uint64, fastDiag bool, walDir string, rpcDeadline time.Duration) (*cluster.Coordinator, error) {
 	type memberSpec struct{ id, addr string }
 	var members []memberSpec
 	for _, part := range strings.Split(joinSpec, ",") {
@@ -304,7 +303,7 @@ func remoteCoordinator(joinSpec string, devices int, presets string, shards int,
 
 	reg := obs.NewRegistry()
 	tr := cluster.NewHTTPTransport(cluster.RPCPolicy{Deadline: rpcDeadline}, seed, reg)
-	pol := cluster.Policy{Seed: seed, VirtualNodes: vnodes}
+	pol := cluster.Policy{Seed: seed}
 
 	var c *cluster.Coordinator
 	var err error
@@ -325,7 +324,10 @@ func remoteCoordinator(joinSpec string, devices int, presets string, shards int,
 	}
 
 	for _, ms := range members {
-		if c.Node(ms.id) != nil {
+		if n := c.Node(ms.id); n != nil {
+			if n.Addr() != ms.addr {
+				return fail(fmt.Errorf("-join %s=%s: member %s is already at %s; a moved member cannot be re-addressed", ms.id, ms.addr, ms.id, n.Addr()))
+			}
 			continue // already in recovered membership
 		}
 		n, err := cluster.NewRemoteNode(ms.id, ms.addr)

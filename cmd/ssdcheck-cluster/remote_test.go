@@ -1,10 +1,14 @@
 package main
 
 import (
+	"bytes"
 	"maps"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"ssdcheck/internal/blockdev"
@@ -45,7 +49,7 @@ func TestRemoteCoordinatorRestart(t *testing.T) {
 	dir := t.TempDir()
 	start := func(join string) *cluster.Coordinator {
 		t.Helper()
-		c, err := remoteCoordinator(join, 4, "A,D", 2, 42, 0, true, dir, 0)
+		c, err := remoteCoordinator(join, 4, "A,D", 2, 42, true, dir, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,5 +92,40 @@ func TestRemoteCoordinatorRestart(t *testing.T) {
 		if r.Err != nil || r.Node != "node-b" {
 			t.Errorf("%s: served by %q, err %v; want node-b, no error", r.DeviceID, r.Node, r.Err)
 		}
+	}
+}
+
+// TestRemoteCoordinatorRefusesMovedMember: restarted with a -join
+// address that differs from the one its log holds for that member, the
+// coordinator refuses to start, names the member and both addresses,
+// and leaves the log as it was.
+func TestRemoteCoordinatorRefusesMovedMember(t *testing.T) {
+	urlA, urlB, urlC := serveNodePlane(t, "node-a"), serveNodePlane(t, "node-b"), serveNodePlane(t, "node-c")
+	dir := t.TempDir()
+	c, err := remoteCoordinator("node-a="+urlA+",node-b="+urlB, 4, "A,D", 2, 42, true, dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	logPath := filepath.Join(dir, "log.jsonl")
+	before, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	c, err = remoteCoordinator("node-b="+urlC, 4, "A,D", 2, 42, true, dir, 0)
+	if err == nil {
+		c.Close()
+		t.Fatal("restart with node-b at a new address succeeded; want it refused")
+	}
+	for _, want := range []string{"node-b", urlB, urlC} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %s", err, want)
+		}
+	}
+	if after, err := os.ReadFile(logPath); err != nil {
+		t.Fatal(err)
+	} else if !bytes.Equal(after, before) {
+		t.Errorf("refused restart changed log.jsonl (%d bytes before, %d after)", len(before), len(after))
 	}
 }

@@ -32,9 +32,7 @@
 // drifting → fallback → rediagnosing): when a device's extracted model
 // stops matching its behavior, the fleet serves conservative always-NL
 // predictions (results flagged "fallback") while a budgeted background
-// re-diagnosis rebuilds the model and hot-swaps it. -model-floor sets
-// the HL-accuracy floor the drift watchdog enforces; -rediag-budget
-// caps the GC-interval probes one re-diagnosis may spend.
+// re-diagnosis rebuilds the model and hot-swaps it.
 //
 // Usage:
 //
@@ -77,14 +75,11 @@ func main() {
 	presets := flag.String("presets", "A,B,C,D,E,F,G,H", "comma-separated preset cycle")
 	shards := flag.Int("shards", 0, "worker shards (0 = one per core, capped at device count)")
 	seed := flag.Uint64("seed", 42, "base seed; per-device seeds derive from it")
-	queue := flag.Int("queue", 0, "per-shard queue depth (0 = default)")
 	featuresDir := flag.String("features", "", "directory of persisted diagnoses (<deviceID>.json)")
 	fastDiag := flag.Bool("fastdiag", false, "use reduced-strength startup diagnosis probes")
 	probeInterval := flag.Duration("probe-interval", 5*time.Second, "background recovery-probe period for quarantined devices (0 = rejection-triggered only)")
 	traceSample := flag.Float64("trace-sample", 0, "fraction of requests to trace, 0..1 (0 = tracing off)")
 	traceBuffer := flag.Int("trace-buffer", 256, "retained traces per device")
-	modelFloor := flag.Float64("model-floor", 0, "HL-accuracy floor for the drift watchdog, 0..1 (0 = default)")
-	rediagBudget := flag.Int("rediag-budget", 0, "GC-interval probe budget per re-diagnosis (0 = default)")
 	nodeID := flag.String("node-id", "", "node identity reported on /v1/version (cluster members set this)")
 	flag.Parse()
 	if flag.NArg() > 0 {
@@ -93,13 +88,13 @@ func main() {
 		os.Exit(2)
 	}
 
-	if err := run(*addr, *devices, *presets, *shards, *seed, *queue, *featuresDir, *fastDiag, *probeInterval, *traceSample, *traceBuffer, *modelFloor, *rediagBudget, *nodeID); err != nil {
+	if err := run(*addr, *devices, *presets, *shards, *seed, *featuresDir, *fastDiag, *probeInterval, *traceSample, *traceBuffer, *nodeID); err != nil {
 		fmt.Fprintln(os.Stderr, "ssdcheckd:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr string, devices int, presets string, shards int, seed uint64, queue int, featuresDir string, fastDiag bool, probeInterval time.Duration, traceSample float64, traceBuffer int, modelFloor float64, rediagBudget int, nodeID string) error {
+func run(addr string, devices int, presets string, shards int, seed uint64, featuresDir string, fastDiag bool, probeInterval time.Duration, traceSample float64, traceBuffer int, nodeID string) error {
 	if devices < 0 {
 		return fmt.Errorf("-devices %d is negative", devices)
 	}
@@ -108,12 +103,6 @@ func run(addr string, devices int, presets string, shards int, seed uint64, queu
 	// placement or a failover migration.
 	if traceSample < 0 || traceSample > 1 {
 		return fmt.Errorf("-trace-sample %v outside [0,1]", traceSample)
-	}
-	if modelFloor < 0 || modelFloor > 1 {
-		return fmt.Errorf("-model-floor %v outside [0,1]", modelFloor)
-	}
-	if rediagBudget < 0 {
-		return fmt.Errorf("-rediag-budget %d is negative", rediagBudget)
 	}
 
 	reg := obs.NewRegistry()
@@ -125,14 +114,11 @@ func run(addr string, devices int, presets string, shards int, seed uint64, queu
 	cfg := fleet.Config{
 		Devices:    fleet.PresetDevices(devices, daemon.Presets(presets), seed),
 		Shards:     shards,
-		QueueDepth: queue,
 		Registry:   reg,
 		Recorder:   obs.Observer{Reg: reg, Tr: tracer},
 		AllowEmpty: devices == 0,
 	}
 	cfg.Health.ProbeInterval = probeInterval
-	cfg.Model.FloorHL = modelFloor
-	cfg.Model.RediagBudget = rediagBudget
 	if fastDiag {
 		cfg.Diagnosis = fleet.FastDiagnosis()
 	}

@@ -20,6 +20,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -45,6 +46,18 @@ var deadAllowlist = map[string]string{
 	"cluster.(*Coordinator).Checkpoint":   "recovery seam: the recovery scenario snapshots the log before the crash through it",
 }
 
+// knobAllowlist names fields of tuning structs that no code sets but
+// that stay, each with its reason. An entry that gains a setter, or
+// whose field is gone, fails TestNoUnsetKnob.
+var knobAllowlist = map[string]string{
+	"core.Params.OverheadAlpha":    "wire-bound: DeviceSpec.Params travels in DeviceState, pinned by fleet's wire_device_state.golden",
+	"core.Params.NLReadBase":       "wire-bound: DeviceSpec.Params travels in DeviceState, pinned by fleet's wire_device_state.golden",
+	"core.Params.NLWriteBase":      "wire-bound: DeviceSpec.Params travels in DeviceState, pinned by fleet's wire_device_state.golden",
+	"core.Params.DisableBelowHL":   "wire-bound: DeviceSpec.Params travels in DeviceState, pinned by fleet's wire_device_state.golden",
+	"core.Params.ResetDistBelowHL": "wire-bound: DeviceSpec.Params travels in DeviceState, pinned by fleet's wire_device_state.golden",
+	"ecvol.Config.ChunkSectors":    "wire-bound: a field of the POST /v1/volumes JSON body, set by the decoder",
+}
+
 func TestNoDeadCode(t *testing.T) {
 	skipUnderRace(t)
 	res := loadDeadModule(t).scan(t, nil)
@@ -58,52 +71,239 @@ func TestNoDeadCode(t *testing.T) {
 
 // TestNoDeadCodeChecker seeds the module with code the checker must (or
 // must not) report, parsed from strings and added to a package's files.
+// Each seeded scan is compared net of the unseeded scan's findings, so
+// real dead code fails TestNoDeadCode alone.
 func TestNoDeadCodeChecker(t *testing.T) {
 	skipUnderRace(t)
 	m := loadDeadModule(t)
+	base := m.scan(t, nil)
+	seeded := func(t *testing.T, seeds map[string][]seedFile) []string {
+		t.Helper()
+		return m.scan(t, seeds).without(base)
+	}
 
 	t.Run("seeded export is reported", func(t *testing.T) {
-		res := m.scan(t, map[string][]seedFile{
+		got := seeded(t, map[string][]seedFile{
 			"ssdcheck/internal/stats": {{"seeded.go", "package stats\n\nfunc SeededDead() {}\n"}},
 		})
-		if got := res.unlisted(deadAllowlist); len(got) != 1 || got[0] != "stats.SeededDead" {
+		if len(got) != 1 || got[0] != "stats.SeededDead" {
 			t.Fatalf("findings = %v, want [stats.SeededDead]", got)
 		}
 	})
 
 	t.Run("stale allowlist entries fail", func(t *testing.T) {
-		res := m.scan(t, nil)
 		allow := map[string]string{
 			"stats.Mean":      "referenced by experiments",
 			"stats.NoSuchOne": "never existed",
 		}
-		got := res.stale(allow)
+		got := base.stale(allow)
 		if len(got) != 2 || !strings.HasPrefix(got[0], "stats.Mean ") || !strings.HasPrefix(got[1], "stats.NoSuchOne ") {
 			t.Fatalf("stale = %q, want one entry each for stats.Mean and stats.NoSuchOne", got)
 		}
 	})
 
 	t.Run("method reached through an interface is live", func(t *testing.T) {
-		res := m.scan(t, map[string][]seedFile{
+		got := seeded(t, map[string][]seedFile{
 			"ssdcheck/internal/stats": {{"seeded.go", "package stats\n\ntype SeededLabel int\n\nfunc (SeededLabel) String() string { return \"label\" }\n"}},
 			"ssdcheck/cmd/replay":     {{"seeded.go", "package main\n\nimport (\n\t\"fmt\"\n\n\t\"ssdcheck/internal/stats\"\n)\n\nvar _ = fmt.Sprint(stats.SeededLabel(0))\n"}},
 		})
-		if got := res.unlisted(deadAllowlist); len(got) != 0 {
+		if len(got) != 0 {
 			t.Fatalf("findings = %v, want none", got)
 		}
 	})
 
 	t.Run("reference from a test file does not count", func(t *testing.T) {
-		res := m.scan(t, map[string][]seedFile{
+		got := seeded(t, map[string][]seedFile{
 			"ssdcheck/internal/stats": {
 				{"seeded.go", "package stats\n\nfunc SeededTestOnly() {}\n"},
 				{"seeded_test.go", "package stats\n\nfunc init() { SeededTestOnly() }\n"},
 			},
 		})
-		if got := res.unlisted(deadAllowlist); len(got) != 1 || got[0] != "stats.SeededTestOnly" {
+		if len(got) != 1 || got[0] != "stats.SeededTestOnly" {
 			t.Fatalf("findings = %v, want [stats.SeededTestOnly]", got)
 		}
 	})
+}
+
+// TestNoUnsetKnob: every field of a tuning struct under internal/ (a
+// struct type named *Config, *Policy, *Opts or Params) is set somewhere
+// outside the type's own methods, by an assignment or as a
+// composite-literal key; test code counts. A field nothing sets has
+// one value in use, and belongs in a named constant beside the code
+// that reads it, not in a knob every test and benchmark would have to
+// cover.
+func TestNoUnsetKnob(t *testing.T) {
+	skipUnderRace(t)
+	m := loadDeadModule(t)
+	census := m.knobCensus(t, nil)
+	for _, k := range census.unset {
+		if _, ok := knobAllowlist[k]; !ok {
+			t.Errorf("unset knob: %s is set by no code; fold it into a constant or add it to knobAllowlist with a reason", k)
+		}
+	}
+	for k := range knobAllowlist {
+		switch {
+		case !census.fields[k]:
+			t.Errorf("stale knob allowlist entry: %s no longer exists", k)
+		case !slices.Contains(census.unset, k):
+			t.Errorf("stale knob allowlist entry: %s is set", k)
+		}
+	}
+
+	t.Run("seeded unset field fails", func(t *testing.T) {
+		src, err := os.ReadFile(filepath.Join("internal", "cluster", "cluster.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		const anchor = "\tSeed uint64\n"
+		if !bytes.Contains(src, []byte(anchor)) {
+			t.Fatalf("cluster.go has no %q line to seed after", anchor)
+		}
+		seeded := strings.Replace(string(src), anchor, anchor+"\tSeededUnset int\n", 1)
+		got := m.knobCensus(t, map[string][]seedFile{
+			"ssdcheck/internal/cluster": {{"cluster.go", seeded}},
+		}).unset
+		if !slices.Contains(got, "cluster.Policy.SeededUnset") {
+			t.Fatalf("unset knobs = %v, want cluster.Policy.SeededUnset among them", got)
+		}
+	})
+}
+
+// knobCensus is every tuning-struct field in scope and those no code
+// sets.
+type knobCensus struct {
+	fields map[string]bool
+	unset  []string // sorted
+}
+
+// knobCensus finds the tuning structs under internal/ and the fields
+// that no code sets outside the struct's own methods. Each package's
+// in-package tests are checked as go test builds them: a variant of the
+// package that imports the others' non-test code. Setting a field of a
+// field (cfg.Health.ProbeInterval = x) sets both.
+func (m *deadModule) knobCensus(t *testing.T, seeds map[string][]seedFile) knobCensus {
+	t.Helper()
+	c := m.check(t, seeds)
+	type unit struct {
+		pkg   *types.Package
+		files []*ast.File
+		info  *types.Info
+	}
+	var units []unit
+	for path, pkg := range c.pkgs {
+		units = append(units, unit{pkg, c.files[path], c.infos[path]})
+	}
+	for path, tests := range m.tests {
+		files := append(slices.Clone(c.files[path]), tests...)
+		info := &types.Info{
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+		}
+		pkg, err := (&types.Config{Importer: c}).Check(path, m.fset, files, info)
+		if err != nil {
+			t.Fatalf("type-checking %s with its tests: %v", path, err)
+		}
+		units = append(units, unit{pkg, files, info})
+	}
+
+	census := knobCensus{fields: map[string]bool{}}
+	owner := map[*types.Var]string{} // field -> "pkg.Type"
+	for _, u := range units {
+		if !strings.Contains(u.pkg.Path(), "/internal/") {
+			continue
+		}
+		for _, name := range u.pkg.Scope().Names() {
+			tn, ok := u.pkg.Scope().Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() || strings.HasSuffix(m.fset.File(tn.Pos()).Name(), "_test.go") {
+				continue
+			}
+			if !strings.HasSuffix(name, "Config") && !strings.HasSuffix(name, "Policy") && !strings.HasSuffix(name, "Opts") && name != "Params" {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				owner[st.Field(i)] = u.pkg.Name() + "." + name
+				census.fields[owner[st.Field(i)]+"."+st.Field(i).Name()] = true
+			}
+		}
+	}
+
+	set := map[string]bool{}
+	for _, u := range units {
+		for _, file := range u.files {
+			for _, decl := range file.Decls {
+				own := "" // the receiver's type inside a method
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv != nil {
+					recv := u.info.Defs[fd.Name].Type().(*types.Signature).Recv().Type()
+					if p, ok := recv.(*types.Pointer); ok {
+						recv = p.Elem()
+					}
+					own = u.pkg.Name() + "." + recv.(*types.Named).Obj().Name()
+				}
+				mark := func(f *types.Var) {
+					if o, ok := owner[f]; ok && o != own {
+						set[o+"."+f.Name()] = true
+					}
+				}
+				// target marks every field along a selector chain.
+				var target func(e ast.Expr)
+				target = func(e ast.Expr) {
+					switch x := ast.Unparen(e).(type) {
+					case *ast.SelectorExpr:
+						if sel := u.info.Selections[x]; sel != nil && sel.Kind() == types.FieldVal {
+							mark(sel.Obj().(*types.Var))
+						}
+						target(x.X)
+					case *ast.IndexExpr:
+						target(x.X)
+					case *ast.StarExpr:
+						target(x.X)
+					}
+				}
+				ast.Inspect(decl, func(n ast.Node) bool {
+					switch x := n.(type) {
+					case *ast.AssignStmt:
+						for _, lhs := range x.Lhs {
+							target(lhs)
+						}
+					case *ast.IncDecStmt:
+						target(x.X)
+					case *ast.UnaryExpr:
+						if x.Op == token.AND {
+							target(x.X)
+						}
+					case *ast.CompositeLit:
+						st, _ := u.info.Types[x].Type.Underlying().(*types.Struct)
+						for i, elt := range x.Elts {
+							if kv, ok := elt.(*ast.KeyValueExpr); ok {
+								if id, ok := kv.Key.(*ast.Ident); ok {
+									if f, ok := u.info.Uses[id].(*types.Var); ok {
+										mark(f)
+									}
+								}
+							} else if st != nil {
+								mark(st.Field(i))
+							}
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+
+	for key := range census.fields {
+		if !set[key] {
+			census.unset = append(census.unset, key)
+		}
+	}
+	sort.Strings(census.unset)
+	return census
 }
 
 // seedFile is a source file added to a package for one scan.
@@ -114,6 +314,7 @@ type seedFile struct{ name, src string }
 type deadModule struct {
 	fset  *token.FileSet
 	pkgs  map[string][]*ast.File // import path -> files
+	tests map[string][]*ast.File // import path -> its in-package test files
 	paths []string               // import paths, sorted
 	std   types.Importer
 	err   error
@@ -134,9 +335,9 @@ func loadDeadModule(t *testing.T) *deadModule {
 }
 
 func parseDeadModule() *deadModule {
-	m := &deadModule{fset: token.NewFileSet(), pkgs: map[string][]*ast.File{}}
+	m := &deadModule{fset: token.NewFileSet(), pkgs: map[string][]*ast.File{}, tests: map[string][]*ast.File{}}
 	out, err := exec.Command("go", "list", "-deps", "-export",
-		"-json=ImportPath,Dir,GoFiles,XTestGoFiles,Export,Standard", "./...").Output()
+		"-json=ImportPath,Dir,GoFiles,TestGoFiles,XTestGoFiles,Export,Standard", "./...").Output()
 	if err != nil {
 		m.err = fmt.Errorf("go list: %v", err)
 		return m
@@ -144,9 +345,9 @@ func parseDeadModule() *deadModule {
 	export := map[string]string{}
 	for dec := json.NewDecoder(bytes.NewReader(out)); ; {
 		var p struct {
-			ImportPath, Dir, Export string
-			GoFiles, XTestGoFiles   []string
-			Standard                bool
+			ImportPath, Dir, Export            string
+			GoFiles, TestGoFiles, XTestGoFiles []string
+			Standard                           bool
 		}
 		if err := dec.Decode(&p); err == io.EOF {
 			break
@@ -159,15 +360,24 @@ func parseDeadModule() *deadModule {
 			continue
 		}
 		// External test packages are parsed for their Example functions,
-		// the only test code that counts as a reference.
-		for path, names := range map[string][]string{p.ImportPath: p.GoFiles, p.ImportPath + "_test": p.XTestGoFiles} {
-			for _, name := range names {
+		// the only test code that counts as a reference; in-package test
+		// files are kept apart for the knob census, where tests count.
+		for _, set := range []struct {
+			into  map[string][]*ast.File
+			path  string
+			names []string
+		}{
+			{m.pkgs, p.ImportPath, p.GoFiles},
+			{m.pkgs, p.ImportPath + "_test", p.XTestGoFiles},
+			{m.tests, p.ImportPath, p.TestGoFiles},
+		} {
+			for _, name := range set.names {
 				f, err := parser.ParseFile(m.fset, filepath.Join(p.Dir, name), nil, parser.SkipObjectResolution)
 				if err != nil {
 					m.err = err
 					return m
 				}
-				m.pkgs[path] = append(m.pkgs[path], f)
+				set.into[set.path] = append(set.into[set.path], f)
 			}
 		}
 	}
@@ -201,6 +411,14 @@ type deadScan struct {
 // reports every candidate that no non-test code references.
 func (m *deadModule) scan(t *testing.T, seeds map[string][]seedFile) *deadScan {
 	t.Helper()
+	return m.check(t, seeds).result()
+}
+
+// check type-checks the module's non-test code and external test
+// packages, with seeds added to their packages (a seed named like one
+// of a package's files replaces it).
+func (m *deadModule) check(t *testing.T, seeds map[string][]seedFile) *deadChecker {
+	t.Helper()
 	files := map[string][]*ast.File{}
 	for path, fs := range m.pkgs {
 		files[path] = fs
@@ -214,7 +432,10 @@ func (m *deadModule) scan(t *testing.T, seeds map[string][]seedFile) *deadScan {
 			if err != nil {
 				t.Fatal(err)
 			}
-			files[path] = append(files[path][:len(files[path]):len(files[path])], f)
+			fs := slices.DeleteFunc(slices.Clone(files[path]), func(old *ast.File) bool {
+				return filepath.Base(m.fset.File(old.Pos()).Name()) == s.name
+			})
+			files[path] = append(fs, f)
 		}
 	}
 
@@ -224,7 +445,7 @@ func (m *deadModule) scan(t *testing.T, seeds map[string][]seedFile) *deadScan {
 			t.Fatal(err)
 		}
 	}
-	return c.result()
+	return c
 }
 
 // deadChecker type-checks module packages on demand, in import order.
@@ -244,9 +465,10 @@ func (c *deadChecker) Import(path string) (*types.Package, error) {
 		return c.m.std.Import(path)
 	}
 	info := &types.Info{
-		Types: map[ast.Expr]types.TypeAndValue{},
-		Defs:  map[*ast.Ident]types.Object{},
-		Uses:  map[*ast.Ident]types.Object{},
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
 	var errs []error
 	conf := types.Config{Importer: c, Error: func(err error) { errs = append(errs, err) }}
@@ -496,6 +718,17 @@ func deadKey(obj types.Object) string {
 		}
 	}
 	return pkg + "." + obj.Name()
+}
+
+// without returns the findings that base does not have.
+func (r *deadScan) without(base *deadScan) []string {
+	var out []string
+	for _, f := range r.findings {
+		if !slices.Contains(base.findings, f) {
+			out = append(out, f)
+		}
+	}
+	return out
 }
 
 // unlisted returns the findings the allowlist does not name.

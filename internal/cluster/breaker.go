@@ -67,6 +67,12 @@ func (c *Coordinator) breakerTransitionLocked(mb *member, to BreakerState, cause
 	}
 }
 
+// breakerCooldown is how long an open breaker stays open on the
+// cluster's virtual clock, which advances only on Tick: two heartbeat
+// rounds. After it elapses the next submit half-opens the breaker and
+// rides as the probe.
+const breakerCooldown = 2 * heartbeatInterval
+
 // breakerPeekLocked answers, without moving the breaker, whether the
 // node would admit a sub-batch right now and whether admitting would
 // flip the breaker (open → half-open). The submit path needs the
@@ -77,7 +83,7 @@ func (c *Coordinator) breakerPeekLocked(mb *member) (admit, flip bool) {
 		return true, false
 	}
 	if mb.brk == BreakerOpen {
-		if c.now.Sub(mb.brkOpenedAt) >= c.pol.BreakerCooldown {
+		if c.now.Sub(mb.brkOpenedAt) >= breakerCooldown {
 			return true, true
 		}
 		return false, false

@@ -38,7 +38,7 @@ func rpcHarness(t *testing.T, devs []fleet.DeviceSpec, nodes int, seed uint64, b
 // split the devices across both nodes.
 func splitOwners(t *testing.T, devs []fleet.DeviceSpec, nodes int, seed uint64) (victim string, victimDevs int) {
 	t.Helper()
-	ring := NewRing(seed, 128)
+	ring := NewRing(seed, virtualNodes)
 	for i := 0; i < nodes; i++ {
 		ring.Add(fmt.Sprintf("node-%d", i))
 	}

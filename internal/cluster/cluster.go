@@ -38,7 +38,6 @@ package cluster
 
 import (
 	"errors"
-	"time"
 
 	"ssdcheck/internal/fleet"
 )
@@ -63,49 +62,16 @@ var (
 	ErrBreakerOpen = errors.New("cluster: circuit breaker open")
 )
 
-// Policy tunes the coordinator: the heartbeat cadence on the cluster's
-// virtual clock, the node health state machine thresholds, and the
-// placement ring. The zero value takes the defaults.
+// Policy tunes the coordinator's circuit breakers and placement ring.
+// The zero value takes the defaults. The heartbeat cadence and the
+// node health thresholds are constants beside the code that reads
+// them (see Tick).
 type Policy struct {
-	// HeartbeatInterval is the virtual time between heartbeat rounds
-	// (each Tick advances the cluster clock by one interval). 0
-	// defaults to 1s.
-	HeartbeatInterval time.Duration
-
-	// HeartbeatDeadline is the round-trip budget; a slower (or lost)
-	// heartbeat counts as a miss. 0 defaults to 250ms.
-	HeartbeatDeadline time.Duration
-
-	// DegradeAfterMisses moves a healthy node to degraded after this
-	// many consecutive missed heartbeats. 0 defaults to 2.
-	DegradeAfterMisses int
-
-	// QuarantineAfterMisses moves a degraded node to quarantined —
-	// off the ring, devices evacuated — after this many consecutive
-	// misses. 0 defaults to 4.
-	QuarantineAfterMisses int
-
-	// RejoinAfterBeats is how many consecutive on-deadline heartbeats a
-	// quarantined node must answer (via recovering) before it rejoins
-	// the ring and takes devices back. 0 defaults to 2.
-	RejoinAfterBeats int
-
-	// VirtualNodes is the ring's virtual-node count per member. 0
-	// defaults to 128.
-	VirtualNodes int
-
 	// BreakerFailures is how many consecutive failed submit RPCs open
 	// a node's circuit breaker (submits then fast-fail with
 	// ErrBreakerOpen instead of burning an RPC deadline each). 0
 	// defaults to 3; negative disables the breaker.
 	BreakerFailures int
-
-	// BreakerCooldown is how long an open breaker stays open on the
-	// cluster's virtual clock — which advances only on Tick, so the
-	// cooldown is effectively measured in heartbeat rounds. After it
-	// elapses the next submit half-opens the breaker and rides as the
-	// probe. 0 defaults to 2×HeartbeatInterval.
-	BreakerCooldown time.Duration
 
 	// Seed drives the placement ring's hash positions. Two clusters
 	// with equal Seed, membership sequence, and device set place
@@ -114,52 +80,13 @@ type Policy struct {
 }
 
 func (p Policy) withDefaults() Policy {
-	if p.HeartbeatInterval == 0 {
-		p.HeartbeatInterval = time.Second
-	}
-	if p.HeartbeatDeadline == 0 {
-		p.HeartbeatDeadline = 250 * time.Millisecond
-	}
-	if p.DegradeAfterMisses == 0 {
-		p.DegradeAfterMisses = 2
-	}
-	if p.QuarantineAfterMisses == 0 {
-		p.QuarantineAfterMisses = 4
-	}
-	if p.RejoinAfterBeats == 0 {
-		p.RejoinAfterBeats = 2
-	}
-	if p.VirtualNodes == 0 {
-		p.VirtualNodes = 128
-	}
 	if p.BreakerFailures == 0 {
 		p.BreakerFailures = 3
 	}
 	if p.BreakerFailures < 0 {
 		p.BreakerFailures = 0 // disabled
 	}
-	if p.BreakerCooldown == 0 {
-		p.BreakerCooldown = 2 * p.HeartbeatInterval
-	}
 	return p
-}
-
-// Validate reports a descriptive error for an unusable policy.
-func (p Policy) Validate() error {
-	if p.HeartbeatInterval < 0 || p.HeartbeatDeadline < 0 {
-		return errors.New("cluster: negative heartbeat timing")
-	}
-	if p.DegradeAfterMisses < 0 || p.QuarantineAfterMisses < 0 || p.RejoinAfterBeats < 0 || p.VirtualNodes < 0 {
-		return errors.New("cluster: negative policy threshold")
-	}
-	if p.BreakerCooldown < 0 {
-		return errors.New("cluster: negative breaker cooldown")
-	}
-	d, q := p.withDefaults().DegradeAfterMisses, p.withDefaults().QuarantineAfterMisses
-	if q < d {
-		return errors.New("cluster: quarantine threshold under degrade threshold")
-	}
-	return nil
 }
 
 // MemberTransition is one edge taken in one of a member's state

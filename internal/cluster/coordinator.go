@@ -108,9 +108,6 @@ type proposer interface {
 // a private one; it holds only cluster-level series and is merged with
 // per-node registries on exposition.
 func NewCoordinator(pol Policy, tr *rpcClient, reg *obs.Registry) (*Coordinator, error) {
-	if err := pol.Validate(); err != nil {
-		return nil, err
-	}
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
@@ -122,7 +119,7 @@ func NewCoordinator(pol Policy, tr *rpcClient, reg *obs.Registry) (*Coordinator,
 		pol:           p,
 		tr:            tr,
 		resolver:      RemoteResolver,
-		ring:          NewRing(p.Seed, p.VirtualNodes),
+		ring:          NewRing(p.Seed, virtualNodes),
 		members:       make(map[string]*member),
 		placement:     make(map[string]string),
 		strays:        make(map[string]string),
@@ -465,6 +462,26 @@ func (c *Coordinator) adoptOneLocked(src *fleet.Manager, dev, target string) err
 	return nil
 }
 
+// The heartbeat clock and the node health thresholds, in heartbeat
+// rounds of the cluster's virtual clock.
+const (
+	// heartbeatInterval is the virtual time between heartbeat rounds:
+	// each Tick advances the cluster clock by one interval.
+	heartbeatInterval = time.Second
+	// heartbeatDeadline is the round-trip budget; a slower (or lost)
+	// heartbeat counts as a miss.
+	heartbeatDeadline = 250 * time.Millisecond
+	// degradeAfterMisses consecutive missed heartbeats move a healthy
+	// node to degraded.
+	degradeAfterMisses = 2
+	// quarantineAfterMisses consecutive misses move a degraded node to
+	// quarantined: off the ring, devices evacuated.
+	quarantineAfterMisses = 4
+	// rejoinAfterBeats consecutive on-deadline heartbeats bring a
+	// quarantined node (via recovering) back onto the ring.
+	rejoinAfterBeats = 2
+)
+
 // Tick runs one heartbeat round: the fault plan (if any) advances one
 // round, every member is probed in parallel, and the outcomes are
 // proposed as one tick record. Applying it advances the cluster clock
@@ -513,7 +530,7 @@ func (c *Coordinator) Tick() error {
 			c.cFenceRejects.Inc()
 			c.deposedLocked()
 		}
-		oks[i] = results[i].err == nil && results[i].rtt <= c.pol.HeartbeatDeadline
+		oks[i] = results[i].err == nil && results[i].rtt <= heartbeatDeadline
 	}
 	return c.commitLocked(walRecord{Type: "tick", Nodes: ids, OK: oks}, nil)
 }
@@ -523,7 +540,7 @@ func (c *Coordinator) Tick() error {
 // member's health machine.
 func (c *Coordinator) applyTick(rec walRecord) {
 	c.round++
-	c.now = c.now.Add(c.pol.HeartbeatInterval)
+	c.now = c.now.Add(heartbeatInterval)
 	c.gRound.Set(c.round)
 	for i, id := range rec.Nodes {
 		mb := c.members[id]
@@ -557,11 +574,11 @@ func (c *Coordinator) noteMissLocked(mb *member) {
 	mb.beats = 0
 	switch mb.health {
 	case fleet.Healthy:
-		if mb.misses >= c.pol.DegradeAfterMisses {
+		if mb.misses >= degradeAfterMisses {
 			c.transitionLocked(mb, fleet.Degraded, "missed heartbeats")
 		}
 	case fleet.Degraded:
-		if mb.misses >= c.pol.QuarantineAfterMisses {
+		if mb.misses >= quarantineAfterMisses {
 			c.transitionLocked(mb, fleet.Quarantined, "persistent heartbeat loss")
 			c.evacuateLocked(mb.node.ID(), "failover")
 		}
@@ -582,7 +599,7 @@ func (c *Coordinator) noteBeatLocked(mb *member) {
 		c.transitionLocked(mb, fleet.Recovering, "heartbeat restored")
 		mb.beats = 1
 	case fleet.Recovering:
-		if mb.beats >= c.pol.RejoinAfterBeats {
+		if mb.beats >= rejoinAfterBeats {
 			c.transitionLocked(mb, fleet.Healthy, "rejoin")
 			c.ring.Add(mb.node.ID())
 			c.rebalanceLocked("rejoin")

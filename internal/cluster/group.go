@@ -13,45 +13,26 @@ import (
 	"ssdcheck/internal/obs"
 )
 
-// GroupPolicy tunes the replicated coordination group's leadership
-// machinery, both measured in heartbeat rounds (the group's only
-// clock). The zero value takes the defaults.
-type GroupPolicy struct {
-	// LeaseRounds is how many consecutive quorum-failed commits a
+// The group's leadership clock, in heartbeat rounds (the group's only
+// clock).
+const (
+	// leaseRounds is how many consecutive quorum-failed commits a
 	// leader tolerates before stepping down on its own. It is
-	// deliberately below ElectionTimeoutRounds: a leader cut off from
+	// deliberately below electionTimeoutRounds: a leader cut off from
 	// its peers abdicates before the followers elect, so in the common
 	// partition the old leader is already a follower when the new term
 	// starts, and fencing handles the pathological case where it is
-	// not. 0 defaults to 2.
-	LeaseRounds int
+	// not.
+	leaseRounds = 2
+	// electionTimeoutRounds is how many rounds a follower waits without
+	// hearing from a leader before campaigning.
+	electionTimeoutRounds = 3
 
-	// ElectionTimeoutRounds is how many rounds a follower waits without
-	// hearing from a leader before campaigning. 0 defaults to 3.
-	ElectionTimeoutRounds int
-}
-
-func (p GroupPolicy) withDefaults() GroupPolicy {
-	if p.LeaseRounds == 0 {
-		p.LeaseRounds = 2
-	}
-	if p.ElectionTimeoutRounds == 0 {
-		p.ElectionTimeoutRounds = 3
-	}
-	return p
-}
-
-// Validate reports a descriptive error for an unusable group policy.
-func (p GroupPolicy) Validate() error {
-	if p.LeaseRounds < 0 || p.ElectionTimeoutRounds < 0 {
-		return errors.New("cluster: negative group policy threshold")
-	}
-	p = p.withDefaults()
-	if p.LeaseRounds >= p.ElectionTimeoutRounds {
-		return errors.New("cluster: lease must lapse before the election timeout")
-	}
-	return nil
-}
+	// OutageBoundRounds bounds, in rounds, how long the group goes
+	// without a committing leader after losing one: the lease lapses,
+	// the election timeout runs, and one round elects.
+	OutageBoundRounds = leaseRounds + electionTimeoutRounds + 1
+)
 
 // GroupConfig parameterizes a replicated coordination group: N
 // coordinator replicas over one shared node plane.
@@ -76,14 +57,6 @@ type GroupConfig struct {
 	// the standard defaults.
 	Policy Policy
 
-	// Group tunes leases and elections; the zero value takes the
-	// defaults.
-	Group GroupPolicy
-
-	// RPC tunes the replicas' loopback clients; the zero value takes
-	// the defaults.
-	RPC RPCPolicy
-
 	// Faults, when non-nil, schedules leader chaos — LeaderCrash,
 	// LeaderPartition, DuelingLeader windows — evaluated once per group
 	// round against whoever holds the lease when the window opens.
@@ -98,10 +71,6 @@ type GroupConfig struct {
 	// in memory (the in-memory copy plays the disk: it survives
 	// simulated crashes).
 	Dir string
-
-	// Registry receives the group-level series (term, leadership,
-	// elections, replication lag). Nil gets a private one.
-	Registry *obs.Registry
 }
 
 // Group is a replicated, lease-fenced coordination group: one leader
@@ -115,7 +84,6 @@ type Group struct {
 	mu     sync.Mutex
 	cfg    GroupConfig
 	cpol   Policy
-	pol    GroupPolicy
 	closed bool
 
 	round    int64
@@ -158,12 +126,6 @@ func NewGroup(cfg GroupConfig) (*Group, error) {
 	if len(cfg.Devices) == 0 {
 		return nil, fmt.Errorf("cluster: group with no devices")
 	}
-	if err := cfg.Policy.Validate(); err != nil {
-		return nil, err
-	}
-	if err := cfg.Group.Validate(); err != nil {
-		return nil, err
-	}
 	// A group always bootstraps a fresh log: reusing a directory would
 	// overwrite the stored term before failing on the replayed joins.
 	// Opening a replica's store creates its log.jsonl.
@@ -173,14 +135,10 @@ func NewGroup(cfg GroupConfig) (*Group, error) {
 		}
 	}
 
-	reg := cfg.Registry
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
+	reg := obs.NewRegistry()
 	g := &Group{
 		cfg:         cfg,
 		cpol:        cfg.Policy.withDefaults(),
-		pol:         cfg.Group.withDefaults(),
 		replicas:    make(map[string]*Replica),
 		nodesByID:   make(map[string]*Node),
 		partitioned: make(map[string]bool),
@@ -288,7 +246,7 @@ func (g *Group) buildReplica(id string, idx uint64) error {
 	if g.cfg.Dir != "" {
 		r.st.dir = filepath.Join(g.cfg.Dir, id)
 	}
-	tr, err := NewLoopbackTransport(g.cfg.RPC, nil, g.cpol.Seed^(idx+0x7265706c), obs.NewRegistry())
+	tr, err := NewLoopbackTransport(RPCPolicy{}, nil, g.cpol.Seed^(idx+0x7265706c), obs.NewRegistry())
 	if err == nil {
 		r.tr = tr
 		err = r.st.open()
@@ -484,7 +442,7 @@ func (g *Group) electLocked() error {
 		if r.crashed || r.role != RoleFollower {
 			continue
 		}
-		if g.round-r.lastHeard < int64(g.pol.ElectionTimeoutRounds) {
+		if g.round-r.lastHeard < electionTimeoutRounds {
 			continue
 		}
 		statuses := []PeerStatus{r.status()}
@@ -604,7 +562,7 @@ func (g *Group) Tick() error {
 			r.failedCommits = 0
 		case errors.Is(err, ErrNoQuorum) || errors.Is(err, ErrStaleTerm) || errors.Is(err, ErrNotLeader):
 			r.failedCommits++
-			if r.failedCommits >= g.pol.LeaseRounds && !r.leasePinned && !r.deposed {
+			if r.failedCommits >= leaseRounds && !r.leasePinned && !r.deposed {
 				if derr := g.demoteLocked(r); derr != nil {
 					return derr
 				}

@@ -226,10 +226,10 @@ func TestClusterWALAutoCompaction(t *testing.T) {
 
 	// The bootstrap logs two joins and one adopt; every tick logs one
 	// record after them, so tick compactEvery-3 writes entry
-	// compactEvery. node-1 misses QuarantineAfterMisses heartbeats in a
+	// compactEvery. node-1 misses quarantineAfterMisses heartbeats in a
 	// row, the last of them on that tick.
 	crossing := compactEvery - 3
-	killAt := crossing - c.Policy().QuarantineAfterMisses + 1
+	killAt := crossing - quarantineAfterMisses + 1
 	for i := 1; i <= crossing; i++ {
 		if i == killAt {
 			if err := c.Kill("node-1"); err != nil {

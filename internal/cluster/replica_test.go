@@ -188,7 +188,7 @@ func TestGroupLeaderCrashFailover(t *testing.T) {
 }
 
 // TestGroupLeaseStepDown: a leader partitioned from its peers cannot
-// commit, abdicates after LeaseRounds failed commits — before the
+// commit, abdicates after leaseRounds failed commits — before the
 // followers' election timeout — and rejoins as a follower whose
 // divergent uncommitted tail is truncated away on catch-up.
 func TestGroupLeaseStepDown(t *testing.T) {

@@ -9,7 +9,7 @@ import (
 )
 
 // Ring is a consistent-hash ring with virtual nodes: each member owns
-// VirtualNodes points on a 64-bit circle, and a device belongs to the
+// vnodes points on a 64-bit circle, and a device belongs to the
 // member owning the first point at or clockwise of the device's hash.
 // Adding or removing one member therefore moves only the devices in
 // the arcs that member's points cover — about K/N of them — instead of
@@ -36,12 +36,15 @@ type ringPoint struct {
 	node string
 }
 
-// NewRing returns an empty ring. vnodes <= 0 defaults to 128 virtual
-// nodes per member, enough to balance a thousand devices across a
-// handful of nodes to within a few percent.
+// virtualNodes is the coordinator's ring size per member, enough to
+// balance a thousand devices across a handful of nodes to within a few
+// percent.
+const virtualNodes = 128
+
+// NewRing returns an empty ring. vnodes <= 0 defaults to virtualNodes.
 func NewRing(seed uint64, vnodes int) *Ring {
 	if vnodes <= 0 {
-		vnodes = 128
+		vnodes = virtualNodes
 	}
 	return &Ring{seed: seed, vnodes: vnodes, nodes: make(map[string]bool)}
 }

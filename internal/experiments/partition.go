@@ -134,9 +134,10 @@ func Partition(o Opts) PartitionResult {
 
 	// The placement ring is a pure function of (seed, membership,
 	// devices), so the victim — the node owning the most devices — is
-	// computable without standing a cluster up.
+	// computable without standing a cluster up. Size 0 takes the
+	// coordinator's virtual-node count.
 	pol := cluster.Policy{Seed: seed}
-	ring := cluster.NewRing(seed, 128)
+	ring := cluster.NewRing(seed, 0)
 	for i := 0; i < nNodes; i++ {
 		ring.Add(nodeID(i))
 	}

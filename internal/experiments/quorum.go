@@ -141,14 +141,12 @@ func Quorum(o Opts) QuorumResult {
 		baseBytes := marshal(base.Devices())
 		base.Close()
 
-		gpol := cluster.GroupPolicy{LeaseRounds: 2, ElectionTimeoutRounds: 3}
 		g, err := cluster.NewGroup(cluster.GroupConfig{
 			Replicas: nRep,
 			Nodes:    nNodes,
 			Devices:  specs,
 			Node:     nodeCfg,
 			Policy:   cluster.Policy{Seed: seed},
-			Group:    gpol,
 			Faults:   plan,
 		})
 		if err != nil {
@@ -157,7 +155,7 @@ func Quorum(o Opts) QuorumResult {
 
 		leg := QuorumLeg{
 			Shards:      shards,
-			OutageBound: int64(gpol.LeaseRounds + gpol.ElectionTimeoutRounds + 1),
+			OutageBound: cluster.OutageBoundRounds,
 		}
 
 		// viable: a leader exists and its last round committed. A

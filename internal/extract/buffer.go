@@ -200,7 +200,7 @@ func (s *Session) writeOnlyTest(o Opts, volumeBits []int, writeThr time.Duration
 	var stall stats.Sample
 	for w := 0; w < writes; w++ {
 		lat := s.submit(blockdev.Write, s.randomPage(volumeBits...), blockdev.SectorsPerPage)
-		if lat > writeThr && lat < o.GCLatencyCut {
+		if lat > writeThr && lat < gcLatencyCut {
 			hlIdx = append(hlIdx, w)
 			stall.Add(float64(lat))
 		}

@@ -136,20 +136,10 @@ type Opts struct {
 	// AllocWritesPerBit is the per-bit sample size of the throughput
 	// scan (Fig. 4).
 	AllocWritesPerBit int
-	// VolumeRatioCut is the throughput ratio below which a fixed bit
-	// is declared a volume bit.
-	VolumeRatioCut float64
 
 	// GCIntervals is how many GC intervals each pattern collects
 	// (Fig. 5).
 	GCIntervals int
-	// GCLatencyCut is the latency above which a request is taken as
-	// evidence of GC (the paper: GC is "significantly longer" than
-	// anything else).
-	GCLatencyCut time.Duration
-	// ChiAlpha is the p-value below which two interval distributions
-	// are declared different.
-	ChiAlpha float64
 
 	// Thinktimes are the write gaps the buffer probe cross-checks
 	// (§III-B3 footnote: multiple thinktimes must agree).
@@ -170,17 +160,8 @@ func (o Opts) WithDefaults(capacity int64) Opts {
 	if o.AllocWritesPerBit == 0 {
 		o.AllocWritesPerBit = 3000
 	}
-	if o.VolumeRatioCut == 0 {
-		o.VolumeRatioCut = 0.7
-	}
 	if o.GCIntervals == 0 {
 		o.GCIntervals = 24
-	}
-	if o.GCLatencyCut == 0 {
-		o.GCLatencyCut = 8 * time.Millisecond
-	}
-	if o.ChiAlpha == 0 {
-		o.ChiAlpha = 0.001
 	}
 	if len(o.Thinktimes) == 0 {
 		o.Thinktimes = []time.Duration{500 * time.Microsecond, 1 * time.Millisecond, 5 * time.Millisecond}

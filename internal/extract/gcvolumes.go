@@ -49,6 +49,16 @@ const (
 	gcSettledDisp     = 1.5
 )
 
+const (
+	// gcLatencyCut is the latency at or above which a write is taken
+	// as evidence of GC (the paper: GC is "significantly longer" than
+	// anything else).
+	gcLatencyCut = 8 * time.Millisecond
+	// chiAlpha is the p-value below which two interval distributions
+	// are declared different.
+	chiAlpha = 0.001
+)
+
 // ScanGCVolumes identifies the GC-volume bit indices with the paper's
 // Fixed / Flip_x snippets. Fixed writes one address repeatedly:
 // self-invalidation leaves GC victims empty, so GC degenerates to pure
@@ -128,7 +138,7 @@ func (s *Session) scanGCBit(o Opts, base int64, bit int) (BitPValue, bool) {
 		}
 		grow(l.n)
 		p := stats.ChiSquaredTwoSample(ref, flip, 8).PValue
-		if p < o.ChiAlpha/float64(gcEarlyAlphaShare) {
+		if p < chiAlpha/float64(gcEarlyAlphaShare) {
 			return BitPValue{Bit: bit, PValue: p, Intervals: l.n}, true
 		}
 		if p >= l.settleP && dispersionRatio(ref, flip) <= gcSettledDisp {
@@ -139,19 +149,19 @@ func (s *Session) scanGCBit(o Opts, base int64, bit int) (BitPValue, bool) {
 	grow(o.GCIntervals)
 	n := o.GCIntervals
 	test := stats.ChiSquaredTwoSample(ref, flip, 8)
-	volume := test.PValue < o.ChiAlpha || dispersionRatio(ref, flip) > 3
+	volume := test.PValue < chiAlpha || dispersionRatio(ref, flip) > 3
 
 	// Adaptive retry: a p-value hovering just above alpha is ambiguous
 	// — neither clearly the same distribution nor clearly different.
 	// Rather than let one noisy sample decide, rerun that bit once with
 	// doubled sample sizes; more data pushes a true volume bit's p
 	// toward zero and a non-volume bit's p toward uniform.
-	if !volume && test.PValue < 50*o.ChiAlpha {
+	if !volume && test.PValue < 50*chiAlpha {
 		n = 2 * o.GCIntervals
 		ref2, _ := s.collectGCIntervals(o, n, base, -1)
 		flip2, _ := s.collectGCIntervals(o, n, base, bit)
 		test = stats.ChiSquaredTwoSample(ref2, flip2, 8)
-		volume = test.PValue < o.ChiAlpha || dispersionRatio(ref2, flip2) > 3
+		volume = test.PValue < chiAlpha || dispersionRatio(ref2, flip2) > 3
 	}
 	return BitPValue{Bit: bit, PValue: test.PValue, Intervals: n}, volume
 }
@@ -210,7 +220,7 @@ func (s *Session) collectGCIntervals(o Opts, n int, base int64, flipBit int) ([]
 	for i := 0; len(intervals) < n && i < maxWrites; i++ {
 		lat := s.submit(blockdev.Write, addr(i), blockdev.SectorsPerPage)
 		writesSince++
-		if lat >= o.GCLatencyCut {
+		if lat >= gcLatencyCut {
 			if seenFirst {
 				intervals = append(intervals, float64(writesSince))
 			}

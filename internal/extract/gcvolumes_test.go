@@ -35,13 +35,13 @@ func scanGCVolumesFixed(s *Session, o Opts) GCScanResult {
 		ref, _ := s.collectGCIntervals(o, n, base, -1)
 		flip, _ := s.collectGCIntervals(o, n, base, bit)
 		test := stats.ChiSquaredTwoSample(ref, flip, 8)
-		volume := test.PValue < o.ChiAlpha || dispersionRatio(ref, flip) > 3
-		if !volume && test.PValue < 50*o.ChiAlpha {
+		volume := test.PValue < chiAlpha || dispersionRatio(ref, flip) > 3
+		if !volume && test.PValue < 50*chiAlpha {
 			n = 2 * o.GCIntervals
 			ref2, _ := s.collectGCIntervals(o, n, base, -1)
 			flip2, _ := s.collectGCIntervals(o, n, base, bit)
 			test = stats.ChiSquaredTwoSample(ref2, flip2, 8)
-			volume = test.PValue < o.ChiAlpha || dispersionRatio(ref2, flip2) > 3
+			volume = test.PValue < chiAlpha || dispersionRatio(ref2, flip2) > 3
 		}
 		res.Points = append(res.Points, BitPValue{Bit: bit, PValue: test.PValue, Intervals: n})
 		if volume {

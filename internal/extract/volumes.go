@@ -14,6 +14,10 @@ type AllocScanResult struct {
 	VolumeBits   []int
 }
 
+// volumeRatioCut is the throughput ratio below which a fixed bit is
+// declared a volume bit.
+const volumeRatioCut = 0.7
+
 // ScanAllocationVolumes discovers the allocation-volume LBA bit indices:
 // it measures sustained random-write throughput with each candidate bit
 // fixed to zero and compares against the unconstrained baseline. Fixing
@@ -45,7 +49,7 @@ func ScanAllocationVolumes(s *Session, o Opts) AllocScanResult {
 			ratio = mbps[i] / ref
 		}
 		res.Points = append(res.Points, BitThroughput{Bit: bit, MBps: mbps[i], Ratio: ratio})
-		if ratio < o.VolumeRatioCut {
+		if ratio < volumeRatioCut {
 			res.VolumeBits = append(res.VolumeBits, bit)
 		}
 	}
@@ -57,14 +61,13 @@ func ScanAllocationVolumes(s *Session, o Opts) AllocScanResult {
 // time. A short warm-up before the timed region lets the device settle
 // into the constrained pattern.
 //
-// Write latencies above the GC cut are clamped out of the elapsed time:
+// Write latencies at or above gcLatencyCut are clamped out of the elapsed time:
 // the scan targets the buffer-drain bandwidth of the active volumes, and
 // a handful of multi-millisecond GC pauses inside a few-thousand-write
 // window would otherwise dominate the measurement and mask the halving
 // signal. (The paper's fio runs are long enough to average GC out; the
 // clamp achieves the same robustness at probe-friendly sample sizes.)
 func (s *Session) measureWriteThroughput(n int, fixBit int) float64 {
-	const gcClamp = 8 * time.Millisecond
 	write := func() time.Duration {
 		var lba int64
 		if fixBit >= 0 {
@@ -79,7 +82,7 @@ func (s *Session) measureWriteThroughput(n int, fixBit int) float64 {
 	}
 	var busy time.Duration
 	for i := 0; i < n; i++ {
-		if lat := write(); lat < gcClamp {
+		if lat := write(); lat < gcLatencyCut {
 			busy += lat
 		}
 	}

@@ -84,18 +84,6 @@ type RetryPolicy struct {
 	// MaxRetries is the retry budget per request beyond the first
 	// attempt. 0 defaults to 3; negative disables retries.
 	MaxRetries int
-
-	// Backoff is the delay before the first retry; each further retry
-	// doubles it. 0 defaults to 200µs (virtual).
-	Backoff time.Duration
-
-	// MaxBackoff caps the doubled delays. 0 defaults to 5ms.
-	MaxBackoff time.Duration
-
-	// Jitter is the fraction of each delay randomized away (full
-	// jitter over [1-Jitter, 1]·delay). 0 defaults to 0.5; negative
-	// disables jitter.
-	Jitter float64
 }
 
 // WithDefaults fills zero fields with the standard defaults. Exported
@@ -108,57 +96,37 @@ func (p RetryPolicy) WithDefaults() RetryPolicy {
 	if p.MaxRetries < 0 {
 		p.MaxRetries = 0
 	}
-	if p.Backoff == 0 {
-		p.Backoff = 200 * time.Microsecond
-	}
-	if p.MaxBackoff == 0 {
-		p.MaxBackoff = 5 * time.Millisecond
-	}
-	if p.Jitter == 0 {
-		p.Jitter = 0.5
-	}
-	if p.Jitter < 0 {
-		p.Jitter = 0
-	}
 	return p
 }
 
-// Delay returns the backoff before retry number retries (0-based):
-// exponential doubling from Backoff, capped at MaxBackoff, with full
-// seeded jitter over [1-Jitter, 1]·delay. The RNG is drawn exactly
-// once per call when Jitter > 0, so callers sharing an RNG stream get
-// reproducible schedules.
-func (p RetryPolicy) Delay(retries int, rng *simclock.RNG) time.Duration {
-	d := p.Backoff << retries
-	if d > p.MaxBackoff || d <= 0 {
-		d = p.MaxBackoff
-	}
-	if p.Jitter > 0 {
-		d = time.Duration(float64(d) * (1 - p.Jitter*rng.Float64()))
-	}
-	return d
-}
+// The retry backoff schedule, on the virtual clock.
+const (
+	// retryBackoff is the delay before the first retry; each further
+	// retry doubles it.
+	retryBackoff = 200 * time.Microsecond
+	// retryMaxBackoff caps the doubled delays.
+	retryMaxBackoff = 5 * time.Millisecond
+	// retryJitter is the fraction of each delay randomized away: full
+	// jitter over [1-retryJitter, 1]·delay.
+	retryJitter = 0.5
+)
 
-func (p RetryPolicy) validate() error {
-	if p.Backoff < 0 || p.MaxBackoff < 0 {
-		return fmt.Errorf("fleet: negative retry backoff")
+// Delay returns the backoff before retry number retries (0-based):
+// exponential doubling from retryBackoff, capped at retryMaxBackoff,
+// with full seeded jitter. The RNG is drawn exactly once per call, so
+// callers sharing an RNG stream get reproducible schedules.
+func (p RetryPolicy) Delay(retries int, rng *simclock.RNG) time.Duration {
+	d := retryBackoff << retries
+	if d > retryMaxBackoff || d <= 0 {
+		d = retryMaxBackoff
 	}
-	if p.Jitter > 1 {
-		return fmt.Errorf("fleet: retry jitter %v > 1", p.Jitter)
-	}
-	return nil
+	return time.Duration(float64(d) * (1 - retryJitter*rng.Float64()))
 }
 
 // HealthPolicy tunes the per-device health state machine and the
 // recovery probe (see Health for the state diagram). All streak
-// thresholds count consecutive requests; the timeout is a per-request
-// deadline on the virtual clock.
+// thresholds count consecutive requests.
 type HealthPolicy struct {
-	// RequestTimeout is the per-request latency deadline: completions
-	// at or above it count as latency anomalies and are excluded from
-	// model observation. 0 defaults to 250ms (virtual).
-	RequestTimeout time.Duration
-
 	// DegradeAfterErrors moves healthy → degraded after this many
 	// consecutive exhausted-retry errors. 0 defaults to 3.
 	DegradeAfterErrors int
@@ -198,9 +166,6 @@ type HealthPolicy struct {
 }
 
 func (p HealthPolicy) withDefaults() HealthPolicy {
-	if p.RequestTimeout == 0 {
-		p.RequestTimeout = 250 * time.Millisecond
-	}
 	if p.DegradeAfterErrors == 0 {
 		p.DegradeAfterErrors = 3
 	}
@@ -226,9 +191,6 @@ func (p HealthPolicy) withDefaults() HealthPolicy {
 }
 
 func (p HealthPolicy) validate() error {
-	if p.RequestTimeout < 0 {
-		return fmt.Errorf("fleet: negative request timeout")
-	}
 	for _, v := range []int{p.DegradeAfterErrors, p.QuarantineAfterErrors,
 		p.DegradeAfterTimeouts, p.QuarantineAfterTimeouts, p.RecoverAfterOK, p.ProbeRequests} {
 		if v < 0 {
@@ -450,9 +412,6 @@ func (c Config) Validate() error {
 				return fmt.Errorf("fleet: device %q: %w", d.ID, err)
 			}
 		}
-	}
-	if err := c.Retry.validate(); err != nil {
-		return err
 	}
 	if err := c.Health.validate(); err != nil {
 		return err

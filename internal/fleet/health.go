@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"errors"
+	"time"
 
 	"ssdcheck/internal/blockdev"
 	"ssdcheck/internal/fsm"
@@ -188,10 +189,15 @@ func (md *managedDevice) tryRecover(cfg *Config) {
 	md.mu.Unlock()
 }
 
+// requestTimeout is the per-request latency deadline on the virtual
+// clock: completions at or above it count as latency anomalies, are
+// excluded from model observation, and fail a recovery probe.
+const requestTimeout = 250 * time.Millisecond
+
 // runProbe issues a short seeded read/write pass on the device's
 // virtual clock — a miniature of the diagnosis traffic — and passes
-// only if every request completes without error and under the request
-// timeout.
+// only if every request completes without error and under
+// requestTimeout.
 func (md *managedDevice) runProbe(cfg *Config) bool {
 	hp := cfg.Health
 	pages := md.dev.CapacitySectors() / blockdev.SectorsPerPage
@@ -211,7 +217,7 @@ func (md *managedDevice) runProbe(cfg *Config) bool {
 		}
 		lat := done.Sub(md.now)
 		md.now = done
-		if lat >= hp.RequestTimeout {
+		if lat >= requestTimeout {
 			return false
 		}
 	}

@@ -11,6 +11,7 @@ import (
 
 	"ssdcheck/internal/blockdev"
 	"ssdcheck/internal/faults"
+	"ssdcheck/internal/simclock"
 	"ssdcheck/internal/trace"
 )
 
@@ -77,6 +78,28 @@ func TestRetryClearsTransients(t *testing.T) {
 	}
 	if hr, _ := m.DeviceHealth("r"); len(hr.Transitions) != 0 {
 		t.Errorf("unexpected health transitions: %+v", hr.Transitions)
+	}
+}
+
+// TestRetryDelaySchedule pins the backoff schedule: 200µs doubling per
+// retry, capped at 5ms (also past shift overflow), with up to half of
+// each delay jittered away by exactly one RNG draw per call.
+func TestRetryDelaySchedule(t *testing.T) {
+	rng, ref := simclock.NewRNG(11), simclock.NewRNG(11)
+	for _, tc := range []struct {
+		retries int
+		base    time.Duration
+	}{
+		{0, 200 * time.Microsecond},
+		{1, 400 * time.Microsecond},
+		{4, 3200 * time.Microsecond},
+		{5, 5 * time.Millisecond},
+		{70, 5 * time.Millisecond},
+	} {
+		want := time.Duration(float64(tc.base) * (1 - 0.5*ref.Float64()))
+		if got := (RetryPolicy{}).Delay(tc.retries, rng); got != want {
+			t.Errorf("Delay(%d) = %v, want %v", tc.retries, got, want)
+		}
 	}
 }
 

@@ -206,7 +206,7 @@ func (md *managedDevice) process(req blockdev.Request, cfg *Config, res *Result)
 	}
 
 	lat := done.Sub(submitAt)
-	timedOut := lat >= cfg.Health.RequestTimeout
+	timedOut := lat >= requestTimeout
 	if !timedOut && !fallback {
 		// Timeout-class completions are withheld from the model: a
 		// stuck or storming device would otherwise poison the
