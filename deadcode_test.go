@@ -239,11 +239,7 @@ func (m *deadModule) knobCensus(t *testing.T, seeds map[string][]seedFile) knobC
 			for _, decl := range file.Decls {
 				own := "" // the receiver's type inside a method
 				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv != nil {
-					recv := u.info.Defs[fd.Name].Type().(*types.Signature).Recv().Type()
-					if p, ok := recv.(*types.Pointer); ok {
-						recv = p.Elem()
-					}
-					own = u.pkg.Name() + "." + recv.(*types.Named).Obj().Name()
+					own = u.pkg.Name() + "." + recvType(u.info, fd).Name()
 				}
 				mark := func(f *types.Var) {
 					if o, ok := owner[f]; ok && o != own {
@@ -534,11 +530,7 @@ func (c *deadChecker) references() map[types.Object]bool {
 					}
 					self := map[types.Object]bool{info.Defs[d.Name]: true}
 					if d.Recv != nil {
-						recv := info.Defs[d.Name].Type().(*types.Signature).Recv().Type()
-						if p, ok := recv.(*types.Pointer); ok {
-							recv = p.Elem()
-						}
-						self[recv.(*types.Named).Origin().Obj()] = true
+						self[recvType(info, d)] = true
 					}
 					markUses(info, d, self, live)
 				case *ast.GenDecl:
@@ -562,6 +554,15 @@ func (c *deadChecker) references() map[types.Object]bool {
 		}
 	}
 	return live
+}
+
+// recvType returns the named type a method is declared on.
+func recvType(info *types.Info, fd *ast.FuncDecl) *types.TypeName {
+	recv := info.Defs[fd.Name].Type().(*types.Signature).Recv().Type()
+	if p, ok := recv.(*types.Pointer); ok {
+		recv = p.Elem()
+	}
+	return recv.(*types.Named).Origin().Obj()
 }
 
 func markUses(info *types.Info, node ast.Node, self, live map[types.Object]bool) {
