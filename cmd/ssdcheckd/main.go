@@ -104,6 +104,9 @@ func run(addr string, devices int, presets string, shards int, seed uint64, feat
 	if traceSample < 0 || traceSample > 1 {
 		return fmt.Errorf("-trace-sample %v outside [0,1]", traceSample)
 	}
+	if probeInterval < 0 {
+		return fmt.Errorf("-probe-interval %v is negative", probeInterval)
+	}
 
 	reg := obs.NewRegistry()
 	var tracer *obs.Tracer
@@ -118,7 +121,6 @@ func run(addr string, devices int, presets string, shards int, seed uint64, feat
 		Recorder:   obs.Observer{Reg: reg, Tr: tracer},
 		AllowEmpty: devices == 0,
 	}
-	cfg.Health.ProbeInterval = probeInterval
 	if fastDiag {
 		cfg.Diagnosis = fleet.FastDiagnosis()
 	}
@@ -138,9 +140,10 @@ func run(addr string, devices int, presets string, shards int, seed uint64, feat
 	log.Printf("fleet up in %v: devices=%s", time.Since(start).Round(time.Millisecond),
 		strings.Join(m.DeviceIDs(), ","))
 
-	// Graceful shutdown: stop accepting HTTP, finish in-flight
-	// handlers, then drain the shard queues.
-	if err := daemon.Serve(context.Background(), addr, newServer(m, tracer, nodeID), nil, 0); err != nil {
+	// Quarantined devices no traffic reaches are re-probed on the
+	// ticker. Graceful shutdown: stop the ticker and accept no more
+	// HTTP, finish in-flight handlers, then drain the shard queues.
+	if err := daemon.Serve(context.Background(), addr, newServer(m, tracer, nodeID), m.ProbeQuarantined, probeInterval); err != nil {
 		return err
 	}
 	m.Close()

@@ -157,12 +157,6 @@ type HealthPolicy struct {
 	// ProbeRequests is the length of the recovery probe pass. 0
 	// defaults to 32.
 	ProbeRequests int
-
-	// ProbeInterval, when > 0, additionally probes quarantined
-	// devices from a background wall-clock ticker (the daemon sets
-	// this). It is off by default: wall-clock probing trades the
-	// fleet's determinism for liveness under idle traffic.
-	ProbeInterval time.Duration
 }
 
 func (p HealthPolicy) withDefaults() HealthPolicy {
@@ -196,9 +190,6 @@ func (p HealthPolicy) validate() error {
 		if v < 0 {
 			return fmt.Errorf("fleet: negative health threshold")
 		}
-	}
-	if p.ProbeInterval < 0 {
-		return fmt.Errorf("fleet: negative probe interval")
 	}
 	return nil
 }

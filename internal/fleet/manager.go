@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
-	"time"
 
 	"ssdcheck/internal/faults"
 	"ssdcheck/internal/obs"
@@ -28,10 +27,6 @@ type Manager struct {
 	order  []string // device IDs in configuration order
 
 	runWG sync.WaitGroup
-
-	// Background recovery prober (Health.ProbeInterval > 0 only).
-	proberWG   sync.WaitGroup
-	stopProber chan struct{}
 
 	closeOnce sync.Once
 	// mu guards closed vs. in-flight ring enqueues, and — since devices
@@ -58,8 +53,8 @@ type Manager struct {
 // fault injector when the spec asks for one), preconditions and
 // diagnoses the ones without preloaded features (in parallel, one
 // worker per shard), constructs the predictors, arms the injectors,
-// and starts the shard goroutines plus the background recovery prober
-// if configured. On error everything already started is torn down.
+// and starts the shard goroutines. On error everything already started
+// is torn down.
 func New(cfg Config) (*Manager, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -69,7 +64,6 @@ func New(cfg Config) (*Manager, error) {
 	m := &Manager{
 		cfg:        cfg,
 		devs:       make(map[string]*managedDevice, len(cfg.Devices)),
-		stopProber: make(chan struct{}),
 		gDevices:   cfg.Registry.Gauge("ssdcheck_fleet_devices", "Configured fleet size."),
 		gShards:    cfg.Registry.Gauge("ssdcheck_fleet_shards", "Worker-pool size."),
 		gUnhealthy: cfg.Registry.Gauge("ssdcheck_fleet_unhealthy_devices", "Devices currently quarantined or recovering."),
@@ -91,6 +85,7 @@ func New(cfg Config) (*Manager, error) {
 	}
 
 	auto := 0
+	byShard := make([][]*managedDevice, cfg.Shards)
 	for _, spec := range cfg.Devices {
 		dcfg := ssd.Config{}
 		if spec.Config != nil {
@@ -128,7 +123,7 @@ func New(cfg Config) (*Manager, error) {
 		}
 		m.devs[spec.ID] = md
 		m.order = append(m.order, spec.ID)
-		m.shards[sh].devs = append(m.shards[sh].devs, md)
+		byShard[sh] = append(byShard[sh], md)
 	}
 
 	// Startup diagnosis runs with shard-level parallelism: each shard's
@@ -136,17 +131,17 @@ func New(cfg Config) (*Manager, error) {
 	// init is as deterministic as it is in the single-device pipeline.
 	errs := make([]error, cfg.Shards)
 	var initWG sync.WaitGroup
-	for i, sh := range m.shards {
+	for i, devs := range byShard {
 		initWG.Add(1)
-		go func(i int, sh *shard) {
+		go func(i int, devs []*managedDevice) {
 			defer initWG.Done()
-			for _, md := range sh.devs {
+			for _, md := range devs {
 				if err := md.init(cfg); err != nil {
 					errs[i] = fmt.Errorf("fleet: device %q: diagnosis: %w", md.id, err)
 					return
 				}
 			}
-		}(i, sh)
+		}(i, devs)
 	}
 	initWG.Wait()
 	for _, err := range errs {
@@ -168,70 +163,41 @@ func New(cfg Config) (*Manager, error) {
 	for _, sh := range m.shards {
 		go sh.run(&m.runWG, &m.cfg)
 	}
-	if cfg.Health.ProbeInterval > 0 {
-		m.proberWG.Add(1)
-		go m.probeLoop(cfg.Health.ProbeInterval)
-	}
 	return m, nil
 }
 
-// probeLoop periodically sweeps quarantined devices with recovery
-// probes, so an idle fleet (no traffic to trigger the deterministic
-// rejection-count probe) still heals. It exits when Close begins.
-func (m *Manager) probeLoop(interval time.Duration) {
-	defer m.proberWG.Done()
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-m.stopProber:
-			return
-		case <-t.C:
-			m.probeQuarantined()
-		}
-	}
-}
-
-// probeQuarantined asks every shard to recovery-probe its quarantined
-// devices and waits for the sweep to finish.
-func (m *Manager) probeQuarantined() {
-	var wg sync.WaitGroup
-
+// ProbeQuarantined runs one recovery probe on every quarantined device,
+// in membership order, each on its owning shard, and waits for the
+// sweep to finish. It is the periodic complement to the deterministic
+// rejection-count probe, for a device no traffic reaches: the library
+// keeps no clock of its own, so the caller sets the schedule
+// (ssdcheckd's -probe-interval ticker). After Close it returns
+// ErrManagerClosed at once.
+func (m *Manager) ProbeQuarantined() error {
 	m.mu.RLock()
 	if m.closed {
 		m.mu.RUnlock()
-		return
+		return ErrManagerClosed
 	}
-	wg.Add(len(m.shards))
-	ops := make([]*shardOp, 0, len(m.shards))
-	for _, sh := range m.shards {
-		op := m.getOp()
-		op.probe = true
-		op.wg = &wg
-		op.enq = time.Now()
-		sh.enqueue(op)
-		ops = append(ops, op)
+	ops := make([]*shardOp, len(m.order))
+	for i, id := range m.order {
+		md := m.devs[id]
+		ops[i] = m.enqueueCtl(md.shard, md.tryRecover)
 	}
 	m.mu.RUnlock()
-
-	wg.Wait()
 	for _, op := range ops {
-		m.putOp(op)
+		m.waitCtl(op)
 	}
+	return nil
 }
 
-// Close stops the recovery prober, stops accepting new work, lets
-// every shard drain its ingress ring, and waits for the shard
+// Close stops accepting new work, lets every shard drain its ingress
+// ring, and waits for the shard
 // goroutines to exit. It is idempotent and safe for concurrent use:
 // every caller — first or not — returns only after the fleet has fully
 // drained.
 func (m *Manager) Close() {
 	m.closeOnce.Do(func() {
-		// The prober must be gone before the shards shut down: it
-		// enqueues probe operations through their rings.
-		close(m.stopProber)
-		m.proberWG.Wait()
-
 		m.mu.Lock()
 		m.closed = true
 		m.mu.Unlock()
@@ -365,7 +331,6 @@ func (m *Manager) ModelLog() []DeviceModelLog {
 // is unknown, quarantined, or the re-diagnosis failed (the device then
 // serves conservative fallback predictions).
 func (m *Manager) Rediagnose(id string) error {
-	var wg sync.WaitGroup
 	var err error
 	m.mu.RLock()
 	if m.closed {
@@ -377,16 +342,9 @@ func (m *Manager) Rediagnose(id string) error {
 		m.mu.RUnlock()
 		return fmt.Errorf("device %q: %w", id, ErrUnknownDevice)
 	}
-	wg.Add(1)
-	op := m.getOp()
-	op.rediag = md
-	op.rediagErr = &err
-	op.wg = &wg
-	op.enq = time.Now()
-	m.shards[md.shard].enqueue(op)
+	op := m.enqueueCtl(md.shard, func(cfg *Config) { err = md.forceRediag(cfg) })
 	m.mu.RUnlock()
-	wg.Wait()
-	m.putOp(op)
+	m.waitCtl(op)
 	return err
 }
 

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"fmt"
-	"time"
 
 	"ssdcheck/internal/obs"
 )
@@ -41,15 +40,11 @@ func (m *Manager) Detach(id string) (*PortableDevice, error) {
 			break
 		}
 	}
-	op := m.getOp()
-	op.detach = md
-	op.wg = &op.ownWG
-	op.ownWG.Add(1)
-	op.enq = time.Now()
-	m.shards[md.shard].enqueue(op)
+	// The barrier completes once every operation queued on the shard
+	// before it, and so every last touch of the device, has.
+	op := m.enqueueCtl(md.shard, nil)
 	m.mu.Unlock()
-	op.ownWG.Wait()
-	m.putOp(op)
+	m.waitCtl(op)
 
 	m.cfg.Registry.DropSeries(obs.Label{Name: "device", Value: id})
 	return &PortableDevice{md: md}, nil
@@ -79,15 +74,9 @@ func (m *Manager) Attach(pd *PortableDevice) error {
 	md.rebind(m.cfg, sh)
 	m.devs[md.id] = md
 	m.order = append(m.order, md.id)
-	op := m.getOp()
-	op.attach = md
-	op.wg = &op.ownWG
-	op.ownWG.Add(1)
-	op.enq = time.Now()
-	m.shards[sh].enqueue(op)
+	op := m.enqueueCtl(sh, nil)
 	m.mu.Unlock()
-	op.ownWG.Wait()
-	m.putOp(op)
+	m.waitCtl(op)
 	pd.md = nil
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -341,12 +342,85 @@ func TestHealthLogDeterminism(t *testing.T) {
 	}
 }
 
+// TestProbeQuarantined: with the rejection-count trigger off, a
+// stuck-busy device leaves quarantine only through probe sweeps. Each
+// sweep probes it once, and a failed probe consumes one stuck request,
+// so it is back in service within Count+1 sweeps. A fault-free
+// neighbour on the other shard is never probed and its health log
+// never moves. A sweep after Close returns at once.
+func TestProbeQuarantined(t *testing.T) {
+	const stuck = 20
+	devs := []DeviceSpec{
+		{ID: "s", Preset: "A", Seed: 31, Shard: 1,
+			Faults: &faults.Config{Schedules: []faults.Schedule{{Kind: faults.StuckBusy, At: 5, Count: stuck}}}},
+		{ID: "ok", Preset: "A", Seed: 32, Shard: 2},
+	}
+	cfg := testConfig(devs, 2)
+	cfg.Health = HealthPolicy{DegradeAfterTimeouts: 2, QuarantineAfterTimeouts: 4, ProbeAfterRejections: -1}
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+
+	health := func(id string) HealthReport {
+		hr, ok := m.DeviceHealth(id)
+		if !ok {
+			t.Fatalf("no device %q", id)
+		}
+		return hr
+	}
+	strs := streams(devs, 64)
+	for step := 0; health("s").Health != Quarantined; step++ {
+		if step == 64 {
+			t.Fatalf("s not quarantined after %d requests: %+v", step, health("s"))
+		}
+		batch := make([]Request, 0, len(devs))
+		for _, d := range devs {
+			r := strs[d.ID][step]
+			batch = append(batch, Request{DeviceID: d.ID, Op: r.Op, LBA: r.LBA, Sectors: r.Sectors})
+		}
+		if _, err := m.SubmitBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	okBefore := health("ok")
+
+	sweeps := 0
+	for health("s").Health == Quarantined {
+		if sweeps == stuck+1 {
+			t.Fatalf("s still quarantined after %d sweeps: %+v", sweeps, health("s"))
+		}
+		if err := m.ProbeQuarantined(); err != nil {
+			t.Fatal(err)
+		}
+		sweeps++
+	}
+	t.Logf("s back in service after %d sweeps", sweeps)
+	hr := health("s")
+	last := hr.Transitions[len(hr.Transitions)-1]
+	if last.From != Recovering || last.To != Healthy || last.Cause != "probe pass" {
+		t.Errorf("last edge %+v, want recovering → healthy \"probe pass\"", last)
+	}
+	if hr.Probes != int64(sweeps) {
+		t.Errorf("s probed %d times over %d sweeps", hr.Probes, sweeps)
+	}
+	if okAfter := health("ok"); okAfter.Probes != 0 || !reflect.DeepEqual(okAfter, okBefore) {
+		t.Errorf("ok moved under the sweeps: %+v, was %+v", okAfter, okBefore)
+	}
+
+	m.Close()
+	if err := m.ProbeQuarantined(); !errors.Is(err, ErrManagerClosed) {
+		t.Fatalf("sweep after Close: %v, want ErrManagerClosed", err)
+	}
+}
+
 // TestCloseConcurrent: Close is idempotent and safe under concurrent
-// callers racing each other and in-flight submitters; every Close
-// returns only after the fleet drained. Run with -race.
+// callers racing each other, in-flight submitters and a probe sweep
+// loop; every Close returns only after the fleet drained. Run with
+// -race.
 func TestCloseConcurrent(t *testing.T) {
 	cfg := testConfig([]DeviceSpec{{ID: "c", Preset: "A", Seed: 3}}, 1)
-	cfg.Health.ProbeInterval = time.Millisecond // exercise prober shutdown
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -366,6 +440,12 @@ func TestCloseConcurrent(t *testing.T) {
 			}
 		}(g)
 	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for m.ProbeQuarantined() == nil {
+		}
+	}()
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func() {

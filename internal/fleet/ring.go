@@ -7,11 +7,12 @@ import (
 
 // ingressRing is a bounded multi-producer single-consumer queue of
 // shard operations — the fleet's replacement for the per-shard request
-// channel. Producers (SubmitBatch callers, the prober, attach/detach)
-// claim slots with one CAS on the tail; the shard goroutine consumes
-// with plain loads and two stores. No mutex, no channel send, and no
-// allocation sit on the hot path, so many client goroutines can feed
-// one shard without serializing on anything wider than a cache line.
+// channel. Producers (Submit and SubmitBatch callers, and the control
+// paths: Rediagnose, ProbeQuarantined, Attach and Detach) claim slots
+// with one CAS on the tail; the shard goroutine consumes with plain
+// loads and two stores. No mutex, no channel send, and no allocation
+// sit on the hot path, so many client goroutines can feed one shard
+// without serializing on anything wider than a cache line.
 //
 // The layout is the classic bounded sequence-number design (Vyukov):
 // each slot carries a sequence word that encodes whether it is free for

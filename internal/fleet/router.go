@@ -199,6 +199,24 @@ func (m *Manager) putOp(op *shardOp) {
 	m.opPool.Put(op)
 }
 
+// enqueueCtl queues control work fn — nil for a barrier — on shard sh.
+// The caller holds m.mu and, once it lets go, hands the op to waitCtl.
+func (m *Manager) enqueueCtl(sh int, fn func(*Config)) *shardOp {
+	op := m.getOp()
+	op.ctl = fn
+	op.wg = &op.ownWG
+	op.ownWG.Add(1)
+	op.enq = time.Now()
+	m.shards[sh].enqueue(op)
+	return op
+}
+
+// waitCtl waits until the shard has run op, then recycles it.
+func (m *Manager) waitCtl(op *shardOp) {
+	op.ownWG.Wait()
+	m.putOp(op)
+}
+
 func (m *Manager) getDispatch() *dispatch {
 	d := m.dispatchPool.Get().(*dispatch)
 	if len(d.ops) < len(m.shards) {

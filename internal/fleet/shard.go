@@ -386,30 +386,25 @@ type batchItem struct {
 
 // shardOp is the unit of work a shard receives through its ingress
 // ring: a slice of items to process in order, writing each result into
-// its own slot of out; or — when probe is set — a sweep that
-// recovery-probes the shard's quarantined devices; or — when rediag is
-// set — a synchronous forced re-diagnosis of one device, its error
-// written through rediagErr; or — when attach/detach is set — a
-// membership change handing device ownership to or away from this
-// shard's goroutine. Result slots are disjoint across shards, and wg
-// publishes the writes to the caller.
+// its own slot of out; or — when ctl is set — control work on the
+// shard's goroutine (a forced re-diagnosis, a recovery probe). An op
+// with neither is a barrier: it runs nothing, and its completion says
+// every operation queued on the shard before it has finished (Attach
+// and Detach hand device ownership over with one). Result slots are
+// disjoint across shards, and wg publishes the writes to the caller.
 //
 // Operations are pooled: the submitter takes one from Manager.opPool,
 // the shard signals wg after its last touch, and the submitter recycles
 // it after wg.Wait — so the steady-state round trip allocates nothing.
 // ownWG and inline are the embedded storage the single-operation paths
-// (Submit's fast path, probes, membership changes) use so even those
-// never reach for a second object.
+// (Submit's fast path, control work) use so even those never reach for
+// a second object.
 type shardOp struct {
-	items     []batchItem
-	out       []Result
-	wg        *sync.WaitGroup
-	enq       time.Time // ring entry instant, for the ingress wait histogram
-	probe     bool
-	rediag    *managedDevice
-	rediagErr *error
-	attach    *managedDevice
-	detach    *managedDevice
+	items []batchItem
+	out   []Result
+	wg    *sync.WaitGroup
+	enq   time.Time // ring entry instant, for the ingress wait histogram
+	ctl   func(*Config)
 
 	ownWG  sync.WaitGroup
 	inline [1]Result
@@ -423,9 +418,7 @@ func (op *shardOp) reset() {
 	op.out = nil
 	op.wg = nil
 	op.enq = time.Time{}
-	op.probe = false
-	op.rediag, op.rediagErr = nil, nil
-	op.attach, op.detach = nil, nil
+	op.ctl = nil
 	op.inline[0] = Result{}
 }
 
@@ -443,8 +436,6 @@ type shard struct {
 	// closing is set by Close after the manager stops accepting work;
 	// the consumer exits once it is set and the ring is drained.
 	closing atomic.Bool
-
-	devs []*managedDevice
 
 	// next threads an operation's items into device runs (see
 	// serveRuns); it grows to the largest operation served.
@@ -503,30 +494,9 @@ func (s *shard) run(done *sync.WaitGroup, cfg *Config) {
 // submitter, which may recycle it immediately.
 func (s *shard) exec(op *shardOp, cfg *Config) {
 	s.waitH.Observe(time.Since(op.enq))
-	switch {
-	case op.attach != nil:
-		// Ownership handoff: from here on this goroutine is the only
-		// one touching the device's simulator and predictor.
-		s.devs = append(s.devs, op.attach)
-	case op.detach != nil:
-		for i, md := range s.devs {
-			if md == op.detach {
-				s.devs = append(s.devs[:i], s.devs[i+1:]...)
-				break
-			}
-		}
-	case op.rediag != nil:
-		*op.rediagErr = op.rediag.forceRediag(cfg)
-	case op.probe:
-		for _, md := range s.devs {
-			md.mu.Lock()
-			quarantined := md.health == Quarantined
-			md.mu.Unlock()
-			if quarantined {
-				md.tryRecover(cfg)
-			}
-		}
-	default:
+	if op.ctl != nil {
+		op.ctl(cfg)
+	} else {
 		s.serveRuns(op, cfg)
 	}
 	op.wg.Done()
