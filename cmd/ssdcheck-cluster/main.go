@@ -305,13 +305,7 @@ func remoteCoordinator(joinSpec string, devices int, presets string, shards int,
 	tr := cluster.NewHTTPTransport(cluster.RPCPolicy{Deadline: rpcDeadline}, seed, reg)
 	pol := cluster.Policy{Seed: seed}
 
-	var c *cluster.Coordinator
-	var err error
-	if walDir != "" {
-		c, err = cluster.RecoverCoordinator(pol, tr, reg, walDir, nil)
-	} else {
-		c, err = cluster.NewCoordinator(pol, tr, reg)
-	}
+	c, err := cluster.OpenCoordinator(pol, tr, reg, walDir, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -344,16 +338,8 @@ func remoteCoordinator(joinSpec string, devices int, presets string, shards int,
 	// each device's state to its ring owner over attach RPCs. Skipped
 	// when the (recovered) coordinator already placed devices.
 	if devices > 0 && len(c.Placement()) == 0 {
-		bootCfg := nodeConfig(shards, fastDiag)
-		bootCfg.Devices = fleet.PresetDevices(devices, daemon.Presets(presets), seed)
 		log.Printf("diagnosing %d devices for adoption...", devices)
-		boot, err := fleet.New(bootCfg)
-		if err != nil {
-			return fail(err)
-		}
-		err = c.AdoptDevices(boot, boot.DeviceIDs())
-		boot.Close()
-		if err != nil {
+		if err := c.Bootstrap(nodeConfig(shards, fastDiag), fleet.PresetDevices(devices, daemon.Presets(presets), seed)); err != nil {
 			return fail(err)
 		}
 		for dev, node := range c.Placement() {

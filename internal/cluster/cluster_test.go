@@ -49,6 +49,16 @@ func testHarness(t *testing.T, devs []fleet.DeviceSpec, nodes int, plan *faults.
 	return h
 }
 
+// Node returns a harness member by ID, or nil when unknown.
+func (h *Harness) Node(id string) *Node {
+	for _, n := range h.nodes {
+		if n.ID() == id {
+			return n
+		}
+	}
+	return nil
+}
+
 // deviceStreams generates one deterministic request stream per device,
 // with the same generator parameters the fleet tests use.
 func deviceStreams(devs []fleet.DeviceSpec, n int) map[string][]blockdev.Request {

@@ -101,13 +101,10 @@ type proposer interface {
 	propose(rec walRecord) error
 }
 
-// NewCoordinator builds an empty cluster on a one-replica log kept in
-// memory, reaching its members through tr — the RPC client built by
-// NewLoopbackTransport or NewHTTPTransport. A nil tr gets the client
-// over the memory carrier with the default policy. A nil registry gets
-// a private one; it holds only cluster-level series and is merged with
-// per-node registries on exposition.
-func NewCoordinator(pol Policy, tr *rpcClient, reg *obs.Registry) (*Coordinator, error) {
+// newCoordinator builds an empty cluster with neither a log nor a
+// resolver; restoreCoordinator and OpenCoordinator give it both. tr
+// and reg are as for OpenCoordinator.
+func newCoordinator(pol Policy, tr *rpcClient, reg *obs.Registry) *Coordinator {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
@@ -115,10 +112,9 @@ func NewCoordinator(pol Policy, tr *rpcClient, reg *obs.Registry) (*Coordinator,
 		tr, _ = NewLoopbackTransport(RPCPolicy{}, nil, pol.Seed, reg) // no fault plan, no error
 	}
 	p := pol.withDefaults()
-	c := &Coordinator{
+	return &Coordinator{
 		pol:           p,
 		tr:            tr,
-		resolver:      RemoteResolver,
 		ring:          NewRing(p.Seed, virtualNodes),
 		members:       make(map[string]*member),
 		placement:     make(map[string]string),
@@ -134,8 +130,6 @@ func NewCoordinator(pol Policy, tr *rpcClient, reg *obs.Registry) (*Coordinator,
 		healthGauges:  make(map[string]*obs.Gauge),
 		breakerGauges: make(map[string]*obs.Gauge),
 	}
-	c.rep = &soloLog{foldedLog{st: &logStore{}, coord: c}}
-	return c, nil
 }
 
 // Registry returns the cluster-level registry.
@@ -436,6 +430,24 @@ func (c *Coordinator) AdoptDevices(src *fleet.Manager, ids []string) error {
 		return ErrNoNodes
 	}
 	return c.commitLocked(walRecord{Type: "adopt", Devices: ids}, src)
+}
+
+// Bootstrap diagnoses specs in a private bootstrap fleet built from
+// tmpl (a fresh registry, no recorder) and adopts every device onto its
+// ring owner in spec order. The bootstrap fleet is closed before
+// returning; the devices' series repopulate in their nodes' registries
+// on attach.
+func (c *Coordinator) Bootstrap(tmpl fleet.Config, specs []fleet.DeviceSpec) error {
+	tmpl.Devices = specs
+	tmpl.Registry = obs.NewRegistry()
+	tmpl.Recorder = nil
+	tmpl.AllowEmpty = false
+	boot, err := fleet.New(tmpl)
+	if err != nil {
+		return fmt.Errorf("cluster: bootstrap fleet: %w", err)
+	}
+	defer boot.Close()
+	return c.AdoptDevices(boot, boot.DeviceIDs())
 }
 
 // adoptOneLocked physically moves one device from the bootstrap

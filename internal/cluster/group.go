@@ -90,8 +90,7 @@ type Group struct {
 	order    []string // replica IDs, sorted
 	replicas map[string]*Replica
 
-	nodes     []*Node
-	nodesByID map[string]*Node
+	nodes []*Node
 
 	// Chaos: the partition matrix (replica → cut off the peer plane)
 	// and the latched targets of the currently-open fault windows.
@@ -140,7 +139,6 @@ func NewGroup(cfg GroupConfig) (*Group, error) {
 		cfg:         cfg,
 		cpol:        cfg.Policy.withDefaults(),
 		replicas:    make(map[string]*Replica),
-		nodesByID:   make(map[string]*Node),
 		partitioned: make(map[string]bool),
 		reg:         reg,
 		cElections:  reg.Counter("ssdcheck_cluster_elections_total", "Leadership elections completed."),
@@ -157,18 +155,10 @@ func NewGroup(cfg GroupConfig) (*Group, error) {
 	}
 
 	// Node plane.
-	nodeCfg := cfg.Node
-	nodeCfg.Devices = nil
-	nodeCfg.Recorder = nil
-	for i := 0; i < cfg.Nodes; i++ {
-		nodeCfg.Registry = obs.NewRegistry()
-		n, err := NewNode(fmt.Sprintf("node-%d", i), nodeCfg)
-		if err != nil {
-			g.Close()
-			return nil, err
-		}
-		g.nodes = append(g.nodes, n)
-		g.nodesByID[n.ID()] = n
+	var err error
+	if g.nodes, err = hostNodes(cfg.Nodes, cfg.Node, 0, 0, 0); err != nil {
+		g.Close()
+		return nil, err
 	}
 
 	// Replicas, in sorted ID order.
@@ -190,38 +180,15 @@ func NewGroup(cfg GroupConfig) (*Group, error) {
 		g.Close()
 		return nil, err
 	}
-	lead := g.currentLeaderLocked()
-	g.mu.Unlock()
-
 	// Membership and bootstrap placement ride the replicated log.
-	g.mu.Lock()
-	for _, n := range g.nodes {
-		if err := lead.coord.Join(n); err != nil {
-			g.mu.Unlock()
-			g.Close()
-			return nil, err
-		}
+	lead := g.currentLeaderLocked()
+	for i := 0; err == nil && i < len(g.nodes); i++ {
+		err = lead.coord.Join(g.nodes[i])
+	}
+	if err == nil {
+		err = lead.coord.Bootstrap(cfg.Node, cfg.Devices)
 	}
 	g.mu.Unlock()
-
-	bootCfg := cfg.Node
-	bootCfg.Devices = cfg.Devices
-	bootCfg.Registry = obs.NewRegistry()
-	bootCfg.Recorder = nil
-	bootCfg.AllowEmpty = false
-	boot, err := fleet.New(bootCfg)
-	if err != nil {
-		g.Close()
-		return nil, fmt.Errorf("cluster: bootstrap fleet: %w", err)
-	}
-	ids := make([]string, len(cfg.Devices))
-	for i, d := range cfg.Devices {
-		ids[i] = d.ID
-	}
-	g.mu.Lock()
-	err = lead.coord.AdoptDevices(boot, ids)
-	g.mu.Unlock()
-	boot.Close()
 	if err != nil {
 		g.Close()
 		return nil, err
@@ -260,15 +227,6 @@ func (g *Group) buildReplica(id string, idx uint64) error {
 	}
 	g.replicas[id] = r
 	return nil
-}
-
-// resolveNode maps replicated membership records back to the group's
-// live node handles during standby replay and takeover.
-func (g *Group) resolveNode(id, addr string) (*Node, error) {
-	if n, ok := g.nodesByID[id]; ok {
-		return n, nil
-	}
-	return RemoteResolver(id, addr)
 }
 
 // quorum is the majority size over the full replica set.

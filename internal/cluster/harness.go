@@ -42,8 +42,8 @@ type HarnessConfig struct {
 
 	// WALDir, when non-empty, makes the coordinator durable: every
 	// decision is fsynced to a one-replica log there, and
-	// RecoverCoordinator (or the harness's Recover) resumes from it
-	// after a crash.
+	// OpenCoordinator (or the harness's Recover) resumes from it after
+	// a crash.
 	WALDir string
 
 	// TraceSample, when > 0, gives every node a deterministic request
@@ -76,15 +76,6 @@ func (cfg HarnessConfig) newClient(reg *obs.Registry) (*LoopbackTransport, error
 	return NewLoopbackTransport(pol, cfg.Faults, cfg.Policy.Seed, reg)
 }
 
-// resolver maps recovered member IDs back to the harness's live node
-// handles.
-func (h *Harness) resolver(id, addr string) (*Node, error) {
-	if n := h.Node(id); n != nil {
-		return n, nil
-	}
-	return RemoteResolver(id, addr)
-}
-
 // NewHarness stands the cluster up: build the nodes, join them (fixing
 // ring arcs and join order), diagnose every device in a bootstrap
 // fleet, and adopt the devices onto their ring owners in spec order.
@@ -107,76 +98,67 @@ func NewHarness(cfg HarnessConfig) (*Harness, error) {
 		return nil, err
 	}
 
-	var coord *Coordinator
-	if cfg.WALDir != "" {
-		// Fresh directory: the coordinator logs from its first decision.
-		coord, err = RecoverCoordinator(cfg.Policy, tr, reg, cfg.WALDir, nil)
-	} else {
-		coord, err = NewCoordinator(cfg.Policy, tr, reg)
-	}
+	// A fresh directory logs from the coordinator's first decision.
+	coord, err := OpenCoordinator(cfg.Policy, tr, reg, cfg.WALDir, nil)
 	if err != nil {
 		return nil, err
 	}
-
 	h := &Harness{cfg: cfg, coord: coord}
-	nodeCfg := cfg.Node
-	nodeCfg.Devices = nil
-	for i := 0; i < cfg.Nodes; i++ {
-		nodeCfg.Registry = obs.NewRegistry()
-		nodeCfg.Recorder = nil
-		if cfg.TraceSample > 0 {
-			nodeCfg.Recorder = obs.Observer{
-				Reg: nodeCfg.Registry,
-				Tr:  obs.NewTracer(cfg.Policy.Seed+uint64(i), cfg.TraceSample, cfg.TraceBuffer),
+	h.nodes, err = hostNodes(cfg.Nodes, cfg.Node, cfg.Policy.Seed, cfg.TraceSample, cfg.TraceBuffer)
+	for i := 0; err == nil && i < len(h.nodes); i++ {
+		err = coord.Join(h.nodes[i])
+	}
+	if err == nil {
+		err = coord.Bootstrap(cfg.Node, cfg.Devices)
+	}
+	if err != nil {
+		h.Close()
+		return nil, err
+	}
+	return h, nil
+}
+
+// hostNodes builds n in-process members, "node-0" … "node-<n-1>", each
+// on an empty fleet from tmpl with a private registry. With
+// traceSample > 0 member i gets a deterministic request tracer seeded
+// seed+i, sampling that fraction and keeping traceBuffer traces per
+// device. On error the members already built are closed.
+func hostNodes(n int, tmpl fleet.Config, seed uint64, traceSample float64, traceBuffer int) ([]*Node, error) {
+	tmpl.Devices = nil
+	var nodes []*Node
+	for i := 0; i < n; i++ {
+		tmpl.Registry = obs.NewRegistry()
+		tmpl.Recorder = nil
+		if traceSample > 0 {
+			tmpl.Recorder = obs.Observer{Reg: tmpl.Registry, Tr: obs.NewTracer(seed+uint64(i), traceSample, traceBuffer)}
+		}
+		node, err := NewNode(fmt.Sprintf("node-%d", i), tmpl)
+		if err != nil {
+			for _, nd := range nodes {
+				nd.Close()
+			}
+			return nil, err
+		}
+		nodes = append(nodes, node)
+	}
+	return nodes, nil
+}
+
+// resolveAmong maps logged members back to the live in-process handles
+// in nodes by ID, and any other member through RemoteResolver.
+func resolveAmong(nodes []*Node) NodeResolver {
+	return func(id, addr string) (*Node, error) {
+		for _, n := range nodes {
+			if n.ID() == id {
+				return n, nil
 			}
 		}
-		n, err := NewNode(fmt.Sprintf("node-%d", i), nodeCfg)
-		if err != nil {
-			h.Close()
-			return nil, err
-		}
-		h.nodes = append(h.nodes, n)
-		if err := coord.Join(n); err != nil {
-			n.Close()
-			h.Close()
-			return nil, err
-		}
+		return RemoteResolver(id, addr)
 	}
-
-	bootCfg := cfg.Node
-	bootCfg.Devices = cfg.Devices
-	bootCfg.Registry = obs.NewRegistry()
-	bootCfg.AllowEmpty = false
-	boot, err := fleet.New(bootCfg)
-	if err != nil {
-		h.Close()
-		return nil, fmt.Errorf("cluster: bootstrap fleet: %w", err)
-	}
-	ids := make([]string, len(cfg.Devices))
-	for i, d := range cfg.Devices {
-		ids[i] = d.ID
-	}
-	if err := coord.AdoptDevices(boot, ids); err != nil {
-		boot.Close()
-		h.Close()
-		return nil, err
-	}
-	boot.Close()
-	return h, nil
 }
 
 // Coordinator returns the cluster control plane.
 func (h *Harness) Coordinator() *Coordinator { return h.coord }
-
-// Node returns a member by ID, or nil when unknown.
-func (h *Harness) Node(id string) *Node {
-	for _, n := range h.nodes {
-		if n.ID() == id {
-			return n
-		}
-	}
-	return nil
-}
 
 // Nodes returns the members in join order.
 func (h *Harness) Nodes() []*Node { return append([]*Node(nil), h.nodes...) }
@@ -212,7 +194,7 @@ func (h *Harness) Recover() error {
 	if err != nil {
 		return err
 	}
-	coord, err := RecoverCoordinator(h.cfg.Policy, tr, reg, h.cfg.WALDir, h.resolver)
+	coord, err := OpenCoordinator(h.cfg.Policy, tr, reg, h.cfg.WALDir, resolveAmong(h.nodes))
 	if err != nil {
 		return err
 	}

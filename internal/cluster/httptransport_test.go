@@ -261,7 +261,7 @@ func TestHTTPRefusedAttachKeepsDevice(t *testing.T) {
 	_, dead, srv := serveNodeAPI(t, "net-dead", nil, nil)
 	srv.Close()
 	tr := NewHTTPTransport(RPCPolicy{}, 1, nil)
-	c, err := NewCoordinator(Policy{}, tr, nil)
+	c, err := OpenCoordinator(Policy{}, tr, nil, "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +324,7 @@ func TestHTTPRefusedAttachKeepsEveryDevice(t *testing.T) {
 	}
 	_, dead, srv := serveNodeAPI(t, "net-dead", nil, nil)
 	srv.Close()
-	c, err := NewCoordinator(Policy{}, NewHTTPTransport(RPCPolicy{}, 1, nil), nil)
+	c, err := OpenCoordinator(Policy{}, NewHTTPTransport(RPCPolicy{}, 1, nil), nil, "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

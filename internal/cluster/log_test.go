@@ -207,7 +207,7 @@ func TestWALTornTailEveryOffset(t *testing.T) {
 // the coordinator a clean compaction recovers.
 func TestLogStoreSnapshotBeforeRewrite(t *testing.T) {
 	recovered := func(dir string) []byte {
-		c, err := RecoverCoordinator(Policy{}, nil, nil, dir, func(id, addr string) (*Node, error) {
+		c, err := OpenCoordinator(Policy{}, nil, nil, dir, func(id, addr string) (*Node, error) {
 			return &Node{id: id, addr: addr}, nil
 		})
 		if err != nil {
@@ -283,17 +283,50 @@ func TestRecoverRefusesOlderFormat(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, snapFile), []byte(old), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RecoverCoordinator(Policy{}, nil, nil, dir, nil); err == nil || !strings.Contains(err.Error(), "not a log snapshot") {
+	if _, err := OpenCoordinator(Policy{}, nil, nil, dir, nil); err == nil || !strings.Contains(err.Error(), "not a log snapshot") {
 		t.Fatalf("bare state snapshot.json: %v, want a refusal", err)
 	}
 	wal := filepath.Join(dir, "wal.jsonl")
 	if err := os.WriteFile(wal, []byte(`{"type":"join","node":"node-0"}`+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RecoverCoordinator(Policy{}, nil, nil, dir, nil); err == nil || !strings.Contains(err.Error(), wal) {
+	if _, err := OpenCoordinator(Policy{}, nil, nil, dir, nil); err == nil || !strings.Contains(err.Error(), wal) {
 		t.Fatalf("older-format directory: %v, want an error naming %s", err, wal)
 	}
 	if fileExists(filepath.Join(dir, logFile)) || fileExists(filepath.Join(dir, metaFile)) {
 		t.Fatal("refused directory was written to")
 	}
+}
+
+// FuzzCoordinatorLog: OpenCoordinator over a directory whose log.jsonl
+// holds arbitrary bytes neither panics nor hangs, and a coordinator it
+// opens is the fold of the log it kept.
+func FuzzCoordinatorLog(f *testing.F) {
+	var valid []byte
+	for _, e := range logTestEntries() {
+		line, err := json.Marshal(e)
+		if err != nil {
+			f.Fatal(err)
+		}
+		valid = append(append(valid, line...), '\n')
+	}
+	f.Add(valid)
+	f.Add([]byte{})
+	f.Add(valid[:len(valid)-7]) // torn mid-append
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, logFile), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c, err := OpenCoordinator(Policy{}, nil, nil, dir, placeholderNode)
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		// foldDiff snapshots the coordinator under its lock, so it runs
+		// without it.
+		if err := foldDiff(&c.rep.(*soloLog).foldedLog); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

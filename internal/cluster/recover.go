@@ -6,14 +6,15 @@ import (
 	"ssdcheck/internal/obs"
 )
 
-// Crash recovery: a coordinator opened through RecoverCoordinator runs
-// on a one-replica log (log.go) in a directory. Every decision is
-// appended as a term-1 entry, commits once fsynced, and applies through
-// applyRecord — the path every coordinator's state takes, live, standby
-// or recovering — so on restart the snapshot is restored, the entries
-// after it apply the same way, and the coordinator resumes where the
-// dead one stopped: subsequent log lines are byte-identical to an
-// uninterrupted run. NewCoordinator runs the same log in memory.
+// Crash recovery: a coordinator opened through OpenCoordinator with a
+// directory runs on a one-replica log (log.go) there. Every decision
+// is appended as a term-1 entry, commits once fsynced, and applies
+// through applyRecord — the path every coordinator's state takes, live,
+// standby or recovering — so on restart the snapshot is restored, the
+// entries after it apply the same way, and the coordinator resumes
+// where the dead one stopped: subsequent log lines are byte-identical
+// to an uninterrupted run. Without a directory the same log is kept in
+// memory.
 
 // NodeResolver turns a logged membership record back into a node
 // handle during recovery. addr is the base URL the node joined with
@@ -119,10 +120,7 @@ func (c *Coordinator) snapshotLocked() *walSnapshot {
 // restoreCoordinator builds a coordinator restored from a compaction
 // point (nil: none yet), resolving its members through resolve.
 func restoreCoordinator(pol Policy, tr *rpcClient, reg *obs.Registry, snap *walSnapshot, resolve NodeResolver) (*Coordinator, error) {
-	c, err := NewCoordinator(pol, tr, reg)
-	if err != nil {
-		return nil, err
-	}
+	c := newCoordinator(pol, tr, reg)
 	c.resolver = resolve
 	if snap == nil {
 		return c, nil
@@ -205,17 +203,23 @@ func (c *Coordinator) applyRecord(rec walRecord) error {
 	return nil
 }
 
-// RecoverCoordinator opens (or creates) a durable coordinator on the
-// one-replica log in dir. An empty directory yields a fresh
-// coordinator that logs from its first decision; an existing one
-// restores its snapshot, applies the entries after it, and resumes.
-// resolve turns logged membership back into node handles —
-// RemoteResolver suffices when every member is a real process;
-// in-process members need the caller's live handles. A torn tail
-// record (crash mid-append) is dropped and truncated. tr is as for
-// NewCoordinator; a fault plan on it must be fresh: it is advanced to
-// the recovered round, so it resumes in lockstep with the coordinator.
-func RecoverCoordinator(pol Policy, tr *rpcClient, reg *obs.Registry, dir string, resolve NodeResolver) (*Coordinator, error) {
+// OpenCoordinator opens a coordinator on a one-replica log: in memory
+// when dir is "", else durable in dir. An empty or new directory
+// yields a fresh coordinator that logs from its first decision; an
+// existing one restores its snapshot, applies the entries after it,
+// and resumes. resolve turns logged membership back into node handles
+// (nil: RemoteResolver, which suffices when every member is a real
+// process; in-process members need the caller's live handles). A torn
+// tail record (crash mid-append) is dropped and truncated.
+//
+// The coordinator reaches its members through tr — the RPC client
+// built by NewLoopbackTransport or NewHTTPTransport; nil is the memory
+// carrier's with the default policy. A fault plan on it must be fresh:
+// it is advanced to the recovered round, so it resumes in lockstep
+// with the coordinator. A nil registry gets a private one; it holds
+// only cluster-level series and is merged with per-node registries on
+// exposition.
+func OpenCoordinator(pol Policy, tr *rpcClient, reg *obs.Registry, dir string, resolve NodeResolver) (*Coordinator, error) {
 	if resolve == nil {
 		resolve = RemoteResolver
 	}

@@ -172,7 +172,7 @@ func (r *Replica) status() PeerStatus {
 // registry; cluster-visible metrics come from the active coordinator
 // and the group.
 func (r *Replica) rebuildStandby() error {
-	sb, err := restoreCoordinator(r.grp.cpol, r.tr, nil, r.st.snap.State, r.grp.resolveNode)
+	sb, err := restoreCoordinator(r.grp.cpol, r.tr, nil, r.st.snap.State, resolveAmong(r.grp.nodes))
 	if err != nil {
 		return err
 	}

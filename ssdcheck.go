@@ -276,9 +276,11 @@ var NewClusterNodeAPI = cluster.NewNodeAPI
 var ClusterNodeAPIHandler = cluster.NodeAPIHandler
 
 // NewClusterCoordinator builds a coordinator over an explicit RPC
-// client (no harness, no log); a nil client is the memory carrier's
-// with the default policy.
-var NewClusterCoordinator = cluster.NewCoordinator
+// client (no harness), its log kept in memory; a nil client is the
+// memory carrier's with the default policy.
+func NewClusterCoordinator(pol ClusterPolicy, tr *cluster.HTTPTransport, reg *obs.Registry) (*ClusterCoordinator, error) {
+	return cluster.OpenCoordinator(pol, tr, reg, "", nil)
+}
 
 // Fault injection and fleet resilience (beyond the paper): a seedable
 // fault injector that wraps any Device, and the fleet's health state
