@@ -180,7 +180,7 @@ type knobCensus struct {
 // that no code sets outside the struct's own methods. Each package's
 // in-package tests are checked as go test builds them: a variant of the
 // package that imports the others' non-test code. Setting a field of a
-// field (cfg.Health.ProbeInterval = x) sets both.
+// field (cfg.Health.ProbeRequests = x) sets both.
 func (m *deadModule) knobCensus(t *testing.T, seeds map[string][]seedFile) knobCensus {
 	t.Helper()
 	c := m.check(t, seeds)
