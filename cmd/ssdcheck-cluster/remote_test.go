@@ -10,11 +10,18 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"ssdcheck/internal/blockdev"
 	"ssdcheck/internal/cluster"
 	"ssdcheck/internal/fleet"
 )
+
+// testRPCDeadline bounds the coordinators' node-plane RPCs here. A
+// bootstrap attach rebuilds the device's simulator on the node; under
+// -race beside other packages on a two-core host that exceeds the
+// 200 ms default.
+const testRPCDeadline = 5 * time.Second
 
 // serveNodePlane stands up an empty member's /v1/node/* plane, as
 // `ssdcheckd -devices 0` serves it, and returns its base URL.
@@ -49,7 +56,7 @@ func TestRemoteCoordinatorRestart(t *testing.T) {
 	dir := t.TempDir()
 	start := func(join string) *cluster.Coordinator {
 		t.Helper()
-		c, err := remoteCoordinator(join, 4, "A,D", 2, 42, true, dir, 0)
+		c, err := remoteCoordinator(join, 4, "A,D", 2, 42, true, dir, testRPCDeadline)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +109,7 @@ func TestRemoteCoordinatorRestart(t *testing.T) {
 func TestRemoteCoordinatorRefusesMovedMember(t *testing.T) {
 	urlA, urlB, urlC := serveNodePlane(t, "node-a"), serveNodePlane(t, "node-b"), serveNodePlane(t, "node-c")
 	dir := t.TempDir()
-	c, err := remoteCoordinator("node-a="+urlA+",node-b="+urlB, 4, "A,D", 2, 42, true, dir, 0)
+	c, err := remoteCoordinator("node-a="+urlA+",node-b="+urlB, 4, "A,D", 2, 42, true, dir, testRPCDeadline)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +120,7 @@ func TestRemoteCoordinatorRefusesMovedMember(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c, err = remoteCoordinator("node-b="+urlC, 4, "A,D", 2, 42, true, dir, 0)
+	c, err = remoteCoordinator("node-b="+urlC, 4, "A,D", 2, 42, true, dir, testRPCDeadline)
 	if err == nil {
 		c.Close()
 		t.Fatal("restart with node-b at a new address succeeded; want it refused")

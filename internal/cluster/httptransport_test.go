@@ -247,6 +247,12 @@ func TestHTTPTransportTokenIncarnations(t *testing.T) {
 	}
 }
 
+// attachRPC bounds the attach RPCs of the refused-attach tests. An
+// attach rebuilds the device's simulator on the node; under -race beside
+// other packages on a two-core host that exceeds the 200 ms default, and
+// a live member would then look refused too.
+var attachRPC = RPCPolicy{Deadline: 5 * time.Second}
+
 // TestHTTPRefusedAttachKeepsDevice: a member whose process is gone
 // refuses the attach of a device the ring sends it at join. The device
 // goes back to the member it came from, which still holds and serves
@@ -260,7 +266,7 @@ func TestHTTPRefusedAttachKeepsDevice(t *testing.T) {
 	}
 	_, dead, srv := serveNodeAPI(t, "net-dead", nil, nil)
 	srv.Close()
-	tr := NewHTTPTransport(RPCPolicy{}, 1, nil)
+	tr := NewHTTPTransport(attachRPC, 1, nil)
 	c, err := OpenCoordinator(Policy{}, tr, nil, "", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -324,7 +330,7 @@ func TestHTTPRefusedAttachKeepsEveryDevice(t *testing.T) {
 	}
 	_, dead, srv := serveNodeAPI(t, "net-dead", nil, nil)
 	srv.Close()
-	c, err := OpenCoordinator(Policy{}, NewHTTPTransport(RPCPolicy{}, 1, nil), nil, "", nil)
+	c, err := OpenCoordinator(Policy{}, NewHTTPTransport(attachRPC, 1, nil), nil, "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
