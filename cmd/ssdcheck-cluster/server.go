@@ -219,10 +219,6 @@ func newMux(md mode) *http.ServeMux {
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		if c := md.leader(); c != nil {
-			// Metrics() refreshes the cluster-level gauges;
-			// WritePrometheus refreshes each node's fleet gauges before
-			// merging.
-			_ = c.Metrics()
 			_ = c.WritePrometheus(w)
 		}
 		if md.registry != nil {

@@ -196,9 +196,6 @@ func newServer(m *fleet.Manager, tr *obs.Tracer, nodeID string) http.Handler {
 	})
 
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		// Metrics() refreshes the fleet-level gauges before the
-		// registry renders.
-		_ = m.Metrics()
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = m.Registry().WritePrometheus(w)
 	})

@@ -358,8 +358,6 @@ func ExampleObserver() {
 			m.Submit(id, r.Op, r.LBA, r.Sectors)
 		}
 	}
-	m.Metrics() // refreshes the fleet-level gauges
-
 	var scrape bytes.Buffer
 	reg.WritePrometheus(&scrape)
 	for _, line := range strings.Split(scrape.String(), "\n") {

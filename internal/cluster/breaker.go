@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"ssdcheck/internal/fsm"
-	"ssdcheck/internal/obs"
 )
 
 // BreakerState is a node's position in the coordinator's per-node
@@ -46,25 +45,10 @@ func (s *BreakerState) UnmarshalText(b []byte) error { return breakerNames.Parse
 // BreakerTransition is one edge taken in a node's circuit breaker.
 type BreakerTransition = MemberTransition[BreakerState]
 
-// breakerGaugeLocked refreshes (registering on first use) the node's
-// breaker-state gauge in the cluster registry.
-func (c *Coordinator) breakerGaugeLocked(id string) {
-	g, ok := c.breakerGauges[id]
-	if !ok {
-		g = c.reg.Gauge("ssdcheck_cluster_breaker_state",
-			"Circuit breaker state (0=closed 1=open 2=half-open).",
-			obs.Label{Name: "member", Value: id})
-		c.breakerGauges[id] = g
-	}
-	g.Set(int64(c.members[id].brk))
-}
-
 // breakerTransitionLocked moves a node's breaker and logs the edge
 // under the shared event sequence.
 func (c *Coordinator) breakerTransitionLocked(mb *member, to BreakerState, cause string) {
-	if moveMemberLocked(c, mb, &mb.brk, to, &c.breakerlog, cause) {
-		c.breakerGaugeLocked(mb.node.ID())
-	}
+	moveMemberLocked(c, mb, &mb.brk, to, &c.breakerlog, cause)
 }
 
 // breakerCooldown is how long an open breaker stays open on the

@@ -348,12 +348,7 @@ func rpcExposition(t *testing.T) []byte {
 	for step := 0; step < 5; step++ {
 		submitMixed(t, c, devs, strs, step)
 	}
-	c.Metrics() // refresh cluster gauges
-	var buf bytes.Buffer
-	if err := c.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return scrapeLive(t, c)
 }
 
 // stripWallClockBuckets removes the bucket and sum lines of the fleet's

@@ -81,16 +81,13 @@ type Coordinator struct {
 	onDeposed   func()
 	deposedSeen bool
 
-	// Cluster-level registry: coordinator gauges live here unlabeled;
+	// Cluster-level registry: coordinator series live here unlabeled;
 	// the merged exposition injects node labels into per-node series.
-	reg                          *obs.Registry
-	gNodes, gInService, gDevices *obs.Gauge
-	gRound                       *obs.Gauge
-	cMoves                       *obs.Counter
-	cSubmitFails                 *obs.Counter
-	cFenceRejects                *obs.Counter
-	healthGauges                 map[string]*obs.Gauge
-	breakerGauges                map[string]*obs.Gauge
+	// Its gauges read the coordinator's state under mu when rendered.
+	reg           *obs.Registry
+	cMoves        *obs.Counter
+	cSubmitFails  *obs.Counter
+	cFenceRejects *obs.Counter
 }
 
 // proposer is the coordinator's log: propose returns nil once the
@@ -112,24 +109,52 @@ func newCoordinator(pol Policy, tr *rpcClient, reg *obs.Registry) *Coordinator {
 		tr, _ = NewLoopbackTransport(RPCPolicy{}, nil, pol.Seed, reg) // no fault plan, no error
 	}
 	p := pol.withDefaults()
-	return &Coordinator{
-		pol:           p,
-		tr:            tr,
-		ring:          NewRing(p.Seed, virtualNodes),
-		members:       make(map[string]*member),
-		placement:     make(map[string]string),
-		strays:        make(map[string]string),
-		reg:           reg,
-		gNodes:        reg.Gauge("ssdcheck_cluster_nodes", "Known cluster members."),
-		gInService:    reg.Gauge("ssdcheck_cluster_nodes_in_service", "Members currently owning placement arcs."),
-		gDevices:      reg.Gauge("ssdcheck_cluster_devices", "Devices placed across the cluster."),
-		gRound:        reg.Gauge("ssdcheck_cluster_round", "Heartbeat rounds completed."),
-		cMoves:        reg.Counter("ssdcheck_cluster_placement_moves_total", "Device migrations (bootstrap placements excluded)."),
-		cSubmitFails:  reg.Counter("ssdcheck_cluster_submit_failures_total", "Requests failed cluster-side (unknown device, unreachable node, open breaker)."),
-		cFenceRejects: reg.Counter("ssdcheck_cluster_fencing_rejections_total", "Node-plane RPCs this coordinator had rejected for a stale term (it was superseded)."),
-		healthGauges:  make(map[string]*obs.Gauge),
-		breakerGauges: make(map[string]*obs.Gauge),
+	c := &Coordinator{
+		pol:       p,
+		tr:        tr,
+		ring:      NewRing(p.Seed, virtualNodes),
+		members:   make(map[string]*member),
+		placement: make(map[string]string),
+		strays:    make(map[string]string),
+		reg:       reg,
 	}
+	reg.GaugeFunc("ssdcheck_cluster_nodes", "Known cluster members.", obs.Locked(&c.mu, func() int64 { return int64(len(c.order)) }))
+	reg.GaugeFunc("ssdcheck_cluster_nodes_in_service", "Members currently owning placement arcs.", obs.Locked(&c.mu, c.inServiceLocked))
+	reg.GaugeFunc("ssdcheck_cluster_devices", "Devices placed across the cluster.", obs.Locked(&c.mu, func() int64 { return int64(len(c.devOrder)) }))
+	reg.GaugeFunc("ssdcheck_cluster_round", "Heartbeat rounds completed.", obs.Locked(&c.mu, func() int64 { return c.round }))
+	c.cMoves = reg.Counter("ssdcheck_cluster_placement_moves_total", "Device migrations (bootstrap placements excluded).")
+	c.cSubmitFails = reg.Counter("ssdcheck_cluster_submit_failures_total", "Requests failed cluster-side (unknown device, unreachable node, open breaker).")
+	c.cFenceRejects = reg.Counter("ssdcheck_cluster_fencing_rejections_total", "Node-plane RPCs this coordinator had rejected for a stale term (it was superseded).")
+	return c
+}
+
+// inServiceLocked counts the members owning placement arcs.
+func (c *Coordinator) inServiceLocked() int64 {
+	n := int64(0)
+	for _, id := range c.order {
+		if c.ring.Has(id) {
+			n++
+		}
+	}
+	return n
+}
+
+// bindMemberLocked registers a member's health and breaker-state
+// gauges in the cluster registry; leaving drops them.
+func (c *Coordinator) bindMemberLocked(id string) {
+	lbl := obs.Label{Name: "member", Value: id}
+	state := func(v func(mb *member) int64) func() int64 {
+		return obs.Locked(&c.mu, func() int64 {
+			if mb := c.members[id]; mb != nil {
+				return v(mb)
+			}
+			return 0
+		})
+	}
+	c.reg.GaugeFunc("ssdcheck_cluster_node_health", "Node health state (0=healthy 1=degraded 2=quarantined 3=recovering).",
+		state(func(mb *member) int64 { return int64(mb.health) }), lbl)
+	c.reg.GaugeFunc("ssdcheck_cluster_breaker_state", "Circuit breaker state (0=closed 1=open 2=half-open).",
+		state(func(mb *member) int64 { return int64(mb.brk) }), lbl)
 }
 
 // Registry returns the cluster-level registry.
@@ -142,36 +167,19 @@ func (c *Coordinator) Round() int64 {
 	return c.round
 }
 
-// healthGaugeLocked returns (registering on first use) the node's
-// health gauge in the cluster registry.
-func (c *Coordinator) healthGaugeLocked(id string) *obs.Gauge {
-	g, ok := c.healthGauges[id]
-	if !ok {
-		g = c.reg.Gauge("ssdcheck_cluster_node_health",
-			"Node health state (0=healthy 1=degraded 2=quarantined 3=recovering).",
-			obs.Label{Name: "member", Value: id})
-		c.healthGauges[id] = g
-	}
-	return g
-}
-
 // transitionLocked moves a node to a new health state and logs the
 // edge under the shared event sequence.
 func (c *Coordinator) transitionLocked(mb *member, to fleet.Health, cause string) {
-	if moveMemberLocked(c, mb, &mb.health, to, &c.translog, cause) {
-		c.healthGaugeLocked(mb.node.ID()).Set(int64(to))
-	}
+	moveMemberLocked(c, mb, &mb.health, to, &c.translog, cause)
 }
 
 // moveMemberLocked moves one of mb's state machines, whose state is
 // *cur, to state to; the edge takes the next event sequence number.
-func moveMemberLocked[S comparable](c *Coordinator, mb *member, cur *S, to S, log *[]MemberTransition[S], cause string) bool {
+func moveMemberLocked[S comparable](c *Coordinator, mb *member, cur *S, to S, log *[]MemberTransition[S], cause string) {
 	edge := MemberTransition[S]{Seq: c.seq + 1, Round: c.round, Node: mb.node.ID(), From: *cur, To: to, Cause: cause}
-	if !fsm.Move(cur, to, log, edge) {
-		return false
+	if fsm.Move(cur, to, log, edge) {
+		c.seq++
 	}
-	c.seq++
-	return true
 }
 
 // placeLocked records one device move in the placement log and the
@@ -340,8 +348,7 @@ func (c *Coordinator) applyJoin(rec walRecord) error {
 	c.members[rec.Node] = &member{node: n, health: fleet.Healthy}
 	c.order = append(c.order, rec.Node)
 	c.ring.Add(rec.Node)
-	c.healthGaugeLocked(rec.Node).Set(int64(fleet.Healthy))
-	c.breakerGaugeLocked(rec.Node)
+	c.bindMemberLocked(rec.Node)
 	c.rebalanceLocked("join")
 	return nil
 }
@@ -379,8 +386,6 @@ func (c *Coordinator) applyLeave(id string) error {
 		}
 	}
 	c.reg.DropSeries(obs.Label{Name: "member", Value: id})
-	delete(c.healthGauges, id)
-	delete(c.breakerGauges, id)
 	return nil
 }
 
@@ -553,7 +558,6 @@ func (c *Coordinator) Tick() error {
 func (c *Coordinator) applyTick(rec walRecord) {
 	c.round++
 	c.now = c.now.Add(heartbeatInterval)
-	c.gRound.Set(c.round)
 	for i, id := range rec.Nodes {
 		mb := c.members[id]
 		if mb == nil || i >= len(rec.OK) {

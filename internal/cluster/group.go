@@ -205,11 +205,16 @@ func (g *Group) buildReplica(id string, idx uint64) error {
 		grp:       g,
 		foldedLog: foldedLog{st: &logStore{}},
 		match:     make(map[string]int64),
-		gTerm: g.reg.Gauge("ssdcheck_cluster_term",
-			"Replication term the replica is at.", obs.Label{Name: "replica", Value: id}),
-		gLeader: g.reg.Gauge("ssdcheck_cluster_is_leader",
-			"1 while the replica holds the lease.", obs.Label{Name: "replica", Value: id}),
 	}
+	lbl := obs.Label{Name: "replica", Value: id}
+	// g.mu guards every replica's state.
+	g.reg.GaugeFunc("ssdcheck_cluster_term", "Replication term the replica is at.", obs.Locked(&g.mu, func() int64 { return r.st.term }), lbl)
+	g.reg.GaugeFunc("ssdcheck_cluster_is_leader", "1 while the replica holds the lease.", obs.Locked(&g.mu, func() int64 {
+		if r.role == RoleLeader {
+			return 1
+		}
+		return 0
+	}), lbl)
 	if g.cfg.Dir != "" {
 		r.st.dir = filepath.Join(g.cfg.Dir, id)
 	}
@@ -303,8 +308,6 @@ func (g *Group) takeoverLocked(r *Replica, newTerm int64) error {
 	tok := FencingToken{Term: newTerm, Leader: r.id}
 	r.coord.activate(tok, func() { r.deposed = true })
 	g.cElections.Inc()
-	r.gTerm.Set(newTerm)
-	r.gLeader.Set(1)
 
 	r.coord.mu.Lock()
 	err := r.propose(walRecord{Type: "noop"})
@@ -336,8 +339,6 @@ func (g *Group) demoteLocked(r *Replica) error {
 	r.leasePinned = false
 	r.failedCommits = 0
 	r.lastHeard = g.round // grace period before campaigning again
-	r.gLeader.Set(0)
-	r.gTerm.Set(r.st.term)
 	return r.rebuildStandby()
 }
 
@@ -348,9 +349,6 @@ func (g *Group) crashLocked(r *Replica) {
 		return
 	}
 	r.crashed = true
-	if r.role == RoleLeader {
-		r.gLeader.Set(0)
-	}
 	r.role = RoleFollower
 	r.deposed = false
 	r.leasePinned = false
@@ -379,7 +377,6 @@ func (g *Group) restartLocked(r *Replica) error {
 	r.commit = 0
 	r.applyErr = nil
 	r.lastHeard = g.round
-	r.gTerm.Set(r.st.term)
 	if err := r.rebuildStandby(); err != nil {
 		return err
 	}

@@ -45,8 +45,7 @@ type Metrics struct {
 // Metrics returns the merged cluster view. Stopped-but-unevacuated
 // nodes still contribute: their device state plane is alive even while
 // their serving path is down, and counting it is what keeps the merged
-// totals equal to an equivalent single-fleet run. As a side effect the
-// cluster-level gauges refresh, so exposition renders current values.
+// totals equal to an equivalent single-fleet run.
 func (c *Coordinator) Metrics() Metrics {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -59,10 +58,11 @@ func (c *Coordinator) Metrics() Metrics {
 	var agg, acc fleet.Counters
 	var lat obs.HistogramSnapshot
 	out := Metrics{
-		Nodes:   len(c.order),
-		Devices: len(c.devOrder),
-		Round:   c.round,
-		Moves:   c.cMoves.Value(),
+		Nodes:     len(c.order),
+		InService: int(c.inServiceLocked()),
+		Devices:   len(c.devOrder),
+		Round:     c.round,
+		Moves:     c.cMoves.Value(),
 	}
 	for _, id := range c.order {
 		mb := c.members[id]
@@ -70,9 +70,6 @@ func (c *Coordinator) Metrics() Metrics {
 		if m == nil {
 			// Remote member: its fleet lives in another process and
 			// renders through that process's own /metrics.
-			if c.ring.Has(id) {
-				out.InService++
-			}
 			out.PerNode = append(out.PerNode, NodeMetrics{
 				Node:    id,
 				Health:  mb.health,
@@ -87,9 +84,6 @@ func (c *Coordinator) Metrics() Metrics {
 		lat.Merge(m.LatencyDigest())
 		out.UnhealthyDevices += fm.UnhealthyDevices
 		out.FallbackModels += fm.FallbackModels
-		if c.ring.Has(id) {
-			out.InService++
-		}
 		out.PerNode = append(out.PerNode, NodeMetrics{
 			Node:    id,
 			Health:  mb.health,
@@ -104,19 +98,14 @@ func (c *Coordinator) Metrics() Metrics {
 	out.HLAccuracy = acc.HLAccuracy()
 	out.NLAccuracy = acc.NLAccuracy()
 	out.Latency = fleet.Summarize(lat)
-
-	c.gNodes.Set(int64(out.Nodes))
-	c.gInService.Set(int64(out.InService))
-	c.gDevices.Set(int64(out.Devices))
 	return out
 }
 
 // WritePrometheus renders the cluster's merged exposition: the
 // coordinator's own series unlabeled, every node's registry with a
 // node="<id>" label injected, families deduplicated in first-seen
-// order. Per-node fleet gauges are refreshed first, so the exposition
-// is exact at render time — the same contract the single-node daemon
-// keeps.
+// order. Every gauge reads its owner's state as it renders, so the
+// exposition is current without a refresh call first.
 func (c *Coordinator) WritePrometheus(w io.Writer) error {
 	c.mu.Lock()
 	sources := make([]obs.RegistrySource, 0, len(c.order)+1)
@@ -127,7 +116,6 @@ func (c *Coordinator) WritePrometheus(w io.Writer) error {
 		if m == nil || mb.node.Registry() == nil {
 			continue // remote member: scraped from its own process
 		}
-		m.Metrics() // refresh fleet-level gauges
 		sources = append(sources, obs.RegistrySource{Name: id, Reg: mb.node.Registry()})
 	}
 	c.mu.Unlock()

@@ -128,7 +128,6 @@ func restoreCoordinator(pol Policy, tr *rpcClient, reg *obs.Registry, snap *walS
 	c.round = snap.Round
 	c.now = snap.Now
 	c.seq = snap.Seq
-	c.gRound.Set(c.round)
 	c.cMoves.Add(snap.Moves)
 	for _, wm := range snap.Members {
 		n, err := resolve(wm.ID, wm.Addr)
@@ -148,8 +147,7 @@ func restoreCoordinator(pol Policy, tr *rpcClient, reg *obs.Registry, snap *walS
 		if wm.InRing {
 			c.ring.Add(wm.ID)
 		}
-		c.healthGaugeLocked(wm.ID).Set(int64(wm.Health))
-		c.breakerGaugeLocked(wm.ID)
+		c.bindMemberLocked(wm.ID)
 	}
 	for d, n := range snap.Placement {
 		c.placement[d] = n

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"ssdcheck/internal/fsm"
-	"ssdcheck/internal/obs"
 )
 
 // Replicated coordination: a raft-lite placement log. The group's
@@ -147,8 +146,6 @@ type Replica struct {
 	applyErr      error // first standby-apply failure, surfaced by status
 
 	tr *LoopbackTransport
-
-	gTerm, gLeader *obs.Gauge
 }
 
 // fail records the replica's first apply or storage error.

@@ -752,3 +752,44 @@ func (g *Group) Round() int64 {
 	defer g.mu.Unlock()
 	return g.round
 }
+
+// TestGroupScrapeReadsLiveState: through a leader crash and the
+// re-election after it, a scrape of the group's registry shows every
+// replica's current term and lease holder, followers included.
+func TestGroupScrapeReadsLiveState(t *testing.T) {
+	g := testGroup(t, GroupConfig{})
+	check := func() {
+		t.Helper()
+		var buf strings.Builder
+		if err := g.Registry().WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range g.ReplicaIDs() {
+			st, _ := g.Replica(id)
+			leader := 0
+			if st.Role == RoleLeader {
+				leader = 1
+			}
+			for _, line := range []string{
+				fmt.Sprintf("ssdcheck_cluster_term{replica=%q} %d\n", id, st.Term),
+				fmt.Sprintf("ssdcheck_cluster_is_leader{replica=%q} %d\n", id, leader),
+			} {
+				if !strings.Contains(buf.String(), line) {
+					t.Errorf("scrape lacks %q", line)
+				}
+			}
+		}
+	}
+	groupTick(t, g)
+	check()
+	if err := g.Crash("rep-0"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; g.LeaderID() == ""; i++ {
+		if i > 10 {
+			t.Fatal("no re-election within 10 rounds")
+		}
+		groupTick(t, g)
+	}
+	check()
+}

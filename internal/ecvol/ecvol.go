@@ -204,13 +204,11 @@ type Volume struct {
 
 	stats Stats
 
-	// Registry series (volume-labeled).
-	cReads   [3]*obs.Counter // direct, steered, reconstruct
-	cFlush   map[string]*obs.Counter
-	gPending *obs.Gauge
-	hRead    *obs.Histogram
-	hWrite   *obs.Histogram
-	hFlush   *obs.Histogram
+	// Registry histograms (volume-labeled). The read, flush and
+	// staged-parity series read stats and pending when rendered.
+	hRead  *obs.Histogram
+	hWrite *obs.Histogram
+	hFlush *obs.Histogram
 
 	// Scratch buffers for the per-op hot paths, so a read or write
 	// allocates nothing once they have grown to the op's shape.
@@ -290,19 +288,17 @@ func New(fl *fleet.Manager, cfg Config) (*Volume, error) {
 
 func (v *Volume) bindMetrics(reg *obs.Registry) {
 	vol := obs.Label{Name: "volume", Value: v.cfg.ID}
-	mode := func(m string) *obs.Counter {
-		return reg.Counter("ssdcheck_ecvol_reads_total",
-			"Chunk reads by volume and serving mode.", vol, obs.Label{Name: "mode", Value: m})
+	read := func(n func() int64) func() int64 { return obs.Locked(&v.mu, n) }
+	for mode, n := range []*int64{&v.stats.DirectReads, &v.stats.SteeredReads, &v.stats.ReconstructReads} {
+		reg.CounterFunc("ssdcheck_ecvol_reads_total", "Chunk reads by volume and serving mode.",
+			read(func() int64 { return *n }), vol, obs.Label{Name: "mode", Value: ReadMode(mode).String()})
 	}
-	v.cReads[0] = mode("direct")
-	v.cReads[1] = mode("steered")
-	v.cReads[2] = mode("reconstruct")
-	v.cFlush = make(map[string]*obs.Counter, len(flushCauses))
 	for _, c := range flushCauses {
-		v.cFlush[c] = reg.Counter("ssdcheck_ecvol_parity_flush_total",
-			"Parity-flush batches by volume and cause.", vol, obs.Label{Name: "cause", Value: c})
+		reg.CounterFunc("ssdcheck_ecvol_parity_flush_total", "Parity-flush batches by volume and cause.",
+			read(func() int64 { return v.stats.ParityFlushes[c] }), vol, obs.Label{Name: "cause", Value: c})
 	}
-	v.gPending = reg.Gauge("ssdcheck_ecvol_pending_parity", "Stripes with staged (unflushed) parity.", vol)
+	reg.GaugeFunc("ssdcheck_ecvol_pending_parity", "Stripes with staged (unflushed) parity.",
+		read(func() int64 { return int64(len(v.pending)) }), vol)
 	v.hRead = reg.Histogram("ssdcheck_ecvol_read_latency_seconds", "Foreground read latency per logical operation.", vol)
 	v.hWrite = reg.Histogram("ssdcheck_ecvol_write_latency_seconds", "Foreground write latency per logical operation.", vol)
 	v.hFlush = reg.Histogram("ssdcheck_ecvol_parity_flush_latency_seconds", "Background parity-flush batch latency.", vol)

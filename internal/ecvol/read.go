@@ -143,7 +143,6 @@ func (v *Volume) Read(chunk int64) (ReadResult, error) {
 	case Reconstructed:
 		v.stats.ReconstructReads++
 	}
-	v.cReads[res.Mode].Inc()
 	v.hRead.Observe(res.Latency)
 	v.scheduleLocked()
 	return res, nil

@@ -168,7 +168,6 @@ func (v *Volume) writeInlineLocked(stripe, slot, owner int) (time.Duration, bool
 		}
 		i++
 	}
-	v.cFlush[causeInline].Inc()
 	v.stats.ParityFlushes[causeInline]++
 	return worst, degraded, nil
 }
@@ -181,7 +180,6 @@ func (v *Volume) pushPendingLocked(stripe int) {
 		}
 	}
 	v.pending = append(v.pending, stripe)
-	v.gPending.Set(int64(len(v.pending)))
 }
 
 // dropPendingLocked removes a stripe from the flush queue.
@@ -192,7 +190,6 @@ func (v *Volume) dropPendingLocked(stripe int) {
 			break
 		}
 	}
-	v.gPending.Set(int64(len(v.pending)))
 }
 
 // noteParityDeadLocked accounts a stripe that just lost a parity
@@ -289,7 +286,6 @@ func (v *Volume) flushStripeLocked(stripe int, cause string) (time.Duration, boo
 			ok = true
 		}
 	}
-	v.cFlush[cause].Inc()
 	v.stats.ParityFlushes[cause]++
 	v.hFlush.Observe(worst)
 	if ok {

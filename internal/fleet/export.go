@@ -110,7 +110,7 @@ func (p *PortableDevice) Export() (*DeviceState, error) {
 	st.Health = md.health
 	st.ModelHealth = md.modelHealth
 	st.Counters = md.counters()
-	st.Latency = md.stats.latency()
+	st.Latency = md.stats.lat
 	st.FallbackServed = md.fallbackServed
 	st.Rediags = md.rediags
 	st.HealthLog = append([]HealthTransition(nil), md.translog...)
@@ -171,15 +171,11 @@ func (m *Manager) ImportDevice(st *DeviceState) error {
 		return fmt.Errorf("fleet: import %q: %w", spec.ID, err)
 	}
 
-	// Build the managed device against a throwaway registry; Attach
-	// rebinds everything into this manager's registry with the restored
-	// cumulative values.
-	tmp := obs.NewRegistry()
+	// Attach registers the device's series in this manager's registry.
 	md := &managedDevice{
 		id: spec.ID, name: dev.Name(), spec: spec, dev: dev,
 		rec: cfg.Recorder,
 	}
-	md.bindObs(tmp)
 	if spec.Faults != nil {
 		inj, err := faults.New(dev, *spec.Faults)
 		if err != nil {
@@ -213,7 +209,11 @@ func (m *Manager) ImportDevice(st *DeviceState) error {
 	md.translog = append([]HealthTransition(nil), st.HealthLog...)
 	md.modelLog = append([]ModelTransition(nil), st.ModelLog...)
 	restoreTallies(&md.stats, st)
-	md.stats.lat.AddSnapshot(st.Latency)
+	// Folding the carried digest through a Histogram recounts Count
+	// from its buckets, so a wire form that disagrees cannot skew it.
+	var lat obs.Histogram
+	lat.AddSnapshot(st.Latency)
+	md.stats.lat = lat.Snapshot()
 	md.publishLocked()
 	md.mu.Unlock()
 

@@ -264,8 +264,6 @@ func TestIngressObsSeries(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m.Metrics() // refreshes the depth gauges
-
 	var buf bytes.Buffer
 	if err := reg.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)

@@ -44,9 +44,6 @@ type Manager struct {
 	// attachAuto round-robins runtime-attached devices across shards,
 	// mirroring what New does for spec.Shard == 0.
 	attachAuto int
-
-	// Fleet-level registry gauges, refreshed by Metrics().
-	gDevices, gShards, gUnhealthy, gFallback *obs.Gauge
 }
 
 // New builds the fleet: it constructs every device (wrapping it in a
@@ -62,26 +59,26 @@ func New(cfg Config) (*Manager, error) {
 	cfg = cfg.withDefaults()
 
 	m := &Manager{
-		cfg:        cfg,
-		devs:       make(map[string]*managedDevice, len(cfg.Devices)),
-		gDevices:   cfg.Registry.Gauge("ssdcheck_fleet_devices", "Configured fleet size."),
-		gShards:    cfg.Registry.Gauge("ssdcheck_fleet_shards", "Worker-pool size."),
-		gUnhealthy: cfg.Registry.Gauge("ssdcheck_fleet_unhealthy_devices", "Devices currently quarantined or recovering."),
-		gFallback:  cfg.Registry.Gauge("ssdcheck_fleet_fallback_models", "Devices currently serving conservative fallback predictions."),
+		cfg:  cfg,
+		devs: make(map[string]*managedDevice, len(cfg.Devices)),
 	}
+	reg := cfg.Registry
+	reg.GaugeFunc("ssdcheck_fleet_devices", "Configured fleet size.", func() int64 { return int64(m.Metrics().Devices) })
+	reg.GaugeFunc("ssdcheck_fleet_shards", "Worker-pool size.", func() int64 { return int64(cfg.Shards) })
+	reg.GaugeFunc("ssdcheck_fleet_unhealthy_devices", "Devices currently quarantined or recovering.",
+		func() int64 { return int64(m.Metrics().UnhealthyDevices) })
+	reg.GaugeFunc("ssdcheck_fleet_fallback_models", "Devices currently serving conservative fallback predictions.",
+		func() int64 { return int64(m.Metrics().FallbackModels) })
 	m.opPool.New = func() any { return &shardOp{} }
 	m.dispatchPool.New = func() any { return &dispatch{} }
 	for i := 0; i < cfg.Shards; i++ {
 		lbl := obs.Label{Name: "shard", Value: strconv.Itoa(i)}
-		m.shards = append(m.shards, &shard{
-			id:   i,
-			q:    newIngressRing(cfg.QueueDepth),
-			wake: make(chan struct{}, 1),
-			depthG: cfg.Registry.Gauge("fleet_ingress_queue_depth",
-				"Operations queued in the shard's ingress ring.", lbl),
-			waitH: cfg.Registry.HistogramScaled("fleet_ingress_wait_us",
-				"Time operations spend queued in the shard's ingress ring, in microseconds.", 1e3, lbl),
-		})
+		sh := &shard{id: i, q: newIngressRing(cfg.QueueDepth), wake: make(chan struct{}, 1)}
+		reg.GaugeFunc("fleet_ingress_queue_depth", "Operations queued in the shard's ingress ring.",
+			func() int64 { return int64(sh.q.depth()) }, lbl)
+		sh.waitH = reg.HistogramScaled("fleet_ingress_wait_us",
+			"Time operations spend queued in the shard's ingress ring, in microseconds.", 1e3, lbl)
+		m.shards = append(m.shards, sh)
 	}
 
 	auto := 0
@@ -264,7 +261,6 @@ func (m *Manager) DeviceHealth(id string) (HealthReport, bool) {
 	}
 	md.mu.Lock()
 	defer md.mu.Unlock()
-	md.flushObsLocked()
 	return HealthReport{
 		ID:                      md.id,
 		Health:                  md.health,
@@ -288,7 +284,6 @@ func (m *Manager) DeviceModel(id string) (ModelReport, bool) {
 	}
 	md.mu.Lock()
 	defer md.mu.Unlock()
-	md.flushObsLocked()
 	return ModelReport{
 		ID:               md.id,
 		ModelHealth:      md.modelHealth,
@@ -374,9 +369,8 @@ func (m *Manager) HealthLog() []DeviceHealthLog {
 // histogram buckets (no samples are copied or sorted). Quarantined
 // (and mid-probe) devices still contribute their counters and
 // latencies, but are excluded from the fleet accuracy figures and
-// counted in the UnhealthyDevices gauge instead. As a side effect the
-// fleet-level registry gauges are refreshed, so the daemon's
-// Prometheus endpoint calls Metrics before exposition.
+// counted in the UnhealthyDevices gauge instead. The registry's
+// fleet-level gauges read their values from Metrics when rendered.
 func (m *Manager) Metrics() Metrics {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
@@ -386,7 +380,6 @@ func (m *Manager) Metrics() Metrics {
 	for _, id := range m.order {
 		md := m.devs[id]
 		md.mu.Lock()
-		md.flushObsLocked()
 		devCounters := md.counters()
 		c = c.Add(devCounters)
 		inFallback := md.modelHealth.Conservative()
@@ -401,15 +394,8 @@ func (m *Manager) Metrics() Metrics {
 			// accuracy figures with known-degraded models.
 			acc = acc.Add(devCounters)
 		}
-		merged.Merge(md.stats.latency())
+		merged.Merge(md.stats.lat)
 		md.mu.Unlock()
-	}
-	m.gDevices.Set(int64(len(m.order)))
-	m.gShards.Set(int64(m.cfg.Shards))
-	m.gUnhealthy.Set(int64(unhealthy))
-	m.gFallback.Set(int64(fallback))
-	for _, sh := range m.shards {
-		sh.depthG.Set(int64(sh.q.depth()))
 	}
 	return Metrics{
 		Devices:          len(m.order),
@@ -436,7 +422,7 @@ func (m *Manager) LatencyDigest() obs.HistogramSnapshot {
 	for _, id := range m.order {
 		md := m.devs[id]
 		md.mu.Lock()
-		merged.Merge(md.stats.latency())
+		merged.Merge(md.stats.lat)
 		md.mu.Unlock()
 	}
 	return merged

@@ -41,7 +41,7 @@ const (
 )
 
 // tallies describes every per-device tally once, indexed by statKind:
-// the registry series it flushes into, in registration order (op, when
+// the registry series that reads it, in registration order (op, when
 // set, labels a split of ssdcheck_requests_total), and its Counters
 // field. The two transition tallies have no field; Counters leaves
 // them to the logs.
@@ -70,45 +70,16 @@ var tallies = [numStats]struct {
 
 const reqSeries, reqHelp = "ssdcheck_requests_total", "Served requests by device and operation."
 
-// deviceStats is the streaming per-device tally. Everything is kept
-// two ways: plain shard-local values written under the managedDevice
-// mutex — so a served request pays no atomic operations at all — and
-// registry series they are flushed into whenever the device is read
-// (snapshot, fleet metrics, latency digest, health and model reports,
-// export, re-attach). The daemon's Prometheus handler refreshes via
-// Manager.Metrics before rendering, so exposition always sees exact
-// values. The latency histogram follows the same scheme: completions
-// land in pending's plain buckets, and the flush folds them into the
-// registry histogram, so quantile snapshots and exposition still share
-// one set of buckets.
+// deviceStats is the streaming per-device tally: plain values written
+// by the owning shard under the managedDevice mutex, so a served
+// request pays no atomic operations at all. The registry keeps no copy;
+// its per-device series read these fields under the same mutex when
+// they are rendered (see bindObs).
 type deviceStats struct {
-	vals    [numStats]int64 // plain tallies, owned by the shard under md.mu
-	flushed [numStats]int64 // portion already pushed into series
-	series  [numStats]*obs.Counter
-
-	// lat holds every flushed completion's latency; percentiles are
+	vals [numStats]int64
+	// lat holds every served completion's latency; percentiles are
 	// computed from its buckets, identically at any shard count.
-	// pending holds the completions served since the last flush.
-	lat     *obs.Histogram
-	pending obs.HistogramSnapshot
-}
-
-// bind registers (or re-binds) the device's metric series in reg. The
-// tallies and pending latencies are kept and flushed restarts from
-// zero, so the next flush lands the new series on the cumulative
-// counts.
-func (d *deviceStats) bind(reg *obs.Registry, id string) {
-	dev := obs.Label{Name: "device", Value: id}
-	d.flushed = [numStats]int64{}
-	d.lat = reg.Histogram("ssdcheck_request_latency_seconds",
-		"Served request latency on the device's virtual clock.", dev)
-	for k, t := range tallies {
-		labels := []obs.Label{dev}
-		if t.op != "" {
-			labels = append(labels, obs.Label{Name: "op", Value: t.op})
-		}
-		d.series[k] = reg.Counter(t.name, t.help, labels...)
-	}
+	lat obs.HistogramSnapshot
 }
 
 func (d *deviceStats) record(req blockdev.Request, predHL bool, lat time.Duration, obsHL bool) {
@@ -132,37 +103,7 @@ func (d *deviceStats) record(req blockdev.Request, predHL bool, lat time.Duratio
 		d.vals[statNLHits]++
 	}
 	d.vals[statBytes] += int64(req.Bytes())
-	d.pending.Observe(lat)
-}
-
-// flushLocked publishes the plain tallies into their registry series.
-// Counters are monotone, so pushing the delta since the last flush
-// lands the series exactly on the tally; pending latencies fold into
-// the histogram and start over. Callers hold md.mu.
-func (d *deviceStats) flushLocked() {
-	for k := range d.vals {
-		if delta := d.vals[k] - d.flushed[k]; delta > 0 {
-			d.series[k].Add(delta)
-			d.flushed[k] = d.vals[k]
-		}
-	}
-	d.flushLatency()
-}
-
-// flushLatency folds the pending buckets into lat and empties them.
-func (d *deviceStats) flushLatency() {
-	if d.pending.Count != 0 {
-		d.lat.AddSnapshot(d.pending)
-		d.pending = obs.HistogramSnapshot{}
-	}
-}
-
-// latency returns the histogram of every served completion, pending
-// ones folded in first. It is the only way the fleet reads lat.
-// Callers hold md.mu.
-func (d *deviceStats) latency() obs.HistogramSnapshot {
-	d.flushLatency()
-	return d.lat.Snapshot()
+	d.lat.Observe(lat)
 }
 
 // requests returns the served-completion count (every record() call).
@@ -319,7 +260,6 @@ type Metrics struct {
 func (md *managedDevice) snapshot() DeviceSnapshot {
 	md.mu.Lock()
 	defer md.mu.Unlock()
-	md.flushObsLocked()
 	c := md.counters()
 	return DeviceSnapshot{
 		ID:               md.id,
@@ -332,7 +272,7 @@ func (md *managedDevice) snapshot() DeviceSnapshot {
 		HLRate:           c.HLRate(),
 		HLAccuracy:       c.HLAccuracy(),
 		NLAccuracy:       c.NLAccuracy(),
-		Latency:          Summarize(md.stats.latency()),
+		Latency:          Summarize(md.stats.lat),
 		PredictorEnabled: md.enabled,
 		Model:            md.model,
 		Clock:            md.clock,

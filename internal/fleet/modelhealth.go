@@ -282,9 +282,8 @@ func (md *managedDevice) finishRediag(r *rediagRun) {
 		md.pr.Reset(&f)
 		md.feats = &f
 	}
-	md.rediagH.Observe(md.now.Sub(r.start))
-
 	md.mu.Lock()
+	md.rediagLat.Observe(md.now.Sub(r.start))
 	md.rediags++
 	md.stats.vals[statRediags]++
 	if err == nil {

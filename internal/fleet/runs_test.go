@@ -181,10 +181,12 @@ func promCount(t *testing.T, reg *obs.Registry, series string) string {
 	return ""
 }
 
-// TestLatencyFlushedOnEveryReader: served latencies wait in plain
-// per-device buckets until a reader folds them into the registry, so
-// every reader must flush first. Each check runs right after a batch,
-// with no other call in between, and must count every served request.
+// TestLatencyFlushedOnEveryReader: served latencies live in plain
+// per-device buckets, and every reader — Metrics, Devices,
+// LatencyDigest, a scrape after the health and model reports, a scrape
+// of the manager a device moved to, and an export — must count every
+// served request. Each check runs right after a batch, with no other
+// call in between.
 func TestLatencyFlushedOnEveryReader(t *testing.T) {
 	reg := obs.NewRegistry()
 	cfg := testConfig(testSpecs(), 2)
@@ -261,8 +263,8 @@ func TestLatencyFlushedOnEveryReader(t *testing.T) {
 		t.Errorf("/metrics after DeviceModel: _count %s, want %s", got, want)
 	}
 
-	// Detach → Attach: rebind must carry the pending buckets into the
-	// destination registry.
+	// Detach → Attach: the moved device's latency history must show in
+	// the destination registry.
 	other := obs.NewRegistry()
 	ocfg := testConfig(nil, 1)
 	ocfg.AllowEmpty = true

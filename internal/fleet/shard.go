@@ -36,13 +36,8 @@ type managedDevice struct {
 	rng      *simclock.RNG // retry jitter + recovery-probe addresses
 
 	// rec receives sampled request traces and health events; never nil
-	// (defaults to obs.Nop()). healthG/clockG/modelG mirror the
-	// device's state into registry gauges; rediagH times re-diagnoses.
-	rec     obs.Recorder
-	healthG *obs.Gauge
-	clockG  *obs.Gauge
-	modelG  *obs.Gauge
-	rediagH *obs.Histogram
+	// (defaults to obs.Nop()).
+	rec obs.Recorder
 
 	// feats is the device's current feature baseline (seeded by init,
 	// replaced on every successful re-diagnosis); rediag is the
@@ -69,9 +64,10 @@ type managedDevice struct {
 	translog   []HealthTransition
 	// Model-health state machine (same locking discipline as health).
 	modelHealth    ModelHealth
-	driftAge       int   // served completions spent drifting
-	fallbackServed int64 // conservative completions since entering fallback
-	rediags        int   // completed re-diagnosis attempts
+	driftAge       int                   // served completions spent drifting
+	fallbackServed int64                 // conservative completions since entering fallback
+	rediags        int                   // completed re-diagnosis attempts
+	rediagLat      obs.HistogramSnapshot // re-diagnosis durations, virtual clock
 	modelLog       []ModelTransition
 	// Cached predictor state, refreshed by the shard after every
 	// device run (and before the run lets go of mu) so readers never
@@ -285,13 +281,12 @@ func (md *managedDevice) recordTrace(req blockdev.Request, seq int64, sampled bo
 func (md *managedDevice) publish() {
 	md.mu.Lock()
 	md.publishLocked()
-	md.flushObsLocked()
 	md.mu.Unlock()
 }
 
 // publishLocked refreshes the cached predictor state readers see. It
-// runs after every device run, so it deliberately touches no atomics —
-// registry series catch up in flushObsLocked on the read side.
+// runs after every device run, so it deliberately touches no atomics;
+// registry series read the cached state when they are rendered.
 func (md *managedDevice) publishLocked() {
 	md.stale = false
 	md.enabled = md.pr.Enabled()
@@ -313,28 +308,31 @@ func (md *managedDevice) publishStaleLocked() {
 	}
 }
 
-// bindObs registers (or re-binds, after a move between managers) the
-// device's metric series, state gauges and re-diagnosis histogram in
-// reg.
+// bindObs registers the device's series in reg, after a move between
+// managers too: its tallies, latency and re-diagnosis histograms and
+// health, clock and model-health gauges. Each series reads the
+// device's own state under md.mu when it is rendered, so the registry
+// holds no copy to keep current.
 func (md *managedDevice) bindObs(reg *obs.Registry) {
-	md.stats.bind(reg, md.id)
 	dev := obs.Label{Name: "device", Value: md.id}
-	md.healthG = reg.Gauge("ssdcheck_device_health", "Health state (0=healthy 1=degraded 2=quarantined 3=recovering).", dev)
-	md.clockG = reg.Gauge("ssdcheck_device_clock_ns", "Device virtual clock, nanoseconds.", dev)
-	md.modelG = reg.Gauge("ssdcheck_device_model_health", "Model-health state (0=calibrated 1=drifting 2=fallback 3=rediagnosing).", dev)
-	md.rediagH = reg.Histogram("ssdcheck_rediag_duration_seconds", "Re-diagnosis duration on the device's virtual clock.", dev)
-}
-
-// flushObsLocked pushes the device's plain tallies and state gauges
-// into the registry. Every read path (snapshot, fleet metrics, health
-// report) calls it under md.mu, so the registry is exact whenever it
-// is rendered; the daemon refreshes via Manager.Metrics before
-// Prometheus exposition.
-func (md *managedDevice) flushObsLocked() {
-	md.stats.flushLocked()
-	md.healthG.Set(int64(md.health))
-	md.clockG.Set(int64(md.clock))
-	md.modelG.Set(int64(md.modelHealth))
+	read := func(v func() int64) func() int64 { return obs.Locked(&md.mu, v) }
+	reg.HistogramFunc("ssdcheck_request_latency_seconds", "Served request latency on the device's virtual clock.",
+		obs.Locked(&md.mu, func() obs.HistogramSnapshot { return md.stats.lat }), dev)
+	for k, t := range tallies {
+		labels := []obs.Label{dev}
+		if t.op != "" {
+			labels = append(labels, obs.Label{Name: "op", Value: t.op})
+		}
+		reg.CounterFunc(t.name, t.help, read(func() int64 { return md.stats.vals[k] }), labels...)
+	}
+	reg.GaugeFunc("ssdcheck_device_health", "Health state (0=healthy 1=degraded 2=quarantined 3=recovering).",
+		read(func() int64 { return int64(md.health) }), dev)
+	reg.GaugeFunc("ssdcheck_device_clock_ns", "Device virtual clock, nanoseconds.",
+		read(func() int64 { return int64(md.clock) }), dev)
+	reg.GaugeFunc("ssdcheck_device_model_health", "Model-health state (0=calibrated 1=drifting 2=fallback 3=rediagnosing).",
+		read(func() int64 { return int64(md.modelHealth) }), dev)
+	reg.HistogramFunc("ssdcheck_rediag_duration_seconds", "Re-diagnosis duration on the device's virtual clock.",
+		obs.Locked(&md.mu, func() obs.HistogramSnapshot { return md.rediagLat }), dev)
 }
 
 // errResult builds a failed per-request result, mirroring the error
@@ -441,11 +439,9 @@ type shard struct {
 	// serveRuns); it grows to the largest operation served.
 	next []int
 
-	// Ingress observability: queue depth gauge (refreshed by
-	// Manager.Metrics) and time-in-ring histogram (observed per
-	// operation at dequeue, exposed in microseconds).
-	depthG *obs.Gauge
-	waitH  *obs.Histogram
+	// waitH is the time-in-ring histogram, observed per operation at
+	// dequeue and exposed in microseconds.
+	waitH *obs.Histogram
 }
 
 // idleSpins is how many yield-and-recheck rounds the consumer burns

@@ -3,9 +3,14 @@ package obs
 import (
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
+
+// Set gives a gauge a fixed value. The library's gauges all read their
+// owner's state (GaugeFunc); the exposition tests pin fixed ones.
+func (g *Gauge) Set(n int64) { g.fn = func() int64 { return n } }
 
 func TestCounterGauge(t *testing.T) {
 	var c Counter
@@ -319,5 +324,83 @@ func TestWritePrometheusMergedTypeConflict(t *testing.T) {
 		[]RegistrySource{{Name: "a", Reg: a}, {Name: "b", Reg: b}})
 	if err == nil {
 		t.Error("conflicting family types merged without error")
+	}
+}
+
+// TestFuncSeries: a read-at-render series reports its function's value
+// when rendered and through the handle a later lookup returns, and a
+// second registration under the same key replaces the first.
+func TestFuncSeries(t *testing.T) {
+	r := NewRegistry()
+	var n int64 = 3
+	var hs HistogramSnapshot
+	hs.Observe(2 * time.Millisecond)
+	dev := Label{"device", "a"}
+	r.CounterFunc("x_total", "X.", func() int64 { return n }, dev)
+	r.GaugeFunc("y", "Y.", func() int64 { return -n })
+	r.HistogramFunc("z_seconds", "Z.", func() HistogramSnapshot { return hs }, dev)
+	n = 5
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"x_total{device=\"a\"} 5\n",
+		"y -5\n",
+		"z_seconds_count{device=\"a\"} 1\n",
+		"z_seconds_sum{device=\"a\"} 0.002\n",
+	} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("exposition lacks %q:\n%s", want, b.String())
+		}
+	}
+	if got := r.Counter("x_total", "", dev).Value(); got != 5 {
+		t.Errorf("looked-up counter = %d, want 5", got)
+	}
+	if got := r.Gauge("y", "").Value(); got != -5 {
+		t.Errorf("looked-up gauge = %d, want -5", got)
+	}
+	if got := r.Histogram("z_seconds", "", dev).Snapshot().Count; got != 1 {
+		t.Errorf("looked-up histogram count = %d, want 1", got)
+	}
+	r.CounterFunc("x_total", "X.", func() int64 { return 9 }, dev)
+	if got := r.Counter("x_total", "", dev).Value(); got != 9 {
+		t.Errorf("re-registered counter = %d, want 9", got)
+	}
+}
+
+// TestFuncSeriesLockOrder: an owner that registers series while
+// holding its own lock, and whose series take that lock when read, can
+// render and register concurrently without deadlock, because the
+// renderer reads series only after releasing the registry's lock.
+func TestFuncSeriesLockOrder(t *testing.T) {
+	r := NewRegistry()
+	var mu sync.Mutex
+	var v int64
+	read := func() int64 {
+		mu.Lock()
+		defer mu.Unlock()
+		return v
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 500; i++ {
+			mu.Lock()
+			v++
+			r.CounterFunc("owned_total", "", read, Label{"i", strconv.Itoa(i % 4)})
+			mu.Unlock()
+		}
+	}()
+	for {
+		var b strings.Builder
+		if err := r.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-done:
+			return
+		default:
+		}
 	}
 }
